@@ -18,11 +18,12 @@ the f_ij/f_i - weighted average of the phi_jk, and dually. Supplementary
 rows or columns are projected post hoc through those formulas using
 their own conditional profile.
 
-The SVD is a one-sided (Hestenes) Jacobi with deterministic cyclic
-sweeps, ample for the small dense matrices handled here. Axes whose
-eigenvalue falls below 1e-12 are dropped. Per-axis signs are
-canonicalized by flipping so the row coordinate of largest magnitude is
-negative (ties broken by the alphabetically first row label).
+The SVD is LAPACK's, through ``numpy.linalg.svd`` on the thin
+(economy) factorization. Axes whose eigenvalue falls below 1e-12 are
+dropped. Per-axis signs are canonicalized by flipping so the row
+coordinate of largest magnitude is negative; magnitudes within a
+relative 1e-9 of the largest count as tied, and ties go to the
+alphabetically first row label.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ import numpy as np
 from .corpus import ContingencyTable
 
 EIGENVALUE_TOL = 1e-12
+SIGN_TIE_RTOL = 1e-9
 
 
 class CaError(ValueError):
@@ -86,57 +88,6 @@ class CaResult:
         return 100.0 * self.eigenvalues / total
 
 
-def _one_sided_jacobi_svd(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """SVD by cyclically rotating column pairs until all are mutually
-    orthogonal to relative tolerance ``tol``. Returns (u, sigma, v) with
-    sigma descending; u columns for zero singular values are zeroed."""
-    a = np.array(a, dtype=float)
-    transposed = a.shape[0] < a.shape[1]
-    if transposed:
-        a = a.T
-    n = a.shape[1]
-    u = a.copy()
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = u[:, p] @ u[:, p]
-                beta = u[:, q] @ u[:, q]
-                gamma = u[:, p] @ u[:, q]
-                if abs(gamma) <= tol * np.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                if zeta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                up, uq = u[:, p].copy(), u[:, q].copy()
-                u[:, p] = c * up - s * uq
-                u[:, q] = s * up + c * uq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        if not rotated:
-            break
-    else:
-        raise ArithmeticError("Jacobi SVD did not converge")
-    sigma = np.sqrt(np.einsum("ij,ij->j", u, u))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    u = u[:, order]
-    v = v[:, order]
-    nonzero = sigma > 0.0
-    u[:, nonzero] /= sigma[nonzero]
-    u[:, ~nonzero] = 0.0
-    if transposed:
-        return v, sigma, u
-    return u, sigma, v
-
-
 def ca_fit(table: ContingencyTable) -> CaResult:
     """Fit the correspondence analysis of a contingency table.
 
@@ -158,13 +109,13 @@ def ca_fit(table: ContingencyTable) -> CaResult:
 
     expected = np.outer(fi, fj)
     residuals = (f - expected) / np.sqrt(expected)
-    u, sigma, v = _one_sided_jacobi_svd(residuals)
+    u, sigma, vt = np.linalg.svd(residuals, full_matrices=False)
 
     keep = sigma * sigma >= EIGENVALUE_TOL
     sigma = sigma[keep]
     eigenvalues = sigma * sigma
     psi = u[:, keep] * sigma / np.sqrt(fi)[:, None]
-    phi = v[:, keep] * sigma / np.sqrt(fj)[:, None]
+    phi = vt[keep].T * sigma / np.sqrt(fj)[:, None]
     _canonicalize_signs(psi, phi, table.row_labels)
 
     return CaResult(
@@ -182,11 +133,10 @@ def ca_fit(table: ContingencyTable) -> CaResult:
 def _canonicalize_signs(psi: np.ndarray, phi: np.ndarray, row_labels) -> None:
     for k in range(psi.shape[1]):
         magnitudes = np.abs(psi[:, k])
-        top = magnitudes.max()
-        lead = min(
-            (i for i in range(len(row_labels)) if magnitudes[i] == top),
-            key=lambda i: row_labels[i],
-        )
+        # Rows that tie in exact arithmetic can come out of the SVD a few
+        # ulp apart, so near-equal magnitudes count as tied.
+        tied = np.flatnonzero(magnitudes >= magnitudes.max() * (1.0 - SIGN_TIE_RTOL))
+        lead = min(tied, key=lambda i: row_labels[i])
         if psi[lead, k] > 0.0:
             psi[:, k] *= -1.0
             phi[:, k] *= -1.0

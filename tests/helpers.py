@@ -1,4 +1,6 @@
 """Shared test oracles, independent of the implementations they check."""
+from fractions import Fraction
+
 import numpy as np
 
 from bibcarto.corpus import ContingencyTable
@@ -68,6 +70,35 @@ def naive_ward(coords: np.ndarray, masses: np.ndarray):
         for gone in (a, b):
             del centroid[gone], mass[gone]
     return merges
+
+
+def exact_ward_minima(coords: np.ndarray, merges):
+    """Replay ``merges`` ((a, b) id pairs) on unit-mass points with integer
+    coordinates, in exact rational arithmetic.
+
+    Before each merge, returns the least Ward increase over all current
+    pairs (a Fraction) and the set of pairs attaining it. A cluster is
+    kept as its coordinate sum S and size m, so the increase of (p, q) is
+    ||m_q S_p - m_p S_q||^2 / (m_p m_q (m_p + m_q)), with no rounding.
+    """
+    n = len(coords)
+    sums = {i: [int(x) for x in coords[i]] for i in range(n)}
+    size = {i: 1 for i in range(n)}
+    minima = []
+    for step, (a, b) in enumerate(merges):
+        ids = sorted(sums)
+        heights = {}
+        for i, p in enumerate(ids):
+            for q in ids[i + 1:]:
+                num = sum((size[q] * x - size[p] * y) ** 2 for x, y in zip(sums[p], sums[q]))
+                heights[(p, q)] = Fraction(num, size[p] * size[q] * (size[p] + size[q]))
+        least = min(heights.values())
+        minima.append((least, {pair for pair, h in heights.items() if h == least}))
+        sums[n + step] = [x + y for x, y in zip(sums[a], sums[b])]
+        size[n + step] = size[a] + size[b]
+        for gone in (a, b):
+            del sums[gone], size[gone]
+    return minima
 
 
 def linear_scan_search(records, tokenized_fields, query, weights):

@@ -6,7 +6,6 @@ from bibcarto.ca import (
     EmptySupplementaryError,
     ShapeMismatchError,
     ZeroMassError,
-    _one_sided_jacobi_svd,
     ca_fit,
     inertia_report,
     project_supplementary_col,
@@ -110,15 +109,6 @@ def test_random_table_properties():
     rng = np.random.default_rng(20130401)
     for _ in range(50):
         assert_ca_properties(random_table(rng))
-
-
-def test_jacobi_matches_lapack_singular_values():
-    rng = np.random.default_rng(99)
-    for _ in range(25):
-        a = rng.normal(size=(rng.integers(2, 21), rng.integers(2, 21)))
-        _, sigma, _ = _one_sided_jacobi_svd(a)
-        expected = np.linalg.svd(a, compute_uv=False)
-        assert np.abs(sigma[: len(expected)] - expected).max() <= 1e-10
 
 
 def test_row_column_duality():

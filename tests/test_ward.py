@@ -14,7 +14,7 @@ from bibcarto.ward import (
     write_partition_csv,
 )
 
-from helpers import naive_ward
+from helpers import exact_ward_minima, naive_ward
 
 
 def _points(coords, labels=None):
@@ -94,6 +94,46 @@ def test_matches_naive_oracle_on_random_instances():
         assert (np.diff(got) >= -1e-12).all()
 
 
+def test_matches_oracles_at_larger_n_with_ties():
+    # Every third instance has integer coordinates, so exact ties occur
+    # between leaves and between merged clusters. Rounding can split a tie
+    # between merged clusters either way, and the float oracle rounds
+    # differently from Lance-Williams, so those instances are checked in
+    # exact arithmetic: each merge must attain the least increase, and
+    # the least pair when the tie is between leaves (computed exactly).
+    rng = np.random.default_rng(2040)
+    merged_ties = 0
+    for t in range(30):
+        n = int(rng.integers(20, 41))
+        d = int(rng.integers(1, 6))
+        coords = rng.normal(size=(n, d))
+        if t % 3 == 0:
+            coords = np.round(coords * 2)
+        merges = ward_hac(_points(coords)).merges
+        if t % 3:
+            oracle = naive_ward(coords, np.ones(n))
+            assert [(m.a, m.b, m.new_id) for m in merges] == [(a, b, i) for a, b, _, i, _ in oracle]
+            want = np.array([h for _, _, h, _, _ in oracle])
+        else:
+            minima = exact_ward_minima(coords, [(m.a, m.b) for m in merges])
+            for m, (_, pairs) in zip(merges, minima):
+                assert (m.a, m.b) in pairs
+                if max(b for _, b in pairs) < n:
+                    assert (m.a, m.b) == min(pairs)
+            want = np.array([float(least) for least, _ in minima])
+            merged_ties += sum(
+                len(pairs) > 1 and max(b for _, b in pairs) >= n for _, pairs in minima
+            )
+        got = np.array([m.height for m in merges])
+        assert np.abs(got - want).max() <= 1e-9
+    assert merged_ties > 0
+
+
+def test_overflowing_criterion_rejected():
+    with pytest.raises(ArithmeticError):
+        ward_hac(_points([[0.0], [1e200], [-1e200]]))
+
+
 def test_duplicate_points_merge_first_at_zero():
     dendrogram = ward_hac(_points([[1.0, 2.0], [5.0, 5.0], [1.0, 2.0]]))
     first = dendrogram.merges[0]
@@ -106,6 +146,14 @@ def test_tie_break_prefers_smallest_id_pair():
     square = _points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     first = ward_hac(square).merges[0]
     assert (first.a, first.b) == (0, 1)
+
+
+def test_tie_break_counts_ids_not_positions():
+    # At height 0 every pair within {0, 1, 2, 3} and within {4, 5} ties.
+    # Cluster 6 = {0, 1} takes the place of leaf 0, yet the least ids must
+    # still win: (2, 3) before (2, 6), then (4, 5) before (6, 7).
+    merges = ward_hac(_points([[0.0]] * 4 + [[5.0]] * 2)).merges
+    assert [(m.a, m.b) for m in merges] == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
 
 
 def test_permutation_invariance():
