@@ -3,8 +3,10 @@
 
 Fits the correspondence analysis of the discipline-by-year table,
 projects the 82 profile publications in as supplementary points, writes
-the factor-plane and clustering artifacts, and prints a summary of the
-axis structure and the 2- and 5-class partitions.
+the four artifacts of ``bibcarto analyze --fixture Table2 --supplementary
+Table1 --k 5`` (coordinates.csv, inertia.csv, dendrogram.nwk and the
+5-class partition.csv), and prints a summary of the axis structure, the
+2-class cut of the years and disciplines alone, and the 5-class cut.
 
 Usage:
     python scripts/run_reference_analysis.py [OUTDIR]
@@ -13,17 +15,16 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-from bibcarto import ca, corpus, ward
+from bibcarto import ca, corpus
+from bibcarto.cli import run_analysis
 
 
-def main() -> int:
-    outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("reference_analysis")
-    outdir.mkdir(parents=True, exist_ok=True)
-
+def main(outdir=None) -> int:
     disciplines = corpus.load_fixture("Table2")
-    profiles = corpus.load_fixture("Table1")
-    result = ca.ca_fit(disciplines)
+    full = run_analysis(disciplines, corpus.load_fixture("Table1"), k=5, axes=None)
+    outdir = full.write(outdir or "reference_analysis")
 
+    result = full.result
     report = ca.inertia_report(result)
     print(f"{result.n_axes} axes, total inertia {result.total_inertia:.6f}")
     for axis, lam, pct, cum in report[:4]:
@@ -32,32 +33,12 @@ def main() -> int:
     hum = result.row_coords[disciplines.row_labels.index("Hum")]
     print(f"Hum factor-plane position: ({hum[0]:+.3f}, {hum[1]:+.3f})")
 
-    supplementary = [
-        (label, ca.project_supplementary_row(profiles.row(label), result))
-        for label in profiles.row_labels
-    ]
-
-    points = ward.embed_for_clustering(result, supplementary)
-    dendrogram = ward.ward_hac(points)
-
-    (outdir / "coordinates.csv").write_text(
-        ca.write_coordinates_csv(result, supplementary), encoding="utf-8")
-    (outdir / "inertia.csv").write_text(ca.write_inertia_csv(result), encoding="utf-8")
-    (outdir / "dendrogram.nwk").write_text(
-        ward.export_dendrogram(dendrogram, "newick") + "\n", encoding="utf-8")
-
-    years_only = ward.ward_hac(ward.embed_for_clustering(result))
-    two = ward.cut(years_only, 2)
-    (outdir / "partition_k2.csv").write_text(
-        ward.write_partition_csv(two), encoding="utf-8")
+    years_only = run_analysis(disciplines, None, k=2, axes=None)
     print("\nyears-and-disciplines 2-cut:")
-    _print_clusters(two)
+    _print_clusters(years_only.partition)
 
-    five = ward.cut(dendrogram, 5)
-    (outdir / "partition_k5.csv").write_text(
-        ward.write_partition_csv(five), encoding="utf-8")
     print("\nfull 114-point 5-cut:")
-    _print_clusters(five, max_labels=12)
+    _print_clusters(full.partition, max_labels=12)
 
     print(f"\nartifacts written to {outdir}/")
     return 0
@@ -75,4 +56,4 @@ def _print_clusters(partition, max_labels=40):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else None))

@@ -2,8 +2,10 @@
 
 Exit codes: 0 on success, 1 on data errors (unreadable or malformed
 input, degenerate tables), 2 on usage errors. The environment variable
-BIBCARTO_CONFIG may point to a JSON file supplying defaults for any
-RunConfig field; explicit flags win.
+BIBCARTO_CONFIG may point to a JSON object whose keys are RunConfig
+field names; it supplies defaults for ``tables`` and ``analyze``, and
+explicit flags win. :func:`run_analysis` is the analysis pipeline that
+``analyze`` and ``scripts/run_reference_analysis.py`` share.
 """
 from __future__ import annotations
 
@@ -24,41 +26,65 @@ FORMAT_NAMES = {
 CONFIG_ENV_VAR = "BIBCARTO_CONFIG"
 
 
+class ConfigError(ValueError):
+    """The BIBCARTO_CONFIG file is unreadable, not a JSON object, or has
+    an unknown key or a wrongly typed value."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    inputs: tuple[str, ...] = ()
-    format: str | None = None
     exclusion_terms: tuple[str, ...] = corpus.DEFAULT_EXCLUSION_TERMS
+    year_range: tuple[int, int] = (1994, 2011)
     catalog_path: str | None = None
     lexicon_path: str | None = None
-    year_range: tuple[int, int] = (1994, 2011)
     output_dir: str = "bibcarto_out"
     k: int = 2
     axes: int | None = None
 
-    def __post_init__(self):
-        if self.year_range[1] < self.year_range[0]:
-            raise ValueError("year range is empty")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _config_defaults() -> dict:
+# RunConfig field -> (test of the JSON value, what the test expects).
+_CONFIG_CHECKS = {
+    "exclusion_terms": (
+        lambda v: isinstance(v, list) and all(isinstance(t, str) and t for t in v),
+        "a list of non-empty strings",
+    ),
+    "year_range": (
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
+        and v[0] <= v[1],
+        "[FIRST, LAST] with integer years, FIRST <= LAST",
+    ),
+    "catalog_path": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "lexicon_path": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "output_dir": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "k": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "axes": (lambda v: v is None or (_is_int(v) and v >= 1), "a positive integer or null"),
+}
+
+
+def load_config() -> RunConfig:
+    """The RunConfig from the BIBCARTO_CONFIG file, or the defaults when
+    the variable is unset or empty. Raises ConfigError naming the file."""
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        return RunConfig()
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a JSON file: {exc}") from None
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return data
-
-
-def _setting(args, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return _config_defaults().get(name, default)
+        raise ConfigError(f"{path}: config must be a JSON object")
+    for key, value in data.items():
+        if key not in _CONFIG_CHECKS:
+            raise ConfigError(f"{path}: unknown key {key!r} "
+                              f"(accepted: {', '.join(_CONFIG_CHECKS)})")
+        check, expected = _CONFIG_CHECKS[key]
+        if not check(value):
+            raise ConfigError(f"{path}: {key} must be {expected}, got {value!r}")
+    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
 def _positive_int(text: str) -> int:
@@ -145,9 +171,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (records.RecordParseError, corpus.EmptyTableError, ca.CaError,
-            ward.TooFewPointsError, ward.DimensionMismatchError,
-            OSError, ValueError, KeyError) as exc:
+    except (ConfigError, records.RecordParseError, corpus.TableFormatError,
+            corpus.EmptyTableError, ca.CaError, ward.TooFewPointsError,
+            ward.DimensionMismatchError, OSError, ValueError) as exc:
         print(f"bibcarto: error: {exc}", file=sys.stderr)
         return 1
 
@@ -194,27 +220,24 @@ def cmd_tables(args) -> int:
     if args.fixture:
         table = corpus.load_fixture(args.fixture)
     else:
+        config = load_config()
         recs, _ = _parse_all(args.records, args.format)
-        exclusions = tuple(_setting(args, "exclude", None)
-                           or _setting(args, "exclusion_terms", None)
-                           or corpus.DEFAULT_EXCLUSION_TERMS)
+        exclusions = tuple(args.exclude) if args.exclude is not None else config.exclusion_terms
         kept, dropped = corpus.filter_records(recs, exclusions)
-        years = _setting(args, "years", None) or tuple(
-            _setting(args, "year_range", (1994, 2011))
-        )
+        years = args.years if args.years is not None else config.year_range
         if args.kind == "profiles":
-            catalog_path = _setting(args, "catalog", None) or _setting(args, "catalog_path", None)
+            catalog_path = args.catalog if args.catalog is not None else config.catalog_path
             catalog = (corpus.ProfileCatalog.from_file(catalog_path)
                        if catalog_path else corpus.ProfileCatalog.default())
             tagger = lambda r: corpus.match_profiles(r, catalog)
             labels = catalog.ids
         else:
-            lexicon_path = _setting(args, "lexicon", None) or _setting(args, "lexicon_path", None)
+            lexicon_path = args.lexicon if args.lexicon is not None else config.lexicon_path
             lexicon = (corpus.DisciplineLexicon.from_file(lexicon_path)
                        if lexicon_path else corpus.DisciplineLexicon.default())
             tagger = lambda r: corpus.tag_disciplines(r, lexicon)
             labels = lexicon.labels
-        table, skipped = corpus.build_table(kept, tagger, labels, tuple(years))
+        table, skipped = corpus.build_table(kept, tagger, labels, years)
         if dropped:
             print(f"bibcarto: excluded {len(dropped)} record(s) by title phrase",
                   file=sys.stderr)
@@ -229,57 +252,79 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _load_table(args) -> corpus.ContingencyTable:
-    if args.fixture:
-        return corpus.load_fixture(args.fixture)
-    return corpus.ContingencyTable.from_csv(Path(args.table).read_text(encoding="utf-8"))
+def _read_table(fixture: str | None, path: str | None) -> corpus.ContingencyTable | None:
+    """The bundled table named ``fixture``, else the table CSV at ``path``,
+    else None. CSV errors name ``path:line``."""
+    if fixture:
+        return corpus.load_fixture(fixture)
+    if path is None:
+        return None
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return corpus.ContingencyTable.from_csv(text)
+    except corpus.TableFormatError as exc:
+        raise corpus.TableFormatError(exc.line_no, exc.reason, path) from None
 
 
-def _load_supplementary(args) -> corpus.ContingencyTable | None:
-    if args.supplementary:
-        return corpus.load_fixture(args.supplementary)
-    if args.supplementary_table:
-        return corpus.ContingencyTable.from_csv(
-            Path(args.supplementary_table).read_text(encoding="utf-8")
-        )
-    return None
+@dataclass(frozen=True)
+class Analysis:
+    """What :func:`run_analysis` computed: the artifact texts by file
+    name, the CA fit and the k-cluster partition."""
+    artifacts: dict[str, str]
+    result: ca.CaResult
+    partition: ward.Partition
+
+    def write(self, outdir) -> Path:
+        outdir = Path(outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in self.artifacts.items():
+            (outdir / name).write_text(text, encoding="utf-8")
+        return outdir
 
 
-def cmd_analyze(args) -> int:
-    config = RunConfig(
-        output_dir=_setting(args, "outdir", None) or _setting(args, "output_dir", "bibcarto_out"),
-        k=_setting(args, "k", 2),
-        axes=_setting(args, "axes", None),
-    )
-    table = _load_table(args)
+def run_analysis(
+    table: corpus.ContingencyTable,
+    supplementary: corpus.ContingencyTable | None,
+    k: int,
+    axes: int | None,
+) -> Analysis:
+    """Fit the CA of ``table``, project the rows of ``supplementary`` (if
+    any) into it, cluster every point with Ward, cut into ``k`` clusters
+    and render coordinates.csv (``axes`` axes, default all retained),
+    inertia.csv, dendrogram.nwk and partition.csv."""
     result = ca.ca_fit(table)
-
-    supplementary = []
-    sup_table = _load_supplementary(args)
-    if sup_table is not None:
-        if tuple(sup_table.col_labels) != tuple(table.col_labels):
+    projected = []
+    if supplementary is not None:
+        if supplementary.col_labels != table.col_labels:
             raise ca.ShapeMismatchError(
                 "supplementary table columns differ from the fitted table's"
             )
-        for label in sup_table.row_labels:
-            coords = ca.project_supplementary_row(sup_table.row(label), result)
-            supplementary.append((label, coords))
+        for label in supplementary.row_labels:
+            coords = ca.project_supplementary_row(supplementary.row(label), result)
+            projected.append((label, coords))
 
-    points = ward.embed_for_clustering(result, supplementary)
+    points = ward.embed_for_clustering(result, projected)
     dendrogram = ward.ward_hac(points)
-    partition = ward.cut(dendrogram, config.k)
-
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "coordinates.csv": ca.write_coordinates_csv(result, supplementary, config.axes),
+    partition = ward.cut(dendrogram, k)
+    artifacts = {
+        "coordinates.csv": ca.write_coordinates_csv(result, projected, axes),
         "inertia.csv": ca.write_inertia_csv(result),
         "dendrogram.nwk": ward.export_dendrogram(dendrogram, "newick") + "\n",
         "partition.csv": ward.write_partition_csv(partition),
     }
-    for name, text in outputs.items():
-        (outdir / name).write_text(text, encoding="utf-8")
-    print(f"bibcarto: wrote {', '.join(outputs)} to {outdir}")
+    return Analysis(artifacts, result, partition)
+
+
+def cmd_analyze(args) -> int:
+    config = load_config()
+    analysis = run_analysis(
+        _read_table(args.fixture, args.table),
+        _read_table(args.supplementary, args.supplementary_table),
+        args.k if args.k is not None else config.k,
+        args.axes if args.axes is not None else config.axes,
+    )
+    outdir = analysis.write(args.outdir if args.outdir is not None else config.output_dir)
+    print(f"bibcarto: wrote {', '.join(analysis.artifacts)} to {outdir}")
     return 0
 
 
@@ -304,10 +349,10 @@ def _run_query(index: search.Index, query_text: str, page: int) -> int:
               f"(fields: {', '.join(search.FIELDS)})", file=sys.stderr)
         return 2
     ranked = search.ranked_matches(index, query)
-    ids = search.search(index, query, page)
-    first = search.PAGE_SIZE * (page - 1) + 1
+    start = search.PAGE_SIZE * (page - 1)
+    ids = ranked[start : start + search.PAGE_SIZE]
     if ids:
-        print(f"{len(ranked)} match(es); page {page} ({first}-{first + len(ids) - 1} shown)")
+        print(f"{len(ranked)} match(es); page {page} ({start + 1}-{start + len(ids)} shown)")
     else:
         print(f"{len(ranked)} match(es); page {page} (empty)")
     print("-" * 60)

@@ -35,6 +35,18 @@ class EmptyTableError(ValueError):
     """Cross-tabulation produced no incidences at all."""
 
 
+class TableFormatError(ValueError):
+    """Malformed contingency-table CSV; ``line_no`` is 1-based and
+    ``path``, when known, names the file."""
+
+    def __init__(self, line_no: int, reason: str, path: str | None = None):
+        where = f"{path}:{line_no}" if path else f"line {line_no}"
+        super().__init__(f"{where}: {reason}")
+        self.line_no = line_no
+        self.reason = reason
+        self.path = path
+
+
 def _normalize_token(token: str) -> str:
     return " ".join(token.split()).upper()
 
@@ -288,12 +300,64 @@ class ContingencyTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "ContingencyTable":
-        rows = list(csv.reader(io.StringIO(text)))
-        header = rows[0][1:]
-        cols = tuple(int(c) if c.strip().lstrip("-").isdigit() else c for c in header)
-        labels = tuple(r[0] for r in rows[1:] if r)
-        counts = np.array([[int(v) for v in r[1:]] for r in rows[1:] if r])
-        return cls(labels, cols, counts)
+        """Parse the CSV that :meth:`to_csv` writes: a header row (label
+        column, then one column per year; integer headers become ints) and
+        one row per label of nonnegative integer counts summing to at most
+        2**63 - 1. Blank lines are skipped. Any other shape raises
+        :class:`TableFormatError`."""
+        reader = csv.reader(io.StringIO(text))
+        header, header_line, rows, lines = None, 0, {}, []
+        try:
+            for fields in reader:
+                line = reader.line_num
+                if not fields:
+                    continue
+                if header is None:
+                    header, header_line = tuple(_column_label(c) for c in fields[1:]), line
+                    if len(set(header)) != len(header):
+                        raise TableFormatError(line, "duplicate column labels")
+                    continue
+                if len(fields) != len(header) + 1:
+                    raise TableFormatError(
+                        line, f"expected {len(header)} counts, got {len(fields) - 1}")
+                if fields[0] in rows:
+                    raise TableFormatError(line, f"duplicate row label {fields[0]!r}")
+                try:
+                    rows[fields[0]] = [int(v) for v in fields[1:]]
+                except ValueError:
+                    raise TableFormatError(line, "counts must be integers") from None
+                lines.append(line)
+        except csv.Error as exc:
+            raise TableFormatError(reader.line_num, str(exc)) from None
+        if header is None:
+            raise TableFormatError(1, "empty table")
+        if not rows:
+            raise TableFormatError(header_line, "header but no rows")
+        try:
+            counts = np.array(list(rows.values()), dtype=np.int64)
+        except OverflowError:
+            counts = None
+        # The float sum screens for totals near the int64 limit; the exact
+        # check below runs only on tables that fail the screen.
+        if counts is None or (counts < 0).any() or counts.sum(dtype=np.float64) >= 2**62:
+            total = 0
+            for line, row in zip(lines, rows.values()):
+                if min(row, default=0) < 0:
+                    raise TableFormatError(line, "negative count")
+                total += sum(row)
+                if total > _MAX_TOTAL:
+                    raise TableFormatError(line, "counts total exceeds 2**63 - 1")
+        return cls(tuple(rows), header, counts)
+
+
+_MAX_TOTAL = 2**63 - 1  # largest int64
+
+
+def _column_label(text: str):
+    """Header cell as a year (int) when it is an optionally negative
+    ASCII digit run, else the text itself."""
+    digits = text.strip().removeprefix("-")
+    return int(text) if digits.isascii() and digits.isdigit() else text
 
 
 def build_table(

@@ -75,9 +75,13 @@ class Query:
 
 @dataclass
 class Index:
+    """``postings`` maps term -> field -> ids of the records holding it;
+    ``_doc_terms`` holds each record's per-field term counts, the one
+    copy of term frequency."""
+
     records: tuple[BibRecord, ...]
     field_weights: dict[str, float]
-    postings: dict[str, dict[str, list[tuple[int, int]]]] = field(repr=False, default_factory=dict)
+    postings: dict[str, dict[str, list[int]]] = field(repr=False, default_factory=dict)
     _doc_terms: list[dict[str, Counter]] = field(repr=False, default_factory=list)
 
     @property
@@ -97,10 +101,8 @@ def build_index(
         for name in FIELDS:
             counts = Counter(tokenize(_field_text(record, name)))
             per_field[name] = counts
-            for term, tf in counts.items():
-                index.postings.setdefault(term, {}).setdefault(name, []).append(
-                    (doc_id, tf)
-                )
+            for term in counts:
+                index.postings.setdefault(term, {}).setdefault(name, []).append(doc_id)
         index._doc_terms.append(per_field)
     return index
 
@@ -142,10 +144,7 @@ def ranked_matches(index: Index, query: Query) -> list[int]:
         fields = (conjunct.field,) if conjunct.field else FIELDS
         matching = set()
         for name in fields:
-            matching.update(
-                doc_id
-                for doc_id, _ in index.postings.get(conjunct.term, {}).get(name, ())
-            )
+            matching.update(index.postings.get(conjunct.term, {}).get(name, ()))
         candidates = matching if candidates is None else candidates & matching
         if not candidates:
             return []

@@ -1,9 +1,14 @@
+import importlib.util
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibcarto import corpus, records
-from bibcarto.cli import main
+from bibcarto.cli import RunConfig, main
 
 from conftest import PERSONAL_ALERT_SAMPLE, RESEARCH_ALERT_SAMPLE
 
@@ -182,6 +187,186 @@ def test_config_file_supplies_defaults(tmp_path, monkeypatch):
     assert main(["analyze", "--fixture", "Table2", "--outdir", str(outdir)]) == 0
     partition = (outdir / "partition.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert {int(ln.rsplit(",", 1)[1]) for ln in partition} == {1, 2, 3, 4, 5}
+
+
+CONFIG_KEYS = ("exclusion_terms", "year_range", "catalog_path", "lexicon_path",
+               "output_dir", "k", "axes")
+ARTIFACTS = ("coordinates.csv", "inertia.csv", "dendrogram.nwk", "partition.csv")
+
+
+def test_config_keys_are_the_run_config_fields():
+    assert tuple(RunConfig.__dataclass_fields__) == CONFIG_KEYS
+
+
+def test_config_file_supplies_every_setting(toy_corpus_file, tmp_path, monkeypatch):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("Net\tnetwork\nPots\tpottery\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "exclusion_terms": ["bronze age"], "year_range": [2000, 2002],
+        "catalog_path": None, "lexicon_path": str(lexicon),
+        "output_dir": str(tmp_path / "from_config"), "k": 3, "axes": 1,
+    }), encoding="utf-8")
+    monkeypatch.setenv("BIBCARTO_CONFIG", str(config))
+    out = tmp_path / "t.csv"
+    assert main(["tables", "--records", str(toy_corpus_file), "-o", str(out)]) == 0
+    table = corpus.ContingencyTable.from_csv(out.read_text(encoding="utf-8"))
+    assert table.row_labels == ("Net", "Pots")
+    assert table.col_labels == (2000, 2001, 2002)
+    assert table.row("Net").tolist() == [1, 1, 0]   # the 1999 network record is out of range
+    assert table.row("Pots").sum() == 0             # the pottery record is excluded
+    assert main(["analyze", "--fixture", "Table2"]) == 0
+    outdir = tmp_path / "from_config"
+    assert (outdir / "coordinates.csv").read_text(encoding="utf-8").startswith(
+        "label,kind,axis1\n")
+    partition = (outdir / "partition.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert {ln.rsplit(",", 1)[1] for ln in partition} == {"1", "2", "3"}
+
+
+def test_flags_win_over_config(toy_corpus_file, tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": 5, "axes": 1, "exclusion_terms": [],
+                                  "year_range": [1994, 1995]}), encoding="utf-8")
+    monkeypatch.setenv("BIBCARTO_CONFIG", str(config))
+    outdir = tmp_path / "out"
+    assert main(["analyze", "--fixture", "Table2", "--k", "2", "--axes", "2",
+                 "--outdir", str(outdir)]) == 0
+    partition = (outdir / "partition.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert {ln.rsplit(",", 1)[1] for ln in partition} == {"1", "2"}
+    header = (outdir / "coordinates.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == "label,kind,axis1,axis2"
+    out = tmp_path / "t.csv"
+    assert main(["tables", "--records", str(toy_corpus_file), "--years", "1999:2002",
+                 "--exclude", "pottery", "-o", str(out)]) == 0
+    table = corpus.ContingencyTable.from_csv(out.read_text(encoding="utf-8"))
+    assert table.col_labels == (1999, 2000, 2001, 2002)
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+# One case per crash or silent misreading seen before the config was
+# validated and the table reader typed its errors: (config JSON or None,
+# table CSV text or None, command, text the error must name besides the file).
+REJECTED_INPUTS = {
+    "config-k-string": ({"k": "5"}, None, "analyze", "k"),
+    "config-axes-string": ({"axes": "3"}, None, "analyze", "axes"),
+    "config-year-range-string": ({"year_range": "1994"}, None, "tables", "year_range"),
+    "config-exclusion-terms-string": ({"exclusion_terms": "galaxy"}, None, "tables",
+                                      "exclusion_terms"),
+    "config-unknown-key": ({"kk": 3}, None, "analyze", "kk"),
+    "csv-empty": (None, "", "analyze", ":1:"),
+    "csv-overflow": (None, "label,1994,1995\nx,99999999999999999999,1\n", "analyze", ":2:"),
+    "csv-ragged": (None, "label,1994,1995\nx,1,2\ny,3\n", "analyze", ":3:"),
+    "csv-non-integer": (None, "label,1994,1995\nx,1,2\ny,3,z\n", "analyze", ":3:"),
+    "csv-header-only": (None, "label,1994,1995\n", "analyze", ":1:"),
+}
+
+
+@pytest.mark.parametrize("config, table, command, detail",
+                         REJECTED_INPUTS.values(), ids=REJECTED_INPUTS.keys())
+def test_malformed_input_exits_1_naming_file(config, table, command, detail, toy_corpus_file,
+                                             tmp_path, monkeypatch, capsys):
+    named = None
+    if config is not None:
+        named = _write(tmp_path / "config.json", json.dumps(config))
+        monkeypatch.setenv("BIBCARTO_CONFIG", str(named))
+    if command == "tables":
+        argv = ["tables", "--records", str(toy_corpus_file)]
+    elif table is not None:
+        named = _write(tmp_path / "table.csv", table)
+        argv = ["analyze", "--table", str(named), "--outdir", str(tmp_path / "o")]
+    else:
+        argv = ["analyze", "--fixture", "Table2", "--outdir", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"bibcarto: error: {named}")
+    assert detail in err
+
+
+@pytest.mark.parametrize("key", ["exclude", "years", "catalog", "lexicon", "outdir",
+                                 "inputs", "format"])
+def test_removed_config_names_are_rejected(key, tmp_path, monkeypatch, capsys):
+    config = _write(tmp_path / "config.json", json.dumps({key: None}))
+    monkeypatch.setenv("BIBCARTO_CONFIG", str(config))
+    assert main(["analyze", "--fixture", "Table2", "--outdir", str(tmp_path / "o")]) == 1
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_config_not_json_names_file(tmp_path, monkeypatch, capsys):
+    config = _write(tmp_path / "config.json", "{k: 5")
+    monkeypatch.setenv("BIBCARTO_CONFIG", str(config))
+    assert main(["analyze", "--fixture", "Table2", "--outdir", str(tmp_path / "o")]) == 1
+    assert str(config) in capsys.readouterr().err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=2),
+    max_leaves=6,
+)
+_valid_settings = {
+    "exclusion_terms": [[], ["galaxy"]], "year_range": [[1994, 2011]],
+    "catalog_path": [None], "lexicon_path": [None], "output_dir": ["unused"],
+    "k": [1, 2, 3], "axes": [None, 1, 2],
+}
+# Half valid configs, so that the table is read and analysed; half any
+# JSON object over known and unknown keys.
+_configs = (
+    st.fixed_dictionaries({}, optional={
+        key: st.sampled_from(values) for key, values in _valid_settings.items()
+    })
+    | st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=6), _json_values,
+                      max_size=3)
+)
+
+
+@st.composite
+def _table_csvs(draw):
+    """Well-formed tables (0-4 year columns, 0-5 rows of counts 0-5),
+    some of which CA or Ward still reject as degenerate."""
+    years = [str(1994 + j) for j in range(draw(st.integers(0, 4)))]
+    labels = draw(st.lists(st.sampled_from("abcdef"), unique=True, max_size=5))
+    lines = [",".join(["label", *years])]
+    for label in labels:
+        counts = draw(st.lists(st.integers(0, 5), min_size=len(years), max_size=len(years)))
+        lines.append(",".join([label, *map(str, counts)]))
+    return "\n".join(lines) + "\n"
+
+
+_csv_cells = st.sampled_from(["label", "1994", "1995", "-1", "0", "1", "3", "x", "", " 2"])
+_csv_junk = st.lists(st.lists(_csv_cells, max_size=4).map(",".join), max_size=5).map("\n".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_configs, table=st.text(max_size=60) | _csv_junk | _table_csvs())
+def test_analyze_never_raises_on_arbitrary_config_and_table(config, table):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config_path = _write(tmp / "config.json", json.dumps(config))
+        table_path = _write(tmp / "table.csv", table)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("BIBCARTO_CONFIG", str(config_path))
+            code = main(["analyze", "--table", str(table_path), "--outdir", str(tmp / "o")])
+    assert code in (0, 1)
+
+
+def test_reference_script_writes_the_analyze_artifacts(tmp_path, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_reference_analysis.py"
+    spec = importlib.util.spec_from_file_location("run_reference_analysis", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(tmp_path / "script") == 0
+    assert main(["analyze", "--fixture", "Table2", "--supplementary", "Table1", "--k", "5",
+                 "--outdir", str(tmp_path / "cli")]) == 0
+    assert sorted(p.name for p in (tmp_path / "script").iterdir()) == sorted(ARTIFACTS)
+    for name in ARTIFACTS:
+        assert (tmp_path / "script" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+    assert "full 114-point 5-cut" in capsys.readouterr().out
 
 
 def test_search_query_pages(toy_corpus_file, capsys):

@@ -8,6 +8,7 @@ from bibcarto.corpus import (
     DisciplineLexicon,
     EmptyTableError,
     ProfileCatalog,
+    TableFormatError,
     build_table,
     filter_records,
     load_fixture,
@@ -317,6 +318,28 @@ def test_contingency_table_csv_round_trip():
     assert again.row_labels == table.row_labels
     assert again.col_labels == table.col_labels
     assert np.array_equal(again.counts, table.counts)
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("", 1),
+    ("\n\nlabel,1994\n", 3),                       # header only, after blank lines
+    ("label,1994,1994\nx,1,2\n", 1),                 # duplicate years
+    ("label,1994,1995\nx,1,2\ny,3\n", 3),            # ragged
+    ("label,1994\nx,1\n\nx,2\n", 4),                 # duplicate label
+    ("label,1994\nx,1.5\n", 2),
+    ("label,1994\nx,-1\n", 2),
+    ("label,1994\nx,9223372036854775807\ny,1\n", 3),  # total overflows int64
+])
+def test_from_csv_rejects_malformed_naming_line(text, line_no):
+    with pytest.raises(TableFormatError) as err:
+        ContingencyTable.from_csv(text)
+    assert err.value.line_no == line_no
+    assert str(err.value).startswith(f"line {line_no}: ")
+
+
+def test_from_csv_year_headers_become_ints():
+    table = ContingencyTable.from_csv("label,1994,-3,x1,\u0661\na,1,2,3,4\n")
+    assert table.col_labels == (1994, -3, "x1", "\u0661")
 
 
 def test_transposed_swaps_axes():

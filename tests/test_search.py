@@ -63,7 +63,7 @@ def test_build_index_empty():
 
 def test_title_tokens_posted_under_title():
     index = build_index([_record("Numerical Optimizations of Designs")])
-    assert index.postings["numerical"]["title"] == [(0, 1)]
+    assert index.postings["numerical"]["title"] == [0]
     assert "numerical" not in index.postings.get("source", {})
 
 
@@ -71,7 +71,7 @@ def test_duplicate_records_get_distinct_ids():
     rec = _record("same thing twice")
     index = build_index([rec, rec])
     assert index.doc_count == 2
-    assert index.postings["same"]["title"] == [(0, 1), (1, 1)]
+    assert index.postings["same"]["title"] == [0, 1]
 
 
 def test_parse_query_conjuncts():
