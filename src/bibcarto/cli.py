@@ -171,21 +171,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, records.RecordParseError, corpus.TableFormatError,
+    except (ConfigError, records.RecordParseError, corpus.InputFormatError,
             corpus.EmptyTableError, ca.CaError, ward.TooFewPointsError,
             ward.DimensionMismatchError, OSError, ValueError) as exc:
         print(f"bibcarto: error: {exc}", file=sys.stderr)
         return 1
 
 
-def _read_files(paths) -> list[tuple[str, str]]:
-    return [(path, Path(path).read_text(encoding="utf-8")) for path in paths]
-
-
 def _parse_all(paths, fmt_name, lenient=False):
     fmt = FORMAT_NAMES[fmt_name] if fmt_name else None
     all_records, all_errors = [], []
-    for path, text in _read_files(paths):
+    for path in paths:
+        text = corpus.read_file(path, str)
         if lenient:
             try:
                 recs, errors = records.parse_records_lenient(text, fmt)
@@ -259,11 +256,7 @@ def _read_table(fixture: str | None, path: str | None) -> corpus.ContingencyTabl
         return corpus.load_fixture(fixture)
     if path is None:
         return None
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        return corpus.ContingencyTable.from_csv(text)
-    except corpus.TableFormatError as exc:
-        raise corpus.TableFormatError(exc.line_no, exc.reason, path) from None
+    return corpus.read_file(path, corpus.ContingencyTable.from_csv)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 """Corpus classification and contingency-table construction.
 
-Records are matched against two controlled vocabularies:
+Records are matched against two controlled vocabularies, each indexed
+once, when it is constructed:
 
 * a profile catalog of canonical publications, matched through the
   cited-item lines of Research Alert records (exact token equality after
-  whitespace normalization) and through the ``rauth`` search terms of
-  Personal Alert records (author part of the token, before the two-digit
-  year; a trailing ``*`` in the term acts as a prefix wildcard);
-* a discipline lexicon of case-insensitive substrings looked up in the
-  title, source, keywords and keywords+ fields.
+  whitespace normalization; a token belongs to one entry) and through the
+  ``rauth`` search terms of Personal Alert records (author part of the
+  token, before the two-digit year; a trailing ``*`` in the term acts as
+  a prefix wildcard);
+* a discipline lexicon of case-insensitive terms looked up in the title,
+  source, keywords and keywords+ fields. At each position only the
+  longest term starting there counts, for every label that lists it.
 
 Tagged records are then cross-tabulated into label-by-year contingency
 tables. The two bundled reference tables (profile-by-year and
@@ -20,6 +23,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -28,16 +32,17 @@ from .records import BibRecord
 
 DEFAULT_EXCLUSION_TERMS = ("galaxy cluster",)
 
-_TOKEN_YEAR_RE = re.compile(r"^(.*\S)\s+(\d{2})$")
+# The year that ends a match token: "BREIMAN L 84" has author part "BREIMAN L".
+_TOKEN_YEAR_RE = re.compile(r"(?<=\S)\s+\d{2}$")
 
 
 class EmptyTableError(ValueError):
     """Cross-tabulation produced no incidences at all."""
 
 
-class TableFormatError(ValueError):
-    """Malformed contingency-table CSV; ``line_no`` is 1-based and
-    ``path``, when known, names the file."""
+class InputFormatError(ValueError):
+    """Malformed input text; ``line_no`` is 1-based and ``path``, when
+    known, names the file."""
 
     def __init__(self, line_no: int, reason: str, path: str | None = None):
         where = f"{path}:{line_no}" if path else f"line {line_no}"
@@ -47,14 +52,82 @@ class TableFormatError(ValueError):
         self.path = path
 
 
+class TableFormatError(InputFormatError):
+    """Malformed contingency-table CSV."""
+
+
+class VocabularyFormatError(InputFormatError):
+    """Malformed profile-catalog or discipline-lexicon text."""
+
+
+class DuplicateEntryError(ValueError):
+    """Entry ``index`` repeats the id, label or match token of an earlier one."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(reason)
+        self.index = index
+
+
+def read_file(path, parse):
+    """``parse`` of the UTF-8 text of the file at ``path``, line ends as
+    :meth:`Path.read_text` gives them. Bytes that are not UTF-8, and an
+    InputFormatError from ``parse``, raise InputFormatError naming ``path``."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise InputFormatError(line_no, f"not UTF-8: byte 0x{data[exc.start]:02x}", path) from None
+    try:
+        return parse(text.replace("\r\n", "\n").replace("\r", "\n"))
+    except InputFormatError as exc:
+        raise type(exc)(exc.line_no, exc.reason, path) from None
+
+
 def _normalize_token(token: str) -> str:
     return " ".join(token.split()).upper()
 
 
-def _author_part(token: str) -> str:
-    """Match token minus its trailing two-digit year ("BREIMAN L 84" -> "BREIMAN L")."""
-    m = _TOKEN_YEAR_RE.match(token)
-    return m.group(1) if m else token
+class _Vocabulary:
+    """The loaders of ProfileCatalog (key: id; lists: match tokens, merged
+    works) and DisciplineLexicon (key: label; list: terms). A subclass
+    sets ``_ENTRY`` (its entry type, built from the key and the first
+    ``_LISTS`` lists), ``_KEY`` and ``_DEFAULT`` (the bundled text)."""
+
+    @classmethod
+    def from_text(cls, text: str):
+        """Load from lines of ``key<TAB>comma-list[<TAB>comma-list]``, skipping
+        blank lines and ``#`` comments. Errors name the line."""
+        entries, line_nos = [], []
+        for line_no, ln in enumerate(text.splitlines(), 1):
+            if not ln.strip() or ln.lstrip().startswith("#"):
+                continue
+            key, tab, rest = ln.partition("\t")
+            if not (tab and key.strip()):
+                raise VocabularyFormatError(
+                    line_no, f"expected a non-empty {cls._KEY}, a tab, then terms: {ln!r}")
+            lists = [tuple(t.strip() for t in part.split(",") if t.strip())
+                     for part in rest.split("\t")]
+            entries.append(cls._ENTRY(key.strip(), *lists[: cls._LISTS]))
+            line_nos.append(line_no)
+        try:
+            return cls(entries)
+        except DuplicateEntryError as exc:
+            raise VocabularyFormatError(line_nos[exc.index], str(exc)) from None
+
+    @classmethod
+    def from_file(cls, path):
+        return read_file(path, cls.from_text)
+
+    @classmethod
+    def default(cls):
+        return cls.from_text(cls._DEFAULT)
+
+    def _check_unique(self, keys: list[str]) -> None:
+        first = {}
+        for i, key in enumerate(keys):
+            if first.setdefault(key, i) != i:
+                raise DuplicateEntryError(i, f"duplicate {self._KEY} {key!r}")
 
 
 @dataclass(frozen=True)
@@ -66,17 +139,22 @@ class ProfileEntry:
 
 
 @dataclass
-class ProfileCatalog:
+class ProfileCatalog(_Vocabulary):
     entries: list[ProfileEntry]
 
+    _ENTRY, _KEY, _LISTS, _DEFAULT = ProfileEntry, "id", 2, fixtures.PROFILE_CATALOG
+
     def __post_init__(self):
-        ids = [e.id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate profile ids in catalog")
-        self._by_token = {}
-        for entry in self.entries:
-            for token in entry.match_tokens:
-                self._by_token[_normalize_token(token)] = entry.id
+        self._check_unique(self.ids)
+        self._by_token = {}   # normalized token -> profile id
+        self._by_author = {}  # author part of a normalized token -> profile ids
+        for i, entry in enumerate(self.entries):
+            for token in map(_normalize_token, entry.match_tokens):
+                owner = self._by_token.setdefault(token, entry.id)
+                if owner != entry.id:
+                    raise DuplicateEntryError(i, f"token {token!r} already belongs to {owner!r}")
+                author = _TOKEN_YEAR_RE.sub("", token)
+                self._by_author.setdefault(author, set()).add(entry.id)
 
     @property
     def ids(self) -> list[str]:
@@ -87,50 +165,17 @@ class ProfileCatalog:
         return self._by_token.get(_normalize_token(cited))
 
     def match_author_term(self, term: str) -> set[str]:
-        """Profile ids whose token author part matches a search term.
-
-        The comparison is against the token prefix before the year; a
-        trailing ``*`` on the term turns it into a prefix match.
-        """
+        """Profile ids whose author part equals a ``rauth`` term or, when the
+        term ends in ``*``, starts with the rest of it."""
         term = _normalize_token(term)
         prefix = term.endswith("*")
         term = term.rstrip("*").strip()
         if not term:
             return set()
-        found = set()
-        for entry in self.entries:
-            for token in entry.match_tokens:
-                author = _author_part(_normalize_token(token))
-                if author == term or (prefix and author.startswith(term)):
-                    found.add(entry.id)
-        return found
-
-    @classmethod
-    def from_text(cls, text: str) -> "ProfileCatalog":
-        """Load from tab-separated lines: id, match tokens (comma-separated),
-        optional constituent work labels (comma-separated)."""
-        entries = []
-        for ln in text.splitlines():
-            if not ln.strip() or ln.lstrip().startswith("#"):
-                continue
-            parts = ln.split("\t")
-            if len(parts) < 2:
-                raise ValueError(f"catalog line needs id<TAB>tokens: {ln!r}")
-            tokens = tuple(t.strip() for t in parts[1].split(",") if t.strip())
-            merged = ()
-            if len(parts) > 2 and parts[2].strip():
-                merged = tuple(m.strip() for m in parts[2].split(",") if m.strip())
-            entries.append(ProfileEntry(parts[0].strip(), tokens, merged))
-        return cls(entries)
-
-    @classmethod
-    def from_file(cls, path) -> "ProfileCatalog":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
-
-    @classmethod
-    def default(cls) -> "ProfileCatalog":
-        return cls.from_text(fixtures.PROFILE_CATALOG)
+        if not prefix:
+            return set(self._by_author.get(term, ()))
+        return {pid for author, ids in self._by_author.items() if author.startswith(term)
+                for pid in ids}
 
 
 @dataclass(frozen=True)
@@ -140,39 +185,25 @@ class LexiconEntry:
 
 
 @dataclass
-class DisciplineLexicon:
+class DisciplineLexicon(_Vocabulary):
     entries: list[LexiconEntry]
 
+    _ENTRY, _KEY, _LISTS, _DEFAULT = LexiconEntry, "label", 1, fixtures.DISCIPLINE_LEXICON
+
     def __post_init__(self):
-        labels = [e.label for e in self.entries]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate discipline labels in lexicon")
+        self._check_unique(self.labels)
+        self._labels_of = {}  # lowercased term -> labels that list it
+        for entry in self.entries:
+            for term in entry.match_terms:
+                self._labels_of.setdefault(term.lower(), set()).add(entry.label)
+        # The lookahead tries every position, so overlapping occurrences
+        # count; the alternation, longest first, picks the longest term.
+        terms = sorted(self._labels_of, key=len, reverse=True)
+        self._pattern = re.compile(f"(?=({'|'.join(map(re.escape, terms))}))" if terms else "(?!)")
 
     @property
     def labels(self) -> list[str]:
         return [e.label for e in self.entries]
-
-    @classmethod
-    def from_text(cls, text: str) -> "DisciplineLexicon":
-        entries = []
-        for ln in text.splitlines():
-            if not ln.strip() or ln.lstrip().startswith("#"):
-                continue
-            parts = ln.split("\t")
-            if len(parts) < 2:
-                raise ValueError(f"lexicon line needs label<TAB>terms: {ln!r}")
-            terms = tuple(t.strip() for t in parts[1].split(",") if t.strip())
-            entries.append(LexiconEntry(parts[0].strip(), terms))
-        return cls(entries)
-
-    @classmethod
-    def from_file(cls, path) -> "DisciplineLexicon":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
-
-    @classmethod
-    def default(cls) -> "DisciplineLexicon":
-        return cls.from_text(fixtures.DISCIPLINE_LEXICON)
 
 
 def match_profiles(record: BibRecord, catalog: ProfileCatalog) -> set[str]:
@@ -189,40 +220,15 @@ def match_profiles(record: BibRecord, catalog: ProfileCatalog) -> set[str]:
 
 
 def tag_disciplines(record: BibRecord, lexicon: DisciplineLexicon) -> set[str]:
-    """Discipline labels whose terms occur as substrings of the record.
-
-    Searched fields: title, source, keywords, keywords+. When terms of
-    two labels overlap (one a prefix of the other), an occurrence counts
-    only for the longest term starting there, so a single word never
-    fires both labels.
-    """
-    terms = [
-        (entry.label, t.lower())
-        for entry in lexicon.entries
-        for t in entry.match_terms
-    ]
-    haystacks = [
-        record.title,
-        record.source,
-        "; ".join(record.keywords),
-        "; ".join(record.keywords_plus),
-    ]
+    """Discipline labels whose terms occur in the record's title, source,
+    keywords or keywords+. Each position counts only for the longest term
+    starting there, for every label listing it: with "Psych" under label A
+    and "Psychology" under B, the word "PSYCHOLOGY" fires B alone."""
     labels = set()
-    for text in haystacks:
-        low = text.lower()
-        for label, term in terms:
-            if label in labels:
-                continue
-            start = 0
-            while (pos := low.find(term, start)) >= 0:
-                shadowed = any(
-                    other != label and len(t2) > len(term) and low.startswith(t2, pos)
-                    for other, t2 in terms
-                )
-                if not shadowed:
-                    labels.add(label)
-                    break
-                start = pos + 1
+    for text in (record.title, record.source, "; ".join(record.keywords),
+                 "; ".join(record.keywords_plus)):
+        for m in lexicon._pattern.finditer(text.lower()):
+            labels |= lexicon._labels_of[m.group(1)]
     return labels
 
 

@@ -1,4 +1,5 @@
 """Shared test oracles, independent of the implementations they check."""
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -127,3 +128,56 @@ def linear_scan_search(records, tokenized_fields, query, weights):
         return total
 
     return sorted(matches, key=lambda i: (-score(i), i))
+
+
+def naive_author_matches(entries, term) -> set:
+    """Ids of catalog ``entries`` matching a ``rauth`` search term, by
+    normalizing and splitting every match token of every entry for this
+    one term. The author part is the token before its two-digit year; a
+    trailing ``*`` on the term makes it a prefix match."""
+    def normalize(token):
+        return " ".join(token.split()).upper()
+
+    def author(token):
+        m = re.match(r"^(.*\S)\s+(\d{2})$", token)
+        return m.group(1) if m else token
+
+    term = normalize(term)
+    prefix = term.endswith("*")
+    term = term.rstrip("*").strip()
+    if not term:
+        return set()
+    found = set()
+    for entry in entries:
+        for token in entry.match_tokens:
+            name = author(normalize(token))
+            if name == term or (prefix and name.startswith(term)):
+                found.add(entry.id)
+    return found
+
+
+def naive_disciplines(record, entries) -> set:
+    """Labels of lexicon ``entries`` a record fires, by finding every
+    occurrence of every term in each lowercased field and checking it
+    against every other term: an occurrence counts unless a longer term
+    of another label starts at the same place."""
+    terms = [(entry.label, t.lower()) for entry in entries for t in entry.match_terms]
+    haystacks = [record.title, record.source, "; ".join(record.keywords),
+                 "; ".join(record.keywords_plus)]
+    labels = set()
+    for text in haystacks:
+        low = text.lower()
+        for label, term in terms:
+            if label in labels:
+                continue
+            start = 0
+            while (pos := low.find(term, start)) >= 0:
+                shadowed = any(
+                    other != label and len(t2) > len(term) and low.startswith(t2, pos)
+                    for other, t2 in terms
+                )
+                if not shadowed:
+                    labels.add(label)
+                    break
+                start = pos + 1
+    return labels

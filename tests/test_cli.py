@@ -287,6 +287,42 @@ def test_malformed_input_exits_1_naming_file(config, table, command, detail, toy
     assert detail in err
 
 
+# Catalog, lexicon and non-UTF-8 inputs: (option that names the file, its
+# bytes, the ":line:" the error must name after the file).
+REJECTED_FILES = {
+    "lexicon-no-tab": ("--lexicon", b"Net\tnetwork\nMed Medicine\n", ":2:"),
+    "lexicon-empty-label": ("--lexicon", b"# labels\n\tnetwork\n", ":2:"),
+    "lexicon-duplicate-label": ("--lexicon", b"Net\tnetwork\n\nNet\tnet\n", ":3:"),
+    "catalog-no-tab": ("--catalog", b"Ward63 WARD JH 63\n", ":1:"),
+    "catalog-empty-id": ("--catalog", b"Ward63\tWARD JH 63\n \tWOLFE JH 70\n", ":2:"),
+    "catalog-duplicate-id": ("--catalog", b"Ward63\tWARD JH 63\nWard63\tWARD J 63\n", ":2:"),
+    "catalog-shared-token": ("--catalog", b"Ward63\tWARD JH 63\nWard\tWARD  JH 63\n", ":2:"),
+    "lexicon-not-utf8": ("--lexicon", b"Net\tnetwork\r\nPots\tpot\xfftery\n", ":2:"),
+    "catalog-not-utf8": ("--catalog", b"\xffWard63\tWARD JH 63\n", ":1:"),
+    "records-not-utf8": ("--records", b"T   fine\nU   J THINGS 1999\n\nT   caf\xe9\n", ":4:"),
+    "table-not-utf8": ("--table", b"label,1994\nx,1\ny\xff,2\n", ":3:"),
+}
+
+
+@pytest.mark.parametrize("option, data, line", REJECTED_FILES.values(),
+                         ids=REJECTED_FILES.keys())
+def test_malformed_vocabulary_or_encoding_exits_1_naming_line(option, data, line,
+                                                              toy_corpus_file, tmp_path, capsys):
+    named = tmp_path / "input.txt"
+    named.write_bytes(data)
+    if option == "--table":
+        argv = ["analyze", "--table", str(named), "--outdir", str(tmp_path / "o")]
+    elif option == "--records":
+        argv = ["tables", "--records", str(named)]
+    else:
+        kind = "profiles" if option == "--catalog" else "disciplines"
+        argv = ["tables", "--records", str(toy_corpus_file), "--kind", kind, option, str(named)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"bibcarto: error: {named}{line}")
+
+
 @pytest.mark.parametrize("key", ["exclude", "years", "catalog", "lexicon", "outdir",
                                  "inputs", "format"])
 def test_removed_config_names_are_rejected(key, tmp_path, monkeypatch, capsys):
@@ -352,6 +388,55 @@ def test_analyze_never_raises_on_arbitrary_config_and_table(config, table):
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("BIBCARTO_CONFIG", str(config_path))
             code = main(["analyze", "--table", str(table_path), "--outdir", str(tmp / "o")])
+    assert code in (0, 1)
+
+
+def _joined(pieces, sep=""):
+    return st.lists(st.sampled_from(pieces), max_size=6).map(sep.join)
+
+
+# Research Alert records that parse, citing catalog tokens and carrying
+# lexicon terms, so that some runs reach tagging and write a table.
+_ra_records = st.lists(
+    st.tuples(_joined(["network", "Net", "ward", "pottery", "C++"], " "),
+              st.sampled_from(["1993", "1999", "2011", ""]),
+              st.sampled_from(["WARD JH 63", "WARD  JH   63", "X Y 99"])),
+    min_size=1, max_size=4,
+).map(lambda recs: "\n".join(f"T   t {title}\nU   J X {year}\nW.  {token}\n"
+                              for title, year, token in recs))
+_alert_texts = (
+    st.text(max_size=80)
+    | st.sampled_from([RESEARCH_ALERT_SAMPLE, PERSONAL_ALERT_SAMPLE])
+    | _ra_records
+)
+_vocabulary_texts = st.text(max_size=40) | st.lists(
+    st.tuples(st.sampled_from(["Net", "Ward63", "Pots", "Soc", "", "# c"]),
+              st.sampled_from(["\t", "\t", "\t", " "]),
+              _joined(["network", "WARD JH 63", "ward", "net", "C++", "(", ""], ",")),
+    min_size=1, max_size=3,
+).map(lambda lines: "\n".join(key + sep + terms for key, sep, terms in lines))
+
+
+def _file_bytes(texts):
+    """Text as UTF-8 (two times in three), or arbitrary bytes (mostly not UTF-8)."""
+    utf8 = texts.map(lambda t: t.encode("utf-8"))
+    return utf8 | utf8 | st.binary(max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["profiles", "disciplines"]), alerts=_file_bytes(_alert_texts),
+       catalog=_file_bytes(_vocabulary_texts), lexicon=_file_bytes(_vocabulary_texts))
+def test_tables_never_raises_on_arbitrary_alerts_catalog_and_lexicon(kind, alerts, catalog,
+                                                                     lexicon):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {}
+        for name, data in (("alerts", alerts), ("catalog", catalog), ("lexicon", lexicon)):
+            paths[name] = tmp / f"{name}.txt"
+            paths[name].write_bytes(data)
+        code = main(["tables", "--records", str(paths["alerts"]), "--kind", kind,
+                     "--catalog", str(paths["catalog"]), "--lexicon", str(paths["lexicon"]),
+                     "-o", str(tmp / "t.csv")])
     assert code in (0, 1)
 
 

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibcarto.corpus import (
     ContingencyTable,
     DisciplineLexicon,
+    DuplicateEntryError,
     EmptyTableError,
+    LexiconEntry,
     ProfileCatalog,
+    ProfileEntry,
     TableFormatError,
+    VocabularyFormatError,
     build_table,
     filter_records,
     load_fixture,
@@ -16,6 +20,8 @@ from bibcarto.corpus import (
     tag_disciplines,
 )
 from bibcarto.records import BibRecord, RecordFormat, parse_records
+
+from helpers import naive_author_matches, naive_disciplines
 
 TABLE2_LABELS = ("Med", "Bio", "Phys", "Chem", "Astr", "Math", "Stat",
                  "Eng", "Psych", "Psy", "Lit", "Hum", "Eco", "Soc")
@@ -206,6 +212,106 @@ def test_overlapping_terms_longest_wins_per_word():
     assert tag_disciplines(other_word, lexicon) == {"Psy"}
     both = _record(title="PSYCHOLOGY AND PSYCHIC RESEARCH")
     assert tag_disciplines(both, lexicon) == {"Psy", "Psych"}
+
+
+# ---------------------------------------------------------------- vocabulary text
+
+def test_catalog_rejects_a_token_of_two_entries():
+    text = "Ward63\tWARD JH 63\nWolfe70\tWOLFE JH 70\nWard\tSOKAL RR 63,  ward  jh 63\n"
+    with pytest.raises(VocabularyFormatError) as err:
+        ProfileCatalog.from_text(text)
+    assert err.value.line_no == 3
+    assert "'WARD JH 63' already belongs to 'Ward63'" in str(err.value)
+    with pytest.raises(DuplicateEntryError) as err:
+        ProfileCatalog([ProfileEntry("A", ("X 84",)), ProfileEntry("B", ("x  84",))])
+    assert err.value.index == 1
+    # the same token twice in one entry is one token
+    assert ProfileCatalog.from_text("A\tX 84,X  84\n").match_citation("x 84") == "A"
+
+
+def test_bundled_catalog_tokens_are_distinct():
+    tokens = [" ".join(t.split()).upper()
+              for e in ProfileCatalog.default().entries for t in e.match_tokens]
+    assert len(tokens) == len(set(tokens)) == 91
+
+
+def test_lexicon_extra_columns_ignored():
+    lexicon = DisciplineLexicon.from_text("Net\tnetwork, nets \textra\tmore\n")
+    assert lexicon.entries == [LexiconEntry("Net", ("network", "nets"))]
+
+
+# ---------------------------------------------------------------- matchers vs oracles
+
+_fragments = st.sampled_from(["a", "b", "ab", "c++", "(", ".", "*", "İ", "i", "\u0307", " "])
+_terms = st.lists(_fragments, min_size=1, max_size=4).map("".join)
+
+
+@st.composite
+def _lexicons(draw):
+    """Lexicons over a tiny alphabet, so terms share prefixes and repeat;
+    one term is copied under a second label on purpose."""
+    labels = draw(st.lists(st.sampled_from("PQRST"), min_size=1, max_size=4, unique=True))
+    terms = {label: draw(st.lists(_terms, min_size=1, max_size=3)) for label in labels}
+    if len(labels) > 1 and draw(st.booleans()):
+        terms[labels[1]].append(terms[labels[0]][0].upper())
+    return [LexiconEntry(label, tuple(ts)) for label, ts in terms.items()]
+
+
+_haystacks = st.lists(_fragments | st.sampled_from(["AB", "C++", "x", "; "]),
+                      max_size=12).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_lexicons(), title=_haystacks, source=_haystacks,
+       keywords=st.lists(_haystacks, max_size=2))
+def test_tag_disciplines_matches_the_shadowing_scan(entries, title, source, keywords):
+    rec = _record(title=title, source=source, keywords=keywords, keywords_plus=keywords[::-1])
+    assert tag_disciplines(rec, DisciplineLexicon(entries)) == naive_disciplines(rec, entries)
+
+
+def test_tag_disciplines_shared_term_fires_every_label():
+    entries = [LexiconEntry("A", ("C++", "c")), LexiconEntry("B", ("c++",)),
+               LexiconEntry("C", ("c+",))]
+    rec = _record(title="Programming in c++ (Cfront)")
+    assert tag_disciplines(rec, DisciplineLexicon(entries)) == {"A", "B"}
+    assert naive_disciplines(rec, entries) == {"A", "B"}
+
+
+_authors = st.sampled_from(["WARD JH", "WARD J", "WARDLE", "WOLFE JH", "MC LACHLAN GJ", "SOKAL"])
+
+
+@st.composite
+def _catalogs(draw):
+    """Catalogs with author parts that share prefixes, tokens with and
+    without a two-digit year, and padded whitespace; tokens are distinct."""
+    tokens = draw(st.lists(st.tuples(_authors, st.sampled_from(["", " 63", "  70", " 1999"])),
+                           min_size=1, max_size=6,
+                           unique_by=lambda t: " ".join((t[0] + t[1]).split())))
+    ids = draw(st.lists(st.sampled_from("ABCD"), min_size=len(tokens), max_size=len(tokens)))
+    by_id = {}
+    for pid, (author, year) in zip(ids, tokens):
+        by_id.setdefault(pid, []).append(author.replace(" ", "  ", 1) + year)
+    return [ProfileEntry(pid, tuple(ts)) for pid, ts in by_id.items()]
+
+
+# Exact author parts (any case), prefixes with "*", a bare "*" and unknown terms.
+_rauth_terms = (
+    _authors
+    | _authors.map(str.lower)
+    | st.tuples(_authors, st.integers(1, 6)).map(lambda t: t[0][: t[1]] + "*")
+    | st.sampled_from(["*", "**", " * ", "", "NOBODY", "WARD*JH", "WARD JH 63"])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_catalogs(), terms=st.lists(_rauth_terms, min_size=1, max_size=4))
+def test_match_author_term_matches_the_catalog_scan(entries, terms):
+    catalog = ProfileCatalog(entries)
+    for term in terms:
+        assert catalog.match_author_term(term) == naive_author_matches(entries, term)
+    default = ProfileCatalog.default()
+    for term in terms:
+        assert default.match_author_term(term) == naive_author_matches(default.entries, term)
 
 
 # ---------------------------------------------------------------- filtering
