@@ -1,5 +1,6 @@
 """Citation-alert bibliography cartography toolkit."""
 
+from .errors import DataError
 from .records import (
     BibRecord,
     RecordFormat,
@@ -29,6 +30,7 @@ __all__ = [
     "BibRecord",
     "CaResult",
     "ContingencyTable",
+    "DataError",
     "Dendrogram",
     "DisciplineLexicon",
     "Index",

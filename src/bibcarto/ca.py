@@ -34,12 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ContingencyTable
+from .errors import DataError
 
 EIGENVALUE_TOL = 1e-12
 SIGN_TIE_RTOL = 1e-9
 
 
-class CaError(ValueError):
+class CaError(DataError):
     pass
 
 
@@ -54,11 +55,15 @@ class DegenerateTableError(CaError):
     pass
 
 
-class EmptySupplementaryError(CaError):
+class SupplementaryError(CaError):
+    """A supplementary row or column that cannot be projected."""
+
+
+class EmptySupplementaryError(SupplementaryError):
     pass
 
 
-class ShapeMismatchError(CaError):
+class ShapeMismatchError(SupplementaryError):
     pass
 
 

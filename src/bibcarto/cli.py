@@ -1,22 +1,29 @@
 """Command-line pipeline: parse, tables, analyze, search.
 
-Exit codes: 0 on success, 1 on data errors (unreadable or malformed
-input, degenerate tables), 2 on usage errors. The environment variable
-BIBCARTO_CONFIG may point to a JSON object whose keys are RunConfig
-field names; it supplies defaults for ``tables`` and ``analyze``, and
-explicit flags win. :func:`run_analysis` is the analysis pipeline that
-``analyze`` and ``scripts/run_reference_analysis.py`` share.
+Exit codes: 0 on success, 2 on usage errors, 1 on data errors. A data
+error is an :class:`errors.DataError`, an OSError, or a UnicodeError
+from the standard streams; :func:`main` prints it as ``bibcarto: error:
+<file>[:<line>]: reason`` and lets any other exception propagate. Input
+files, the config among them, are read through :func:`errors.read_file`,
+and ``analyze`` prefixes an error from :func:`run_analysis` with the
+file it concerns. The environment variable BIBCARTO_CONFIG may point to
+a JSON object whose keys are RunConfig field names; it supplies defaults
+for ``tables`` and ``analyze``, and explicit flags win.
+:func:`run_analysis` is the analysis pipeline that ``analyze`` and
+``scripts/run_reference_analysis.py`` share.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import ca, corpus, records, search, ward
+from .errors import DataError, read_file
 
 FORMAT_NAMES = {
     "research-alert": records.RecordFormat.RESEARCH_ALERT,
@@ -26,9 +33,9 @@ FORMAT_NAMES = {
 CONFIG_ENV_VAR = "BIBCARTO_CONFIG"
 
 
-class ConfigError(ValueError):
-    """The BIBCARTO_CONFIG file is unreadable, not a JSON object, or has
-    an unknown key or a wrongly typed value."""
+class ConfigError(DataError):
+    """The BIBCARTO_CONFIG file is not JSON, not a JSON object, or has an
+    unknown key or a wrongly typed value."""
 
 
 @dataclass(frozen=True)
@@ -67,13 +74,18 @@ _CONFIG_CHECKS = {
 
 def load_config() -> RunConfig:
     """The RunConfig from the BIBCARTO_CONFIG file, or the defaults when
-    the variable is unset or empty. Raises ConfigError naming the file."""
+    the variable is unset or empty. Raises a DataError naming the file,
+    and the line for bad JSON syntax or bytes that are not UTF-8."""
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return RunConfig()
+    text = read_file(path, str)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: not a JSON file: {exc.msg} "
+                          f"(column {exc.colno})") from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
         raise ConfigError(f"{path}: not a JSON file: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -94,12 +106,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_YEAR_RANGE_RE = re.compile(r"\s*([-+]?\d+)\s*:\s*([-+]?\d+)\s*")
+
+
 def _year_range(text: str) -> tuple[int, int]:
-    first, _, last = text.partition(":")
-    try:
-        lo, hi = int(first), int(last)
-    except ValueError:
+    m = _YEAR_RANGE_RE.fullmatch(text)
+    if not m:
         raise argparse.ArgumentTypeError(f"expected FIRST:LAST, got {text!r}")
+    lo, hi = int(m[1]), int(m[2])
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty year range {text!r}")
     return lo, hi
@@ -171,9 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, records.RecordParseError, corpus.InputFormatError,
-            corpus.EmptyTableError, ca.CaError, ward.TooFewPointsError,
-            ward.DimensionMismatchError, OSError, ValueError) as exc:
+    except (DataError, OSError, UnicodeError) as exc:
         print(f"bibcarto: error: {exc}", file=sys.stderr)
         return 1
 
@@ -182,12 +194,9 @@ def _parse_all(paths, fmt_name, lenient=False):
     fmt = FORMAT_NAMES[fmt_name] if fmt_name else None
     all_records, all_errors = [], []
     for path in paths:
-        text = corpus.read_file(path, str)
+        text = read_file(path, str)
         if lenient:
-            try:
-                recs, errors = records.parse_records_lenient(text, fmt)
-            except records.RecordParseError as exc:
-                recs, errors = [], [exc]
+            recs, errors = records.parse_records_lenient(text, fmt)
             all_records.extend(recs)
             all_errors.extend((path, err) for err in errors)
         else:
@@ -256,7 +265,7 @@ def _read_table(fixture: str | None, path: str | None) -> corpus.ContingencyTabl
         return corpus.load_fixture(fixture)
     if path is None:
         return None
-    return corpus.read_file(path, corpus.ContingencyTable.from_csv)
+    return read_file(path, corpus.ContingencyTable.from_csv)
 
 
 @dataclass(frozen=True)
@@ -292,7 +301,12 @@ def run_analysis(
             raise ca.ShapeMismatchError(
                 "supplementary table columns differ from the fitted table's"
             )
+        fitted = {*table.row_labels, *map(str, table.col_labels)}
         for label in supplementary.row_labels:
+            if label in fitted:
+                raise ca.SupplementaryError(f"supplementary row {label!r} repeats a fitted label")
+            if not supplementary.row(label).any():
+                raise ca.EmptySupplementaryError(f"supplementary row {label!r} has no incidences")
             coords = ca.project_supplementary_row(supplementary.row(label), result)
             projected.append((label, coords))
 
@@ -310,15 +324,34 @@ def run_analysis(
 
 def cmd_analyze(args) -> int:
     config = load_config()
-    analysis = run_analysis(
-        _read_table(args.fixture, args.table),
-        _read_table(args.supplementary, args.supplementary_table),
-        args.k if args.k is not None else config.k,
-        args.axes if args.axes is not None else config.axes,
-    )
+    table = _read_table(args.fixture, args.table)
+    supplementary = _read_table(args.supplementary, args.supplementary_table)
+    try:
+        analysis = run_analysis(
+            table,
+            supplementary,
+            args.k if args.k is not None else config.k,
+            args.axes if args.axes is not None else config.axes,
+        )
+    except DataError as exc:
+        path = _file_concerned(exc, args)
+        if path is None:
+            raise
+        raise DataError(f"{path}: {exc}") from exc
     outdir = analysis.write(args.outdir if args.outdir is not None else config.output_dir)
     print(f"bibcarto: wrote {', '.join(analysis.artifacts)} to {outdir}")
     return 0
+
+
+def _file_concerned(exc: DataError, args) -> str | None:
+    """The file an error from :func:`run_analysis` is about (None for a
+    bundled table): the supplementary table, the config for its ``k``,
+    or the fitted table."""
+    if isinstance(exc, ca.SupplementaryError):
+        return args.supplementary_table
+    if isinstance(exc, ward.ClusterCountError) and args.k is None:
+        return os.environ.get(CONFIG_ENV_VAR)
+    return args.table
 
 
 def _print_record(doc_id: int, record: records.BibRecord) -> None:
@@ -358,11 +391,7 @@ def cmd_search(args) -> int:
     recs, _ = _parse_all(args.records, args.format)
     index = search.build_index(recs)
     if args.mlt is not None:
-        try:
-            similar = search.more_like_this(index, args.mlt)
-        except search.UnknownRecordError as exc:
-            print(f"bibcarto: error: {exc}", file=sys.stderr)
-            return 1
+        similar = search.more_like_this(index, args.mlt)
         print(f"records most like {args.mlt}:")
         print("-" * 60)
         for doc_id in similar:

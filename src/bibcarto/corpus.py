@@ -16,6 +16,11 @@ once, when it is constructed:
 Tagged records are then cross-tabulated into label-by-year contingency
 tables. The two bundled reference tables (profile-by-year and
 discipline-by-year, 1994-2011) load through :func:`load_fixture`.
+
+Catalogs, lexicons and table CSVs are read through
+:func:`errors.read_file`, so a malformed line raises an
+:class:`errors.InputFormatError` naming ``path:line``; every error here
+subclasses :class:`errors.DataError`.
 """
 from __future__ import annotations
 
@@ -23,11 +28,11 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import fixtures
+from .errors import DataError, InputFormatError, read_file
 from .records import BibRecord
 
 DEFAULT_EXCLUSION_TERMS = ("galaxy cluster",)
@@ -36,20 +41,8 @@ DEFAULT_EXCLUSION_TERMS = ("galaxy cluster",)
 _TOKEN_YEAR_RE = re.compile(r"(?<=\S)\s+\d{2}$")
 
 
-class EmptyTableError(ValueError):
+class EmptyTableError(DataError):
     """Cross-tabulation produced no incidences at all."""
-
-
-class InputFormatError(ValueError):
-    """Malformed input text; ``line_no`` is 1-based and ``path``, when
-    known, names the file."""
-
-    def __init__(self, line_no: int, reason: str, path: str | None = None):
-        where = f"{path}:{line_no}" if path else f"line {line_no}"
-        super().__init__(f"{where}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
-        self.path = path
 
 
 class TableFormatError(InputFormatError):
@@ -60,28 +53,12 @@ class VocabularyFormatError(InputFormatError):
     """Malformed profile-catalog or discipline-lexicon text."""
 
 
-class DuplicateEntryError(ValueError):
+class DuplicateEntryError(DataError):
     """Entry ``index`` repeats the id, label or match token of an earlier one."""
 
     def __init__(self, index: int, reason: str):
         super().__init__(reason)
         self.index = index
-
-
-def read_file(path, parse):
-    """``parse`` of the UTF-8 text of the file at ``path``, line ends as
-    :meth:`Path.read_text` gives them. Bytes that are not UTF-8, and an
-    InputFormatError from ``parse``, raise InputFormatError naming ``path``."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise InputFormatError(line_no, f"not UTF-8: byte 0x{data[exc.start]:02x}", path) from None
-    try:
-        return parse(text.replace("\r\n", "\n").replace("\r", "\n"))
-    except InputFormatError as exc:
-        raise type(exc)(exc.line_no, exc.reason, path) from None
 
 
 def _normalize_token(token: str) -> str:
@@ -135,7 +112,6 @@ class ProfileEntry:
     id: str
     match_tokens: tuple[str, ...]
     merged_ids: tuple[str, ...] = ()
-    active_years: tuple[int, int] | None = None
 
 
 @dataclass
@@ -319,7 +295,11 @@ class ContingencyTable:
                 if not fields:
                     continue
                 if header is None:
-                    header, header_line = tuple(_column_label(c) for c in fields[1:]), line
+                    try:
+                        header = tuple(_column_label(c) for c in fields[1:])
+                    except ValueError:  # a digit run longer than int() converts
+                        raise TableFormatError(line, "column label too long for a year") from None
+                    header_line = line
                     if len(set(header)) != len(header):
                         raise TableFormatError(line, "duplicate column labels")
                     continue

@@ -35,13 +35,15 @@ import re
 import string
 from dataclasses import dataclass, field
 
+from .errors import DataError
+
 
 class RecordFormat(enum.Enum):
     RESEARCH_ALERT = "ResearchAlert"
     PERSONAL_ALERT = "PersonalAlert"
 
 
-class RecordParseError(ValueError):
+class RecordParseError(DataError):
     """Base class for malformed alert text."""
 
 
@@ -177,10 +179,7 @@ def _pa_line_ok(line: str) -> bool:
 
 def parse_research_alert(text: str) -> list[BibRecord]:
     """Parse a stream of blank-line-separated Research Alert records."""
-    records = []
-    for block_no, block in _blank_separated_blocks(text):
-        records.append(_parse_ra_block(block_no, block))
-    return records
+    return parse_records(text, RecordFormat.RESEARCH_ALERT)
 
 
 def _blank_separated_blocks(text: str):
@@ -223,10 +222,7 @@ def _parse_ra_block(block_no: int, block: list[tuple[int, str]]) -> BibRecord:
 
 def parse_personal_alert(text: str) -> list[BibRecord]:
     """Parse a stream of Personal Alert records (one per TITLE: header)."""
-    records = []
-    for block_no, block in _title_separated_blocks(text):
-        records.append(_parse_pa_block(block_no, block))
-    return records
+    return parse_records(text, RecordFormat.PERSONAL_ALERT)
 
 
 def _title_separated_blocks(text: str):
@@ -294,11 +290,12 @@ def _split_qualifier(entry: str) -> tuple[str, str]:
 
 
 def parse_records(text: str, fmt: RecordFormat | None = None) -> list[BibRecord]:
-    """Parse alert text in the given (or auto-detected) format."""
-    fmt = fmt or detect_format(text)
-    if fmt is RecordFormat.RESEARCH_ALERT:
-        return parse_research_alert(text)
-    return parse_personal_alert(text)
+    """Parse alert text in the given (or auto-detected) format, raising
+    the first RecordParseError."""
+    records, errors = parse_records_lenient(text, fmt)
+    if errors:
+        raise errors[0]
+    return records
 
 
 def parse_records_lenient(
@@ -306,10 +303,14 @@ def parse_records_lenient(
 ) -> tuple[list[BibRecord], list[RecordParseError]]:
     """Parse record by record, collecting errors instead of raising.
 
-    Format detection failures abort the whole text (there is no sound
-    way to carve records out of text in an unknown grammar).
+    Text in no (or both) grammars gives no records and its
+    AmbiguousFormatError as the only error: there is no sound way to
+    carve records out of text in an unknown grammar.
     """
-    fmt = fmt or detect_format(text)
+    try:
+        fmt = fmt or detect_format(text)
+    except AmbiguousFormatError as exc:
+        return [], [exc]
     if fmt is RecordFormat.RESEARCH_ALERT:
         chunks, parse_one = _blank_separated_blocks(text), _parse_ra_block
     else:

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .errors import DataError
 from .records import BibRecord
 
 FIELDS = ("title", "authors", "source", "keywords", "keywords_plus", "address")
@@ -36,7 +37,7 @@ PAGE_SIZE = 10
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
 
-class QueryError(ValueError):
+class QueryError(DataError):
     pass
 
 
@@ -48,7 +49,7 @@ class UnknownFieldError(QueryError):
     pass
 
 
-class UnknownRecordError(LookupError):
+class UnknownRecordError(DataError):
     pass
 
 

@@ -29,20 +29,30 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .ca import CaResult
+from .errors import DataError
 
 
-class TooFewPointsError(ValueError):
+class TooFewPointsError(DataError):
     pass
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(DataError):
     pass
+
+
+class DuplicateLabelError(DataError):
+    """Two points share a label, e.g. a table row labelled like a year column."""
+
+
+class ClusterCountError(DataError):
+    """A cut into fewer than one cluster or more clusters than leaves."""
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,9 @@ class PointSet:
             raise ValueError("one mass per label required")
         if not np.isfinite(coords).all():
             raise ValueError("non-finite coordinates")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate point labels")
+        repeated = [label for label, count in Counter(self.labels).items() if count > 1]
+        if repeated:
+            raise DuplicateLabelError(f"duplicate point label {repeated[0]!r}")
         if masses.size and not (masses == masses[0]).all():
             raise ValueError("points must be equiweighted")
         object.__setattr__(self, "coords", coords)
@@ -161,7 +172,7 @@ def cut(dendrogram: Dendrogram, k: int) -> Partition:
     """
     n = len(dendrogram.leaf_labels)
     if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+        raise ClusterCountError(f"k must be in 1..{n}, got {k}")
     parent = {}
     for merge in dendrogram.merges[: n - k]:
         parent[merge.a] = merge.new_id

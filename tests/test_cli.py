@@ -1,5 +1,8 @@
 import importlib.util
+import inspect
+import io
 import json
+import pkgutil
 import tempfile
 from pathlib import Path
 
@@ -7,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibcarto import corpus, records
+import bibcarto
+from bibcarto import DataError, corpus, records
 from bibcarto.cli import RunConfig, main
 
 from conftest import PERSONAL_ALERT_SAMPLE, RESEARCH_ALERT_SAMPLE
@@ -262,6 +266,13 @@ REJECTED_INPUTS = {
     "csv-ragged": (None, "label,1994,1995\nx,1,2\ny,3\n", "analyze", ":3:"),
     "csv-non-integer": (None, "label,1994,1995\nx,1,2\ny,3,z\n", "analyze", ":3:"),
     "csv-header-only": (None, "label,1994,1995\n", "analyze", ":1:"),
+    "csv-year-too-long": (None, f"label,{'1' * 5000}\nx,1\n", "analyze", ":1:"),
+    "csv-zero-row": (None, "label,1994,1995\na,0,0\nb,1,2\nc,2,1\n", "analyze",
+                     ": row 'a' has zero mass"),
+    "csv-1x1": (None, "label,1994\na,3\n", "analyze", "2x2"),
+    "csv-row-labelled-like-a-column": (None, "label,1994,1995\n1994,1,2\nb,2,1\n", "analyze",
+                                       "'1994'"),
+    "config-k-above-points": ({"k": 999}, None, "analyze", ": k must be in 1..32, got 999"),
 }
 
 
@@ -339,6 +350,57 @@ def test_config_not_json_names_file(tmp_path, monkeypatch, capsys):
     assert str(config) in capsys.readouterr().err
 
 
+# Config bytes and what the error must say after the file's path.
+REJECTED_CONFIGS = {
+    "bad-json-line-2": (b'{"k": 5,\n "axes": }\n', ":2: not a JSON file"),
+    "not-utf8-line-2": (b'{"k": 5,\n "output_dir": "\xff"}\n', ":2: not UTF-8: byte 0xff"),
+    "nested-too-deep": (b"[" * 100_000, ": not a JSON file"),
+}
+
+
+@pytest.mark.parametrize("data, detail", REJECTED_CONFIGS.values(), ids=REJECTED_CONFIGS.keys())
+def test_config_error_names_file_and_line(data, detail, tmp_path, monkeypatch, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(data)
+    monkeypatch.setenv("BIBCARTO_CONFIG", str(config))
+    assert main(["analyze", "--fixture", "Table2", "--outdir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"bibcarto: error: {config}{detail}")
+
+
+_TABLE2_HEADER = ",".join(["label", *map(str, range(1994, 2012))])
+
+# Supplementary tables the fitted Table2 cannot take: (CSV text, what
+# the error must say after the supplementary table's path).
+REJECTED_SUPPLEMENTARY = {
+    "zero-row": (f"{_TABLE2_HEADER}\nr{',1' * 18}\ns{',0' * 18}\n",
+                 "supplementary row 's' has no incidences"),
+    "extra-column": (f"{_TABLE2_HEADER},2012\ns{',1' * 19}\n",
+                     "supplementary table columns differ"),
+    "repeats-fitted-label": (f"{_TABLE2_HEADER}\ns{',1' * 18}\nHum{',2' * 18}\n",
+                             "supplementary row 'Hum' repeats a fitted label"),
+}
+
+
+@pytest.mark.parametrize("text, detail", REJECTED_SUPPLEMENTARY.values(),
+                         ids=REJECTED_SUPPLEMENTARY.keys())
+def test_bad_supplementary_table_names_file_and_row(text, detail, tmp_path, capsys):
+    sup = _write(tmp_path / "sup.csv", text)
+    assert main(["analyze", "--fixture", "Table2", "--supplementary-table", str(sup),
+                 "--outdir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"bibcarto: error: {sup}: {detail}")
+
+
+def test_every_exception_class_is_a_data_error():
+    modules = [importlib.import_module(f"bibcarto.{m.name}")
+               for m in pkgutil.iter_modules(bibcarto.__path__)]
+    classes = {obj for module in modules for _, obj in inspect.getmembers(module, inspect.isclass)
+               if issubclass(obj, BaseException) and obj.__module__.startswith("bibcarto")}
+    assert len(classes) > 20
+    assert sorted(c.__qualname__ for c in classes if not issubclass(c, DataError)) == []
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
@@ -366,7 +428,7 @@ def _table_csvs(draw):
     """Well-formed tables (0-4 year columns, 0-5 rows of counts 0-5),
     some of which CA or Ward still reject as degenerate."""
     years = [str(1994 + j) for j in range(draw(st.integers(0, 4)))]
-    labels = draw(st.lists(st.sampled_from("abcdef"), unique=True, max_size=5))
+    labels = draw(st.lists(st.sampled_from([*"abcdef", "1994"]), unique=True, max_size=5))
     lines = [",".join(["label", *years])]
     for label in labels:
         counts = draw(st.lists(st.integers(0, 5), min_size=len(years), max_size=len(years)))
@@ -421,6 +483,17 @@ def _file_bytes(texts):
     """Text as UTF-8 (two times in three), or arbitrary bytes (mostly not UTF-8)."""
     utf8 = texts.map(lambda t: t.encode("utf-8"))
     return utf8 | utf8 | st.binary(max_size=40)
+
+
+@pytest.mark.parametrize("flags", [[], ["--lenient"]], ids=["strict", "lenient"])
+@settings(max_examples=60, deadline=None)
+@given(alerts=_file_bytes(_alert_texts))
+def test_parse_never_raises_on_arbitrary_alerts(flags, alerts):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "alerts.txt"
+        path.write_bytes(alerts)
+        code = main(["parse", *flags, str(path), "-o", str(Path(tmp) / "out.jsonl")])
+    assert code in (0, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -490,3 +563,16 @@ def test_search_interactive_loop(toy_corpus_file, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("network\nq\n"))
     assert main(["search", "--records", str(toy_corpus_file), "--interactive"]) == 0
     assert "match(es)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("stream", ["stdin", "stdout"])
+def test_search_interactive_undecodable_stream_exits_1(stream, tmp_path, capsys, monkeypatch):
+    alerts = _write(tmp_path / "alerts.txt", "T   Caf\u00e9 society\nU   J X 1999\nW.  X Y 99\n")
+    query = b"\xff\n" if stream == "stdin" else b"caf\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(query), encoding="utf-8"))
+    if stream == "stdout":
+        monkeypatch.setattr("sys.stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    assert main(["search", "--records", str(alerts), "--interactive"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bibcarto: error: ")
+    assert "Traceback" not in err

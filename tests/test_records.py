@@ -182,6 +182,15 @@ def test_lenient_collects_errors():
     assert isinstance(errors[0], UnknownTagError)
 
 
+def test_lenient_reports_an_undetectable_format_as_its_only_error():
+    text = "T   a title\nTITLE: another\n"
+    records, errors = parse_records_lenient(text)
+    with pytest.raises(AmbiguousFormatError) as detected:
+        detect_format(text)
+    assert records == []
+    assert [str(e) for e in errors] == [str(detected.value)]
+
+
 @given(st.text(alphabet=st.characters(codec="ascii"), max_size=80))
 def test_squash_idempotent(text):
     assert _squash(_squash(text)) == _squash(text)
