@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 2 on usage errors, 1 on data errors. A data
 error is an :class:`errors.DataError`, an OSError, or a UnicodeError
 from the standard streams; :func:`main` prints it as ``bibcarto: error:
-<file>[:<line>]: reason`` and lets any other exception propagate. Input
+<file>[:<line>]: reason`` and lets any other exception propagate. The
+standard streams are named ``<stdin>`` (with the line of an undecodable
+byte) and ``<stdout>`` (for a character its encoding lacks). Input
 files, the config among them, are read through :func:`errors.read_file`,
 and ``analyze`` prefixes an error from :func:`run_analysis` with the
 file it concerns. The environment variable BIBCARTO_CONFIG may point to
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import ca, corpus, records, search, ward
-from .errors import DataError, read_file
+from .errors import DataError, InputFormatError, read_file
 
 FORMAT_NAMES = {
     "research-alert": records.RecordFormat.RESEARCH_ALERT,
@@ -185,6 +187,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UnicodeEncodeError as exc:
+        # files are written as UTF-8, so only standard output can refuse a character
+        char = exc.object[exc.start]
+        print(f"bibcarto: error: <stdout>: cannot encode U+{ord(char):04X} as {exc.encoding}",
+              file=sys.stderr)
+        return 1
     except (DataError, OSError, UnicodeError) as exc:
         print(f"bibcarto: error: {exc}", file=sys.stderr)
         return 1
@@ -387,6 +395,23 @@ def _run_query(index: search.Index, query_text: str, page: int) -> int:
     return 0
 
 
+def _stdin_lines():
+    """The lines of standard input; undecodable bytes raise an
+    InputFormatError that names ``<stdin>`` and the line holding them."""
+    lines_read = 0
+    try:
+        for line in sys.stdin:
+            lines_read += 1
+            yield line
+    except UnicodeDecodeError as exc:
+        # A line is handed out only once decoded, so the chunk that failed
+        # begins within the first unread line.
+        line_no = lines_read + exc.object.count(b"\n", 0, exc.start) + 1
+        byte = exc.object[exc.start]
+        raise InputFormatError(line_no, f"not {exc.encoding.upper()}: byte 0x{byte:02x}",
+                               "<stdin>") from None
+
+
 def cmd_search(args) -> int:
     recs, _ = _parse_all(args.records, args.format)
     index = search.build_index(recs)
@@ -398,7 +423,7 @@ def cmd_search(args) -> int:
             _print_record(doc_id, index.records[doc_id])
         return 0
     if args.interactive:
-        for line in sys.stdin:
+        for line in _stdin_lines():
             line = line.strip()
             if not line or line == "q":
                 break

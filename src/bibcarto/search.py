@@ -11,13 +11,30 @@ Results are ranked by the sum over matched terms of field weight times
 term frequency (ties broken by record id) and served in pages of 10.
 "More like this" scores every other record by the field-weighted count
 of distinct terms shared per field and returns the top three.
+
+The index keeps its postings in compressed-sparse-row (CSR) form: each
+(term, field) key owns one span of a flat ``int32`` array of record ids,
+ascending, and the same span of a flat array of term frequencies. Both
+scorers accumulate over these spans term at a time instead of visiting
+records one by one. The arithmetic is that of a per-record
+loop: ranking adds ``weight * tf`` conjunct by conjunct and field by
+field; "more like this" first counts the shared distinct terms of each
+field as integers, then adds ``weight * count`` in ``FIELDS`` order.
+Each record's score is thus the same float, bit for bit, and ties
+fall to the smaller record id.
 """
 from __future__ import annotations
 
+import itertools
+import math
+import numbers
 import re
-from collections import Counter
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DataError
 from .records import BibRecord
@@ -53,6 +70,10 @@ class UnknownRecordError(DataError):
     pass
 
 
+class FieldWeightError(DataError):
+    pass
+
+
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
@@ -74,38 +95,109 @@ class Query:
     conjuncts: tuple[Conjunct, ...]
 
 
+class Postings(Mapping):
+    """``term -> {field: ids}``, the ascending ``int32`` ids of the records
+    holding the term in each field that has it.
+
+    The postings are compressed sparse rows (CSR). The term numbered
+    ``n`` in field position ``f`` has key ``k = n * len(FIELDS) + f``;
+    its row is ``ids[starts[k]:starts[k + 1]]``, and ``tf`` over the same
+    span holds the term's frequency in each of those records.
+    """
+
+    def __init__(self, term_numbers: dict[str, int], starts: np.ndarray,
+                 ids: np.ndarray, tf: np.ndarray):
+        self._term_numbers = term_numbers
+        self._starts = starts
+        self._ids = ids
+        self._tf = tf
+
+    def row(self, term: str, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of the records holding ``term`` in field ``name`` and
+        its frequency in each; empty arrays when there are none."""
+        number = self._term_numbers.get(term)
+        if number is None:
+            return _NO_ROW
+        key = number * len(FIELDS) + FIELDS.index(name)
+        start, end = self._starts[key : key + 2].tolist()
+        return self._ids[start:end], self._tf[start:end]
+
+    def __getitem__(self, term: str) -> dict[str, np.ndarray]:
+        key = self._term_numbers[term] * len(FIELDS)
+        bounds = self._starts[key : key + len(FIELDS) + 1].tolist()
+        return {name: self._ids[start:end]
+                for name, start, end in zip(FIELDS, bounds, bounds[1:]) if end > start}
+
+    def __iter__(self):
+        return iter(self._term_numbers)
+
+    def __len__(self) -> int:
+        return len(self._term_numbers)
+
+
+_NO_ROW = (np.empty(0, np.int32), np.empty(0, np.int32))
+
+
 @dataclass
 class Index:
-    """``postings`` maps term -> field -> ids of the records holding it;
-    ``_doc_terms`` holds each record's per-field term counts, the one
-    copy of term frequency."""
+    """The records, their field weights (a float for every name in
+    ``FIELDS``) and their postings.
+
+    Ranking unions and intersects postings rows to find the matches,
+    looks up their frequencies by binary search, and adds ``weight * tf``
+    per conjunct and field. More-like-this counts, per field, how many of
+    the record's distinct terms each record shares with one ``bincount``
+    over their rows, then adds ``weight * count`` in ``FIELDS`` order.
+    """
 
     records: tuple[BibRecord, ...]
     field_weights: dict[str, float]
-    postings: dict[str, dict[str, list[int]]] = field(repr=False, default_factory=dict)
-    _doc_terms: list[dict[str, Counter]] = field(repr=False, default_factory=list)
+    postings: Postings = field(repr=False)
 
     @property
     def doc_count(self) -> int:
         return len(self.records)
 
 
+def _checked_weights(field_weights: dict[str, float] | None) -> dict[str, float]:
+    weights = DEFAULT_FIELD_WEIGHTS if field_weights is None else field_weights
+    for name in weights:
+        if name not in FIELDS:
+            raise FieldWeightError(f"unknown field {name!r} in field weights")
+    for name in FIELDS:
+        if name not in weights:
+            raise FieldWeightError(f"no weight for field {name!r}")
+        value = weights[name]
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+            raise FieldWeightError(
+                f"weight of field {name!r} must be finite and positive, got {value!r}"
+            )
+    return {name: float(weights[name]) for name in FIELDS}
+
+
 def build_index(
     records: list[BibRecord], field_weights: dict[str, float] | None = None
 ) -> Index:
-    weights = dict(DEFAULT_FIELD_WEIGHTS if field_weights is None else field_weights)
-    if any(w <= 0 for w in weights.values()):
-        raise ValueError("field weights must be strictly positive")
-    index = Index(records=tuple(records), field_weights=weights)
-    for doc_id, record in enumerate(records):
-        per_field = {}
+    weights = _checked_weights(field_weights)
+    # Number each distinct term in order of first occurrence, and each
+    # (record, field) slot as record id * len(FIELDS) + field position.
+    term_number = defaultdict(itertools.count().__next__)
+    token_terms, slot_sizes = [], []
+    for record in records:
         for name in FIELDS:
-            counts = Counter(tokenize(_field_text(record, name)))
-            per_field[name] = counts
-            for term in counts:
-                index.postings.setdefault(term, {}).setdefault(name, []).append(doc_id)
-        index._doc_terms.append(per_field)
-    return index
+            tokens = tokenize(_field_text(record, name))
+            token_terms += map(term_number.__getitem__, tokens)
+            slot_sizes.append(len(tokens))
+    slots = np.repeat(np.arange(len(slot_sizes)), slot_sizes)
+    keys = np.array(token_terms, dtype=np.int64) * len(FIELDS) + slots % len(FIELDS)
+    # One sort of the tokens by (key, record id); the run length of each
+    # pair is the term frequency.
+    doc_count = max(len(records), 1)
+    pairs, tf = np.unique(keys * doc_count + slots // len(FIELDS), return_counts=True)
+    keys, ids = np.divmod(pairs, doc_count)
+    starts = np.searchsorted(keys, np.arange(len(term_number) * len(FIELDS) + 1))
+    postings = Postings(dict(term_number), starts, ids.astype(np.int32), tf.astype(np.int32))
+    return Index(tuple(records), weights, postings)
 
 
 def parse_query(text: str) -> Query:
@@ -134,31 +226,35 @@ def parse_query(text: str) -> Query:
     return Query(tuple(conjuncts))
 
 
-def _tf(index: Index, doc_id: int, name: str, term: str) -> int:
-    return index._doc_terms[doc_id][name].get(term, 0)
+def _candidates(index: Index, conjunct: Conjunct) -> np.ndarray:
+    """Ids of the records holding the conjunct's term in its field(s), ascending."""
+    names = (conjunct.field,) if conjunct.field else FIELDS
+    rows = [index.postings.row(conjunct.term, name)[0] for name in names]
+    rows = [ids for ids in rows if ids.size]
+    if len(rows) > 1:
+        return np.unique(np.concatenate(rows))
+    # one row is already ascending and free of repeats
+    return rows[0] if rows else _NO_ROW[0]
 
 
 def ranked_matches(index: Index, query: Query) -> list[int]:
     """All record ids satisfying every conjunct, best score first."""
     candidates = None
     for conjunct in query.conjuncts:
-        fields = (conjunct.field,) if conjunct.field else FIELDS
-        matching = set()
-        for name in fields:
-            matching.update(index.postings.get(conjunct.term, {}).get(name, ()))
-        candidates = matching if candidates is None else candidates & matching
-        if not candidates:
+        matching = _candidates(index, conjunct)
+        candidates = (matching if candidates is None
+                      else np.intersect1d(candidates, matching, assume_unique=True))
+        if not candidates.size:
             return []
-
-    def score(doc_id: int) -> float:
-        total = 0.0
-        for conjunct in query.conjuncts:
-            fields = (conjunct.field,) if conjunct.field else FIELDS
-            for name in fields:
-                total += index.field_weights[name] * _tf(index, doc_id, name, conjunct.term)
-        return total
-
-    return sorted(candidates, key=lambda doc_id: (-score(doc_id), doc_id))
+    total = np.zeros(len(candidates))
+    for conjunct in query.conjuncts:
+        for name in (conjunct.field,) if conjunct.field else FIELDS:
+            ids, tf = index.postings.row(conjunct.term, name)
+            if ids.size:
+                at = np.minimum(np.searchsorted(ids, candidates), len(ids) - 1)
+                total += index.field_weights[name] * np.where(ids[at] == candidates, tf[at], 0)
+    # a stable sort of ascending ids breaks score ties by id
+    return candidates[np.argsort(-total, kind="stable")].tolist()
 
 
 def search(index: Index, query: Query, page: int = 1) -> list[int]:
@@ -178,15 +274,16 @@ def more_like_this(index: Index, doc_id: int, limit: int = 3) -> list[int]:
     the given one (ties by id); the record itself is excluded."""
     if not 0 <= doc_id < index.doc_count:
         raise UnknownRecordError(f"no record with id {doc_id}")
-    own = index._doc_terms[doc_id]
-
-    def score(other: int) -> float:
-        total = 0.0
-        for name in FIELDS:
-            shared = own[name].keys() & index._doc_terms[other][name].keys()
-            total += index.field_weights[name] * len(shared)
-        return total
-
-    others = [i for i in range(index.doc_count) if i != doc_id]
-    others.sort(key=lambda i: (-score(i), i))
-    return others[:limit]
+    if limit < 0:
+        raise ValueError(f"limit must not be negative, got {limit}")
+    record = index.records[doc_id]
+    total = np.zeros(index.doc_count)
+    for name in FIELDS:
+        terms = set(tokenize(_field_text(record, name)))
+        if terms:
+            rows = [index.postings.row(term, name)[0] for term in terms]
+            shared = np.bincount(np.concatenate(rows), minlength=index.doc_count)
+            total += index.field_weights[name] * shared
+    # a stable sort of ascending ids breaks score ties by id
+    ranked = np.argsort(-total, kind="stable")
+    return ranked[ranked != doc_id][:limit].tolist()

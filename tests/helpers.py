@@ -1,10 +1,12 @@
 """Shared test oracles, independent of the implementations they check."""
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from bibcarto.corpus import ContingencyTable
+from bibcarto.search import FIELDS, tokenize
 
 
 def random_table(rng, min_side=3, max_side=20) -> ContingencyTable:
@@ -128,6 +130,63 @@ def linear_scan_search(records, tokenized_fields, query, weights):
         return total
 
     return sorted(matches, key=lambda i: (-score(i), i))
+
+
+def _doc_terms(records):
+    """Per record, per search field, the Counter of its tokens."""
+    out = []
+    for record in records:
+        per_field = {}
+        for name in FIELDS:
+            value = getattr(record, name)
+            text = " ; ".join(value) if isinstance(value, list) else value
+            per_field[name] = Counter(tokenize(text))
+        out.append(per_field)
+    return out
+
+
+def naive_ranked_matches(records, weights, query):
+    """Ranked record ids for ``query`` by scoring each matching record in
+    turn: the float sum, conjunct by conjunct and field by field, of
+    ``weights[field] * tf``."""
+    doc_terms = _doc_terms(records)
+    candidates = None
+    for conjunct in query.conjuncts:
+        fields = (conjunct.field,) if conjunct.field else FIELDS
+        matching = {i for i, terms in enumerate(doc_terms)
+                    if any(conjunct.term in terms[name] for name in fields)}
+        candidates = matching if candidates is None else candidates & matching
+        if not candidates:
+            return []
+
+    def score(doc_id):
+        total = 0.0
+        for conjunct in query.conjuncts:
+            fields = (conjunct.field,) if conjunct.field else FIELDS
+            for name in fields:
+                total += weights[name] * doc_terms[doc_id][name].get(conjunct.term, 0)
+        return total
+
+    return sorted(candidates, key=lambda doc_id: (-score(doc_id), doc_id))
+
+
+def naive_more_like_this(records, weights, doc_id, limit=3):
+    """The ``limit`` records most like record ``doc_id`` by scoring every
+    other record in turn: the float sum, in FIELDS order, of
+    ``weights[field]`` times the number of distinct terms shared in it."""
+    doc_terms = _doc_terms(records)
+    own = doc_terms[doc_id]
+
+    def score(other):
+        total = 0.0
+        for name in FIELDS:
+            shared = own[name].keys() & doc_terms[other][name].keys()
+            total += weights[name] * len(shared)
+        return total
+
+    others = [i for i in range(len(records)) if i != doc_id]
+    others.sort(key=lambda i: (-score(i), i))
+    return others[:limit]
 
 
 def naive_author_matches(entries, term) -> set:

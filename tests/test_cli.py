@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bibcarto
-from bibcarto import DataError, corpus, records
+from bibcarto import DataError, corpus, records, search
 from bibcarto.cli import RunConfig, main
 
 from conftest import PERSONAL_ALERT_SAMPLE, RESEARCH_ALERT_SAMPLE
@@ -576,3 +576,38 @@ def test_search_interactive_undecodable_stream_exits_1(stream, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("bibcarto: error: ")
     assert "Traceback" not in err
+    if stream == "stdin":
+        assert err == "bibcarto: error: <stdin>:1: not UTF-8: byte 0xff\n"
+    else:
+        assert err == "bibcarto: error: <stdout>: cannot encode U+00E9 as ascii\n"
+
+
+@pytest.mark.parametrize("good_lines", [2, 3000])
+def test_search_interactive_names_the_undecodable_stdin_line(good_lines, toy_corpus_file, capsys,
+                                                             monkeypatch):
+    # 3,000 five-byte lines put the bad byte past the stream's first
+    # 8,192-byte read, which ends inside a line
+    data = b"zzzz\n" * good_lines + b"ok \xfe\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert main(["search", "--records", str(toy_corpus_file), "--interactive"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"bibcarto: error: <stdin>:{good_lines + 1}: not UTF-8: byte 0xfe\n"
+
+
+@pytest.mark.parametrize("name", ["build_index", "ranked_matches", "more_like_this"])
+def test_search_command_calls_search_functions_as_module_attributes(name, toy_corpus_file,
+                                                                    monkeypatch, capsys):
+    # perfbench's --trace 1 wraps these attributes of bibcarto.search; a
+    # name bound elsewhere by `from .search import ...` would escape it
+    real = getattr(search, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, name, spy)
+    query = ["--mlt", "0"] if name == "more_like_this" else []
+    argv = ["search", "network", "--records", str(toy_corpus_file), *query]
+    assert main(argv) == 0
+    assert calls == [name]

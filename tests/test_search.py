@@ -1,13 +1,18 @@
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bibcarto.errors import DataError
 from bibcarto.records import BibRecord, RecordFormat
 from bibcarto.search import (
     DEFAULT_FIELD_WEIGHTS,
     FIELDS,
     PAGE_SIZE,
     EmptyQueryError,
+    FieldWeightError,
     QueryError,
     UnknownFieldError,
     UnknownRecordError,
@@ -19,7 +24,7 @@ from bibcarto.search import (
     tokenize,
 )
 
-from helpers import linear_scan_search
+from helpers import linear_scan_search, naive_more_like_this, naive_ranked_matches
 
 
 def _record(title, authors=(), source="", keywords=(), keywords_plus=(), address=""):
@@ -63,7 +68,7 @@ def test_build_index_empty():
 
 def test_title_tokens_posted_under_title():
     index = build_index([_record("Numerical Optimizations of Designs")])
-    assert index.postings["numerical"]["title"] == [0]
+    assert list(index.postings["numerical"]["title"]) == [0]
     assert "numerical" not in index.postings.get("source", {})
 
 
@@ -71,7 +76,7 @@ def test_duplicate_records_get_distinct_ids():
     rec = _record("same thing twice")
     index = build_index([rec, rec])
     assert index.doc_count == 2
-    assert index.postings["same"]["title"] == [0, 1]
+    assert list(index.postings["same"]["title"]) == [0, 1]
 
 
 def test_parse_query_conjuncts():
@@ -206,3 +211,97 @@ def test_ranking_deterministic_across_builds():
 def test_field_weights_must_be_positive():
     with pytest.raises(ValueError):
         build_index(TOY, {**DEFAULT_FIELD_WEIGHTS, "title": 0.0})
+
+
+@pytest.mark.parametrize("weights, field", [
+    ({"title": 1.0}, "authors"),
+    ({**DEFAULT_FIELD_WEIGHTS, "venue": 1.0}, "venue"),
+    ({**DEFAULT_FIELD_WEIGHTS, "source": -1.0}, "source"),
+    ({**DEFAULT_FIELD_WEIGHTS, "keywords": math.nan}, "keywords"),
+    ({**DEFAULT_FIELD_WEIGHTS, "address": math.inf}, "address"),
+    ({**DEFAULT_FIELD_WEIGHTS, "title": "3"}, "title"),
+])
+def test_bad_field_weights_rejected_by_name(weights, field):
+    with pytest.raises(FieldWeightError, match=repr(field)) as caught:
+        build_index(TOY, weights)
+    assert isinstance(caught.value, DataError)
+
+
+def test_more_like_this_negative_limit_rejected():
+    index = build_index(TOY)
+    with pytest.raises(ValueError):
+        more_like_this(index, 0, -1)
+    assert more_like_this(index, 0, 0) == []
+
+
+def test_scorers_return_python_ints():
+    index = build_index(TOY)
+    assert all(type(i) is int for i in ranked_matches(index, parse_query("network")))
+    assert all(type(i) is int for i in more_like_this(index, 0))
+
+
+def test_scores_keep_the_per_record_float_arithmetic():
+    # 0.1 * 6 and 0.1 + 0.2 + 0.3 both give 0.6000000000000001, which beats
+    # 0.6; adding 0.1 six times, or the conjuncts in another order, gives
+    # 0.6 and a tie that the smaller id would win
+    weights = {**DEFAULT_FIELD_WEIGHTS, "title": 0.1, "authors": 0.2, "source": 0.3,
+               "keywords": 0.3}
+    similar = [
+        _record("a b c d e f", keywords=["x", "y"]),
+        _record("", keywords=["x y"]),
+        _record("a b c d e f"),
+    ]
+    assert more_like_this(build_index(similar, weights), 0) == [2, 1]
+    assert naive_more_like_this(similar, weights, 0) == [2, 1]
+    matching = [
+        _record("", keywords=["p"], source="q"),
+        _record("p", authors=["q"], source="q"),
+    ]
+    query = parse_query("p AND q")
+    assert ranked_matches(build_index(matching, weights), query) == [1, 0]
+    assert naive_ranked_matches(matching, weights, query) == [1, 0]
+
+
+# A tiny vocabulary, so that records share terms and scores tie often;
+# "Net-work" gives two tokens, "\u00e9t\u00e9" one ("t").
+_WORDS = st.sampled_from(["net", "Net", "work", "Net-work", "a1", "b", "c", "d", "\u00e9t\u00e9"])
+_TEXT = st.lists(_WORDS, max_size=6).map(" ".join)
+_RECORDS = st.builds(
+    _record, title=_TEXT, authors=st.lists(_TEXT, max_size=2), source=_TEXT,
+    keywords=st.lists(_TEXT, max_size=2), keywords_plus=st.lists(_TEXT, max_size=2),
+    address=_TEXT,
+)
+# corpora of 1 to 10 records drawn from a pool of up to 6, so duplicates are common
+_CORPORA = st.lists(_RECORDS, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)
+)
+_WEIGHTS = st.one_of(
+    st.none(),
+    st.fixed_dictionaries(
+        {name: st.sampled_from([0.1, 0.7, 0.3, 0.2, 1e-9, 1.0, 3.0]) for name in FIELDS}
+    ),
+)
+_CONJUNCTS = st.tuples(
+    st.sampled_from(["", "title:", "author:", "keyword:", "source:", "keywords_plus:", "address:"]),
+    st.sampled_from(["net", "work", "a1", "b", "c", "t", "absent", "net-work"]),
+).map("".join)
+_QUERIES = st.lists(_CONJUNCTS, min_size=1, max_size=4).map(" AND ".join)
+
+
+@settings(deadline=None, max_examples=300)
+@given(corpus=_CORPORA, weights=_WEIGHTS, data=st.data())
+def test_more_like_this_equals_the_scan(corpus, weights, data):
+    index = build_index(corpus, weights)
+    doc_id = data.draw(st.integers(0, len(corpus) - 1), label="doc_id")
+    limit = data.draw(st.integers(0, len(corpus) + 1), label="limit")
+    expected = naive_more_like_this(corpus, weights or DEFAULT_FIELD_WEIGHTS, doc_id, limit)
+    assert more_like_this(index, doc_id, limit) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(corpus=_CORPORA, weights=_WEIGHTS, text=_QUERIES)
+def test_ranked_matches_equals_the_scan(corpus, weights, text):
+    index = build_index(corpus, weights)
+    query = parse_query(text)
+    expected = naive_ranked_matches(corpus, weights or DEFAULT_FIELD_WEIGHTS, query)
+    assert ranked_matches(index, query) == expected
