@@ -155,30 +155,26 @@ def project_supplementary_row(counts, result: CaResult) -> np.ndarray:
     retained axes are reported, so no division by a vanishing eigenvalue
     ever happens.
     """
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != (len(result.col_labels),):
-        raise ShapeMismatchError(
-            f"expected {len(result.col_labels)} column counts, got {counts.shape}"
-        )
-    total = counts.sum()
-    if total <= 0.0:
-        raise EmptySupplementaryError("supplementary row has no incidences")
-    profile = counts / total
-    return (profile @ result.col_coords) / np.sqrt(result.eigenvalues)
+    return _project(counts, result.col_coords, result.eigenvalues, "row", "column")
 
 
 def project_supplementary_col(counts, result: CaResult) -> np.ndarray:
     """Dual of :func:`project_supplementary_row` for a column of counts."""
+    return _project(counts, result.row_coords, result.eigenvalues, "column", "row")
+
+
+def _project(counts, coords: np.ndarray, eigenvalues: np.ndarray, kind: str,
+             over: str) -> np.ndarray:
+    """Transition formula for a supplementary ``kind`` of counts over the
+    fitted ``over`` points, whose principal coordinates are ``coords``."""
     counts = np.asarray(counts, dtype=float)
-    if counts.shape != (len(result.row_labels),):
-        raise ShapeMismatchError(
-            f"expected {len(result.row_labels)} row counts, got {counts.shape}"
-        )
+    if counts.shape != (len(coords),):
+        raise ShapeMismatchError(f"expected {len(coords)} {over} counts, got {counts.shape}")
     total = counts.sum()
     if total <= 0.0:
-        raise EmptySupplementaryError("supplementary column has no incidences")
+        raise EmptySupplementaryError(f"supplementary {kind} has no incidences")
     profile = counts / total
-    return (profile @ result.row_coords) / np.sqrt(result.eigenvalues)
+    return (profile @ coords) / np.sqrt(eigenvalues)
 
 
 def inertia_report(result: CaResult) -> list[tuple[int, float, float, float]]:

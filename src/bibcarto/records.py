@@ -1,8 +1,13 @@
 """Parsers for the two citation-alert record formats.
 
-Research Alert (tag-prefixed, used through 2003): each line starts with a
-one-character tag at column 0, terminated by whitespace; records are
-separated by blank lines.
+Lines are what ``str.splitlines`` yields, numbered from 1; a line that
+is empty or all whitespace is blank. Each format has one line rule,
+which ``detect_format`` and the parser both apply to every non-blank
+line.
+
+Research Alert (tag-prefixed, used through 2003): a line is one of the
+tags below at column 0, followed by whitespace or the end of the line.
+A record ends at a blank line.
 
   T   title (repeatable; repeated lines are joined with single spaces)
   A   author (one line per author)
@@ -11,11 +16,13 @@ separated by blank lines.
   W   author address (continuation lines repeat the tag)
   W.  cited profile item, kept verbatim apart from outer whitespace
 
-Personal Alert (labeled blocks, used from 2004): headers such as
-``TITLE:`` or ``SEARCH TERM(S):`` start at column 0, continuation lines
-are indented and joined with single spaces. Blocks may contain blank
-lines between header groups, so a new record begins at each ``TITLE:``
-header rather than at a blank line.
+Personal Alert (labeled blocks, used from 2004): a line is either a
+header at column 0 followed by a colon (``TITLE``, ``AUTHOR``,
+``SOURCE``, ``SEARCH TERM(S)``, ``KEYWORDS``, ``KEYWORDS+`` or
+``AUTHOR ADDRESS``), or a continuation line that starts with a space or
+a tab and adds to the header above it; the pieces are joined with
+single spaces. A record may hold blank lines between header groups, so
+it ends before the next ``TITLE:`` line rather than at a blank line.
 
 All field values are whitespace-normalized, except ``profile_citations``
 entries whose interior padding is preserved (downstream matching
@@ -106,8 +113,6 @@ class BibRecord:
 
 
 _RA_TAGS = ("T", "A", "K", "U", "W", "W.")
-_RA_LINE_RE = re.compile(r"^(T|A|K|U|W\.|W)(\s|$)")
-
 _PA_HEADERS = (
     "TITLE",
     "AUTHOR",
@@ -117,7 +122,10 @@ _PA_HEADERS = (
     "KEYWORDS+",
     "AUTHOR ADDRESS",
 )
-_PA_HEADER_RE = re.compile(r"^([A-Z][A-Z ()+]*):(.*)$")
+# One line rule per format; group 1 is the tag or header, and a Personal
+# Alert continuation line has none.
+_RA_LINE = re.compile(r"(T|A|K|U|W\.|W)(?:\s|$)")
+_PA_LINE = re.compile(r"[ \t]|(" + "|".join(map(re.escape, _PA_HEADERS)) + "):")
 
 _YEAR_TOKEN_RE = re.compile(r"[12][0-9]{3}")
 
@@ -137,26 +145,25 @@ def extract_year(source: str) -> int | None:
     return year
 
 
+def _lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of ``text`` as (line number, line) pairs."""
+    return [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+
+
 def detect_format(text: str) -> RecordFormat:
     """Decide which alert grammar a block of text is written in.
 
-    A block is Research Alert when every non-blank line starts with one
-    of the known tags followed by whitespace, and Personal Alert when
-    every non-blank line is either a known header or an indented
-    continuation. Raises AmbiguousFormatError, naming the first
-    offending line of each grammar, when neither (or both) hold.
+    The text is in a grammar when that grammar's line rule accepts every
+    non-blank line. Raises AmbiguousFormatError, naming the first line
+    each grammar rejects, when neither (or both) hold.
     """
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = _lines(text)
     if not lines:
         raise AmbiguousFormatError("empty input matches no alert format")
-
-    ra_bad = pa_bad = None
-    for n, ln in lines:
-        if ra_bad is None and not _RA_LINE_RE.match(ln):
-            ra_bad = (n, ln)
-        if pa_bad is None and not _pa_line_ok(ln):
-            pa_bad = (n, ln)
-
+    ra_bad, pa_bad = (
+        next(((n, ln) for n, ln in lines if not pattern.match(ln)), None)
+        for pattern in (_RA_LINE, _PA_LINE)
+    )
     if ra_bad is None and pa_bad is not None:
         return RecordFormat.RESEARCH_ALERT
     if pa_bad is None and ra_bad is not None:
@@ -170,11 +177,21 @@ def detect_format(text: str) -> RecordFormat:
     )
 
 
-def _pa_line_ok(line: str) -> bool:
-    if line[:1] in (" ", "\t"):
-        return True
-    m = _PA_HEADER_RE.match(line)
-    return bool(m) and m.group(1) in _PA_HEADERS
+def _blocks(lines: list[tuple[int, str]], fmt: RecordFormat):
+    """Cut non-blank lines into records: a Research Alert record ends at
+    a blank line (a gap in the line numbers), a Personal Alert record
+    before each ``TITLE:`` line."""
+    ends_at_blank = fmt is RecordFormat.RESEARCH_ALERT
+    block: list[tuple[int, str]] = []
+    last = 0
+    for n, ln in lines:
+        if block and (n > last + 1 if ends_at_blank else ln.startswith("TITLE:")):
+            yield block
+            block = []
+        block.append((n, ln))
+        last = n
+    if block:
+        yield block
 
 
 def parse_research_alert(text: str) -> list[BibRecord]:
@@ -182,26 +199,13 @@ def parse_research_alert(text: str) -> list[BibRecord]:
     return parse_records(text, RecordFormat.RESEARCH_ALERT)
 
 
-def _blank_separated_blocks(text: str):
-    block: list[tuple[int, str]] = []
-    block_no = 0
-    for n, ln in enumerate(text.splitlines(), 1):
-        if ln.strip():
-            block.append((n, ln))
-        elif block:
-            block_no += 1
-            yield block_no, block
-            block = []
-    if block:
-        yield block_no + 1, block
-
-
 def _parse_ra_block(block_no: int, block: list[tuple[int, str]]) -> BibRecord:
     parts: dict[str, list[str]] = {tag: [] for tag in _RA_TAGS}
     for n, ln in block:
-        tag = ln.split(None, 1)[0]
-        if tag not in _RA_TAGS or not ln.startswith(tag):
-            raise UnknownTagError(n, tag)
+        m = _RA_LINE.match(ln)
+        if m is None:
+            raise UnknownTagError(n, ln.split(None, 1)[0])
+        tag = m[1]
         value = ln[len(tag):]
         parts[tag].append(value.strip() if tag == "W." else _squash(value))
     title = _squash(" ".join(parts["T"]))
@@ -225,35 +229,17 @@ def parse_personal_alert(text: str) -> list[BibRecord]:
     return parse_records(text, RecordFormat.PERSONAL_ALERT)
 
 
-def _title_separated_blocks(text: str):
-    block: list[tuple[int, str]] = []
-    block_no = 0
-    for n, ln in enumerate(text.splitlines(), 1):
-        if not ln.strip():
-            continue
-        if ln.startswith("TITLE:") and block:
-            block_no += 1
-            yield block_no, block
-            block = []
-        block.append((n, ln))
-    if block:
-        yield block_no + 1, block
-
-
 def _parse_pa_block(block_no: int, block: list[tuple[int, str]]) -> BibRecord:
     values: dict[str, list[str]] = {h: [] for h in _PA_HEADERS}
     current = None
     for n, ln in block:
-        if ln[:1] in (" ", "\t"):
-            if current is None:
-                raise UnknownHeaderError(n, ln.strip())
-            values[current].append(ln.strip())
-            continue
-        m = _PA_HEADER_RE.match(ln)
-        if not m or m.group(1) not in _PA_HEADERS:
+        m = _PA_LINE.match(ln)
+        if m is None:
             raise UnknownHeaderError(n, ln.split(":")[0])
-        current = m.group(1)
-        values[current].append(m.group(2).strip())
+        current = m[1] or current
+        if current is None:
+            raise UnknownHeaderError(n, ln.strip())
+        values[current].append(ln[m.end():])
 
     def joined(header: str) -> str:
         return _squash(" ".join(values[header]))
@@ -311,13 +297,10 @@ def parse_records_lenient(
         fmt = fmt or detect_format(text)
     except AmbiguousFormatError as exc:
         return [], [exc]
-    if fmt is RecordFormat.RESEARCH_ALERT:
-        chunks, parse_one = _blank_separated_blocks(text), _parse_ra_block
-    else:
-        chunks, parse_one = _title_separated_blocks(text), _parse_pa_block
+    parse_one = _parse_ra_block if fmt is RecordFormat.RESEARCH_ALERT else _parse_pa_block
     records: list[BibRecord] = []
     errors: list[RecordParseError] = []
-    for block_no, block in chunks:
+    for block_no, block in enumerate(_blocks(_lines(text), fmt), 1):
         try:
             records.append(parse_one(block_no, block))
         except RecordParseError as exc:

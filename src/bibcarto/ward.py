@@ -194,7 +194,12 @@ def cut(dendrogram: Dendrogram, k: int) -> Partition:
 
 
 def export_dendrogram(dendrogram: Dendrogram, format: str = "newick") -> str:
-    """Render the merge tree; ``format`` is "newick" or "text"."""
+    """Render the merge tree; ``format`` is "newick" or "text".
+
+    Both formats walk the tree with an explicit stack (of nodes, and for
+    Newick of literal text), so a chain-shaped tree as deep as it has
+    leaves renders without reaching the interpreter's recursion limit.
+    """
     if format == "newick":
         return _to_newick(dendrogram)
     if format == "text":
@@ -221,38 +226,35 @@ def _quote_newick(label: str) -> str:
 def _to_newick(dendrogram: Dendrogram) -> str:
     children, heights = _children(dendrogram)
     labels = dendrogram.leaf_labels
-
-    def render(node: int) -> str:
-        if node not in children:
-            return _quote_newick(labels[node])
-        a, b = children[node]
-        parts = []
-        for child in (a, b):
-            length = (heights[node] - heights[child]) / 2.0
-            parts.append(f"{render(child)}:{format(length, '.12g')}")
-        return "(" + ",".join(parts) + ")"
-
-    root = dendrogram.merges[-1].new_id if dendrogram.merges else 0
-    return render(root) + ";"
+    out = []
+    stack: list[int | str] = [dendrogram.merges[-1].new_id if dendrogram.merges else 0]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item not in children:
+            out.append(_quote_newick(labels[item]))
+        else:
+            a, b = children[item]
+            la, lb = ((heights[item] - heights[child]) / 2.0 for child in (a, b))
+            stack += [f":{format(lb, '.12g')})", b, f":{format(la, '.12g')},", a, "("]
+    return "".join(out) + ";"
 
 
 def _to_text(dendrogram: Dendrogram) -> str:
     children, heights = _children(dendrogram)
     labels = dendrogram.leaf_labels
     lines = []
-
-    def render(node: int, indent: int):
+    stack = [(dendrogram.merges[-1].new_id if dendrogram.merges else 0, 0)]
+    while stack:
+        node, indent = stack.pop()
         pad = "  " * indent
         if node not in children:
             lines.append(f"{pad}{labels[node]}")
-            return
+            continue
         lines.append(f"{pad}+ height={format(heights[node], '.12g')}")
         a, b = children[node]
-        render(a, indent + 1)
-        render(b, indent + 1)
-
-    root = dendrogram.merges[-1].new_id if dendrogram.merges else 0
-    render(root, 0)
+        stack += [(b, indent + 1), (a, indent + 1)]
     return "\n".join(lines) + "\n"
 
 

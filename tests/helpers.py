@@ -6,6 +6,16 @@ from fractions import Fraction
 import numpy as np
 
 from bibcarto.corpus import ContingencyTable
+from bibcarto.records import (
+    AmbiguousFormatError,
+    BibRecord,
+    MissingTitleError,
+    RecordFormat,
+    RecordParseError,
+    UnknownHeaderError,
+    UnknownTagError,
+    extract_year,
+)
 from bibcarto.search import FIELDS, tokenize
 
 
@@ -240,3 +250,166 @@ def naive_disciplines(record, entries) -> set:
                     break
                 start = pos + 1
     return labels
+
+
+_NAIVE_RA_TAGS = ("T", "A", "K", "U", "W", "W.")
+_NAIVE_RA_LINE_RE = re.compile(r"^(T|A|K|U|W\.|W)(\s|$)")
+_NAIVE_PA_HEADERS = ("TITLE", "AUTHOR", "SOURCE", "SEARCH TERM(S)", "KEYWORDS", "KEYWORDS+",
+                     "AUTHOR ADDRESS")
+_NAIVE_PA_HEADER_RE = re.compile(r"^([A-Z][A-Z ()+]*):(.*)$")
+
+
+def _naive_squash(text):
+    return " ".join(text.split())
+
+
+def _naive_pa_line_ok(line):
+    if line[:1] in (" ", "\t"):
+        return True
+    m = _NAIVE_PA_HEADER_RE.match(line)
+    return bool(m) and m.group(1) in _NAIVE_PA_HEADERS
+
+
+def _naive_detect_format(text):
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise AmbiguousFormatError("empty input matches no alert format")
+    ra_bad = pa_bad = None
+    for n, ln in lines:
+        if ra_bad is None and not _NAIVE_RA_LINE_RE.match(ln):
+            ra_bad = (n, ln)
+        if pa_bad is None and not _naive_pa_line_ok(ln):
+            pa_bad = (n, ln)
+    if ra_bad is None and pa_bad is not None:
+        return RecordFormat.RESEARCH_ALERT
+    if pa_bad is None and ra_bad is not None:
+        return RecordFormat.PERSONAL_ALERT
+    if ra_bad is None and pa_bad is None:
+        raise AmbiguousFormatError("input matches both alert formats")
+    raise AmbiguousFormatError(
+        "input matches no alert format: "
+        f"not ResearchAlert (line {ra_bad[0]}: {ra_bad[1]!r}); "
+        f"not PersonalAlert (line {pa_bad[0]}: {pa_bad[1]!r})"
+    )
+
+
+def _naive_blank_separated_blocks(text):
+    block, block_no = [], 0
+    for n, ln in enumerate(text.splitlines(), 1):
+        if ln.strip():
+            block.append((n, ln))
+        elif block:
+            block_no += 1
+            yield block_no, block
+            block = []
+    if block:
+        yield block_no + 1, block
+
+
+def _naive_title_separated_blocks(text):
+    block, block_no = [], 0
+    for n, ln in enumerate(text.splitlines(), 1):
+        if not ln.strip():
+            continue
+        if ln.startswith("TITLE:") and block:
+            block_no += 1
+            yield block_no, block
+            block = []
+        block.append((n, ln))
+    if block:
+        yield block_no + 1, block
+
+
+def _naive_parse_ra_block(block_no, block):
+    parts = {tag: [] for tag in _NAIVE_RA_TAGS}
+    for n, ln in block:
+        tag = ln.split(None, 1)[0]
+        if tag not in _NAIVE_RA_TAGS or not ln.startswith(tag):
+            raise UnknownTagError(n, tag)
+        value = ln[len(tag):]
+        parts[tag].append(value.strip() if tag == "W." else _naive_squash(value))
+    title = _naive_squash(" ".join(parts["T"]))
+    if not title:
+        raise MissingTitleError(block_no)
+    source = _naive_squash(" ".join(parts["U"]))
+    return BibRecord(
+        title=title,
+        raw_format=RecordFormat.RESEARCH_ALERT,
+        authors=[a for a in parts["A"] if a],
+        source=source,
+        keywords=[k for k in parts["K"] if k],
+        profile_citations=[w for w in parts["W."] if w],
+        address=_naive_squash(" ".join(parts["W"])),
+        year=extract_year(source),
+    )
+
+
+def _naive_split_list(value):
+    return [part.strip() for part in value.split(";") if part.strip()]
+
+
+def _naive_split_qualifier(entry):
+    head, _, tail = entry.rpartition(" ")
+    if not head:
+        return entry, ""
+    return head.strip(), tail
+
+
+def _naive_parse_pa_block(block_no, block):
+    values = {h: [] for h in _NAIVE_PA_HEADERS}
+    current = None
+    for n, ln in block:
+        if ln[:1] in (" ", "\t"):
+            if current is None:
+                raise UnknownHeaderError(n, ln.strip())
+            values[current].append(ln.strip())
+            continue
+        m = _NAIVE_PA_HEADER_RE.match(ln)
+        if not m or m.group(1) not in _NAIVE_PA_HEADERS:
+            raise UnknownHeaderError(n, ln.split(":")[0])
+        current = m.group(1)
+        values[current].append(m.group(2).strip())
+
+    def joined(header):
+        return _naive_squash(" ".join(values[header]))
+
+    title = joined("TITLE")
+    if not title:
+        raise MissingTitleError(block_no)
+    source = joined("SOURCE")
+    return BibRecord(
+        title=title,
+        raw_format=RecordFormat.PERSONAL_ALERT,
+        authors=_naive_split_list(joined("AUTHOR")),
+        source=source,
+        keywords=_naive_split_list(joined("KEYWORDS")),
+        keywords_plus=_naive_split_list(joined("KEYWORDS+")),
+        search_terms=[_naive_split_qualifier(t)
+                      for t in _naive_split_list(joined("SEARCH TERM(S)"))],
+        address=joined("AUTHOR ADDRESS"),
+        year=extract_year(source),
+    )
+
+
+def naive_parse_records_lenient(text, fmt=None):
+    """Records and errors of alert ``text`` by the two-grammar parser that
+    re-tests each line in its own way: detection walks every line with a
+    tag regex and a header check, a generator per format cuts the blocks
+    (blank lines for Research Alert, ``TITLE:`` lines for Personal Alert)
+    from a second split of the text, and the block parsers split each
+    line again to find its tag or header."""
+    try:
+        fmt = fmt or _naive_detect_format(text)
+    except AmbiguousFormatError as exc:
+        return [], [exc]
+    if fmt is RecordFormat.RESEARCH_ALERT:
+        chunks, parse_one = _naive_blank_separated_blocks(text), _naive_parse_ra_block
+    else:
+        chunks, parse_one = _naive_title_separated_blocks(text), _naive_parse_pa_block
+    records, errors = [], []
+    for block_no, block in chunks:
+        try:
+            records.append(parse_one(block_no, block))
+        except RecordParseError as exc:
+            errors.append(exc)
+    return records, errors

@@ -155,6 +155,20 @@ def test_supplementary_errors():
         project_supplementary_col(np.ones(5), result)
 
 
+def test_supplementary_error_messages_name_the_side():
+    result = ca_fit(load_fixture("Table2"))
+    cases = [
+        (project_supplementary_row, np.zeros(18), "supplementary row has no incidences"),
+        (project_supplementary_row, np.ones(17), "expected 18 column counts, got (17,)"),
+        (project_supplementary_col, np.zeros(14), "supplementary column has no incidences"),
+        (project_supplementary_col, np.ones(5), "expected 14 row counts, got (5,)"),
+    ]
+    for project, counts, message in cases:
+        with pytest.raises((EmptySupplementaryError, ShapeMismatchError)) as err:
+            project(counts, result)
+        assert str(err.value) == message
+
+
 def test_profile_rows_project_far_from_year_centroids():
     """The two retrieval-era outlier publications sit far outside both
     year groups; every projection stays finite."""

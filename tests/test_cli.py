@@ -594,6 +594,25 @@ def test_search_interactive_names_the_undecodable_stdin_line(good_lines, toy_cor
     assert err == f"bibcarto: error: <stdin>:{good_lines + 1}: not UTF-8: byte 0xfe\n"
 
 
+@pytest.mark.parametrize("command", ["parse", "tables", "search"])
+def test_commands_parse_alerts_through_the_module_attribute(command, toy_corpus_file,
+                                                            monkeypatch, capsys):
+    # perfbench's --trace 1 wraps records.parse_records
+    real = records.parse_records
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(records, "parse_records", spy)
+    argv = {"parse": ["parse", str(toy_corpus_file)],
+            "tables": ["tables", "--records", str(toy_corpus_file)],
+            "search": ["search", "network", "--records", str(toy_corpus_file)]}[command]
+    assert main(argv) == 0
+    assert calls == [toy_corpus_file.read_text(encoding="utf-8")]
+
+
 @pytest.mark.parametrize("name", ["build_index", "ranked_matches", "more_like_this"])
 def test_search_command_calls_search_functions_as_module_attributes(name, toy_corpus_file,
                                                                     monkeypatch, capsys):

@@ -4,7 +4,9 @@ import pytest
 from bibcarto.ca import ca_fit, project_supplementary_row
 from bibcarto.corpus import load_fixture
 from bibcarto.ward import (
+    Dendrogram,
     DimensionMismatchError,
+    Merge,
     PointSet,
     TooFewPointsError,
     cut,
@@ -240,6 +242,21 @@ def test_text_export_and_bad_format():
     for bad in ("", "svg"):
         with pytest.raises(ValueError):
             export_dendrogram(dendrogram, bad)
+
+
+def test_export_renders_a_chain_deeper_than_the_recursion_limit():
+    # merge k joins the previous merge (height k) and leaf k + 1 at
+    # height k + 1, so the tree is n - 1 levels deep
+    n = 3000
+    merges = tuple(Merge(n + k - 1 if k else 0, k + 1, float(k + 1), n + k) for k in range(n - 1))
+    dendrogram = Dendrogram(tuple(f"p{i}" for i in range(n)), merges)
+    newick = ("(" * (n - 1) + "p0:0.5,p1:0.5)"
+              + "".join(f":0.5,p{k + 1}:{(k + 1) / 2:.12g})" for k in range(1, n - 1)) + ";")
+    assert export_dendrogram(dendrogram, "newick") == newick
+    text = ([f"{'  ' * j}+ height={n - 1 - j}" for j in range(n - 1)]
+            + [f"{'  ' * (n - 1)}p0", f"{'  ' * (n - 1)}p1"]
+            + [f"{'  ' * (n - 1 - k)}p{k + 1}" for k in range(1, n - 1)])
+    assert export_dendrogram(dendrogram, "text") == "\n".join(text) + "\n"
 
 
 def test_partition_csv():
