@@ -111,6 +111,12 @@ def _positive_int(text: str) -> int:
 _YEAR_RANGE_RE = re.compile(r"\s*([-+]?\d+)\s*:\s*([-+]?\d+)\s*")
 
 
+def _non_empty(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty string")
+    return text
+
+
 def _year_range(text: str) -> tuple[int, int]:
     m = _YEAR_RANGE_RE.fullmatch(text)
     if not m:
@@ -145,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", help="profile catalog file (default: bundled)")
     p.add_argument("--lexicon", help="discipline lexicon file (default: bundled)")
     p.add_argument("--years", type=_year_range, default=None, metavar="FIRST:LAST")
-    p.add_argument("--exclude", action="append", default=None, metavar="PHRASE",
+    p.add_argument("--exclude", action="append", type=_non_empty, default=None,
+                   metavar="PHRASE",
                    help="title phrase to exclude (repeatable; default: 'galaxy cluster')")
     p.add_argument("--format", choices=sorted(FORMAT_NAMES))
     p.add_argument("-o", "--output", help="write the CSV here instead of stdout")
@@ -225,8 +232,12 @@ def cmd_parse(args) -> int:
     for path, err in errors:
         print(f"bibcarto: parse error: {path}: {err}", file=sys.stderr)
     if errors:
-        print(f"bibcarto: {len(errors)} record(s) dropped, {len(recs)} parsed",
-              file=sys.stderr)
+        # a file in neither format yields its AmbiguousFormatError, not records
+        unread = sum(isinstance(err, records.AmbiguousFormatError) for _, err in errors)
+        summary = f"bibcarto: {len(errors) - unread} record(s) dropped, {len(recs)} parsed"
+        if unread:
+            summary += f", {unread} file(s) in no alert format"
+        print(summary, file=sys.stderr)
     return 0
 
 

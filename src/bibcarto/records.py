@@ -55,7 +55,7 @@ class RecordParseError(DataError):
 
 
 class AmbiguousFormatError(RecordParseError):
-    """Input matches neither or both alert grammars."""
+    """Input matches neither alert grammar."""
 
 
 class UnknownTagError(RecordParseError):
@@ -154,8 +154,10 @@ def detect_format(text: str) -> RecordFormat:
     """Decide which alert grammar a block of text is written in.
 
     The text is in a grammar when that grammar's line rule accepts every
-    non-blank line. Raises AmbiguousFormatError, naming the first line
-    each grammar rejects, when neither (or both) hold.
+    non-blank line. No line is in both: a Personal Alert line starts with
+    a space, a tab or a header word, never with a tag and whitespace.
+    Raises AmbiguousFormatError, naming the first line each grammar
+    rejects, when neither holds.
     """
     lines = _lines(text)
     if not lines:
@@ -164,12 +166,10 @@ def detect_format(text: str) -> RecordFormat:
         next(((n, ln) for n, ln in lines if not pattern.match(ln)), None)
         for pattern in (_RA_LINE, _PA_LINE)
     )
-    if ra_bad is None and pa_bad is not None:
+    if ra_bad is None:
         return RecordFormat.RESEARCH_ALERT
-    if pa_bad is None and ra_bad is not None:
+    if pa_bad is None:
         return RecordFormat.PERSONAL_ALERT
-    if ra_bad is None and pa_bad is None:
-        raise AmbiguousFormatError("input matches both alert formats")
     raise AmbiguousFormatError(
         "input matches no alert format: "
         f"not ResearchAlert (line {ra_bad[0]}: {ra_bad[1]!r}); "
@@ -289,7 +289,7 @@ def parse_records_lenient(
 ) -> tuple[list[BibRecord], list[RecordParseError]]:
     """Parse record by record, collecting errors instead of raising.
 
-    Text in no (or both) grammars gives no records and its
+    Text in neither grammar gives no records and its
     AmbiguousFormatError as the only error: there is no sound way to
     carve records out of text in an unknown grammar.
     """

@@ -10,15 +10,16 @@ fusion least increases the within-cluster inertia,
 and records that increase as the merge height. Leaves are numbered
 0..n-1 in input order and each merge creates cluster id n, n+1, ...
 
-The increases live in a dense symmetric n x n matrix indexed by slot,
-with an array mapping each slot to the id of the cluster it holds. A
-merged cluster takes over the slot of its smaller-id part, whose row
-and column are refilled in one vector step by the Lance-Williams
-recurrence for Ward; the other slot's row and column, like the
-diagonal, are set to infinity. The recurrence agrees with direct
-centroid recomputation to within 1e-9, not bit for bit. Each step
-merges at the matrix minimum; when several cells equal it exactly, the
-lexicographically least (smaller id, larger id) pair wins.
+The increases live in a dense symmetric matrix with one row and column
+per live cluster, in ascending id order, and infinity on the diagonal.
+A merge deletes the rows and columns of both parts and appends the
+merged cluster, which has the largest id, as the last row and column,
+filled in one vector step by the Lance-Williams recurrence for Ward.
+The recurrence agrees with direct centroid recomputation to within
+1e-9, not bit for bit. Each step merges at the first matrix minimum in
+row-major order. Because the matrix is symmetric and its slots follow
+id order, that cell is the lexicographically least (smaller id, larger
+id) pair among all cells that equal the minimum exactly.
 
 A dendrogram can be cut into k clusters by undoing the last k-1 merges,
 and exported as an indented text tree or in Newick form. Newick branch
@@ -136,19 +137,15 @@ def ward_hac(points: PointSet) -> Dendrogram:
         diff = coords - coords[i]
         delta[i] = mass[i] * mass / (mass[i] + mass) * np.einsum("ij,ij->i", diff, diff)
     np.fill_diagonal(delta, np.inf)
-    ids = np.arange(n)
+    ids = list(range(n))
 
     merges = []
-    for step in range(n - 1):
-        height = delta.min()
+    for new_id in range(n, 2 * n - 1):
+        m = len(ids)
+        sa, sb = divmod(int(delta.argmin()), m)
+        height = delta[sa, sb]
         if not np.isfinite(height):
             raise ArithmeticError(f"Ward criterion is not finite ({height})")
-        rows, cols = np.nonzero(delta == height)
-        lower = ids[rows] < ids[cols]
-        rows, cols = rows[lower], cols[lower]
-        best = np.lexsort((ids[cols], ids[rows]))[0]
-        sa, sb = rows[best], cols[best]
-        a, b = int(ids[sa]), int(ids[sb])
         m_new = mass[sa] + mass[sb]
         merged = (
             (mass[sa] + mass) * delta[sa]
@@ -157,11 +154,12 @@ def ward_hac(points: PointSet) -> Dendrogram:
         ) / (m_new + mass)
         merged[sa] = np.inf
         delta[sa] = delta[:, sa] = merged
-        delta[sb] = delta[:, sb] = np.inf
         mass[sa] = m_new
-        new_id = n + step
-        ids[sa] = new_id
-        merges.append(Merge(a, b, float(height), new_id))
+        live = np.r_[0:sa, sa + 1 : sb, sb + 1 : m, sa]
+        delta, mass = delta[np.ix_(live, live)], mass[live]
+        merges.append(Merge(ids[sa], ids[sb], float(height), new_id))
+        del ids[sb], ids[sa]
+        ids.append(new_id)
     return Dendrogram(points.labels, tuple(merges))
 
 

@@ -1,8 +1,10 @@
+import csv
 import importlib.util
 import inspect
 import io
 import json
 import pkgutil
+import re
 import tempfile
 from pathlib import Path
 
@@ -81,6 +83,19 @@ def test_parse_lenient_partial_dump(tmp_path, capsys):
     assert "1 record(s) dropped" in captured.err
 
 
+def test_parse_lenient_counts_a_file_in_no_format_apart_from_records(tmp_path, capsys):
+    neither, untitled = tmp_path / "neither.txt", tmp_path / "untitled.txt"
+    neither.write_text("T   one\n\nT   two\n\n" + CORRUPT_RESEARCH_ALERT, encoding="utf-8")
+    untitled.write_text("T   kept\n\nA   NOBODY J\n", encoding="utf-8")
+    assert main(["parse", "--lenient", str(neither), str(untitled)]) == 0
+    captured = capsys.readouterr()
+    assert [r.title for r in records.load_records(captured.out)] == ["kept"]
+    no_format, no_title, summary = captured.err.splitlines()
+    assert no_format.startswith(f"bibcarto: parse error: {neither}: input matches no alert format")
+    assert no_title == f"bibcarto: parse error: {untitled}: block 2: record has no title"
+    assert summary == "bibcarto: 1 record(s) dropped, 1 parsed, 1 file(s) in no alert format"
+
+
 def test_parse_output_file(sample_file, tmp_path):
     out = tmp_path / "dump.jsonl"
     assert main(["parse", str(sample_file), "-o", str(out)]) == 0
@@ -102,6 +117,13 @@ def test_analyze_k_zero_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["analyze", "--fixture", "Table2", "--k", "0"])
     assert err.value.code == 2
+
+
+def test_tables_empty_exclude_is_usage_error(toy_corpus_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["tables", "--records", str(toy_corpus_file), "--exclude", ""])
+    assert err.value.code == 2
+    assert "--exclude: must be a non-empty string" in capsys.readouterr().err
 
 
 def test_tables_fixture_export(tmp_path):
@@ -154,6 +176,61 @@ def test_analyze_with_supplementary_labels_all_114(tmp_path):
     assert len(partition) == 1 + 114
     coords = (outdir / "coordinates.csv").read_text(encoding="utf-8").splitlines()
     assert sum(1 for ln in coords if ",sup," in ln) == 82
+
+
+# The Ward output of the reference run, recorded before the matrix held
+# only live clusters: the 5-class partition (labels per cluster, in file
+# order) and the dendrogram's topology without branch lengths.
+REFERENCE_CLUSTERS = {
+    1: "Med Phys Astr Stat Eng Psy Lit Eco 2004 2005 2006 2007 2008 2009 2010 2011 "
+       "Bezdek81 Blashfield76 Breiman84 Diggle83 Duda73 Efron83 Everitt79,80 Fisher36 "
+       "Friedman77 Fu74,82 Fukunaga72 Gordon81 Gower66 Hand81 Hartigan75 Hubert7685 "
+       "Jain88 Jardine71 Johnson67 Kohonen95 Kruskal64,78 Mantel67 Mayr69 "
+       "McLachlan88,92,97 Milligan80,81,85 Murtagh83 Pavlidis77 Punj83 Rand71 Ripley81 "
+       "Sankoff83 Silverman86 Sokal63 Spaeth80 Tversky77 Ward63 Zahn71",
+    2: "Bio Chem Anderberg73 Cormack71 Devijver82 Eldredge80 Guttman68 Hennig66 Kluge69 "
+       "Lance67 Legendre83 Lorr83 Nei72 Nelson81 Orloci78 Reyment84 Spitzer74 "
+       "VanLaarhoven87 Wiley81 Wishart87 Wolfe70",
+    3: "Math Psych Soc 1994 1995 1996 1997 1998 1999 2000 2001 2002 2003 Adams72 Avise74 "
+       "Benzecri73 Farris72 Felsenstein82 Fitch67 Greenacre84 Hill74 Michalski83 "
+       "Nosofsky84 Rohlf82 Sattath77 Schiffman81 Sneath73 Swofford81",
+    4: "Hum Arabie87 Carroll70,80 Cover67 Gauch82 Gnanadesikan77 Huber85 Maddison84 "
+       "Rammal86 Sammon69",
+    5: "Bishop95 VanRijsbergen79",
+}
+REFERENCE_TOPOLOGY = (
+    "(((Astr,((Murtagh83,(Hubert7685,Rand71)),(Blashfield76,((Kohonen95,(Fukunaga72,"
+    "Jain88)),(Phys,(Med,Eco)))))),((((Efron83,(Tversky77,(Gower66,('Kruskal64,78',"
+    "'Milligan80,81,85')))),(Punj83,(Breiman84,(Mantel67,Ward63)))),(('Fu74,82',"
+    "Sankoff83),(Zahn71,(Diggle83,(Stat,(Friedman77,(Hartigan75,Silverman86))))))),"
+    "((((2008,(Eng,2011)),('McLachlan88,92,97',((Bezdek81,(2006,(2007,Duda73))),"
+    "(Fisher36,(2009,2010))))),(Johnson67,((Jardine71,Spaeth80),((Hand81,(2005,"
+    "Ripley81)),(Gordon81,(2004,'Everitt79,80')))))),(Lit,(Psy,(Pavlidis77,(Mayr69,"
+    "Sokal63))))))),((Bishop95,VanRijsbergen79),(((Hum,(Cover67,Sammon69)),"
+    "(Gnanadesikan77,((Arabie87,Maddison84),(Rammal86,(Huber85,('Carroll70,80',"
+    "Gauch82)))))),(((Spitzer74,(Guttman68,Wishart87)),((Lorr83,((Devijver82,"
+    "Eldredge80),(Reyment84,(VanLaarhoven87,(Wiley81,(Hennig66,Legendre83)))))),"
+    "((Cormack71,Lance67),((Wolfe70,(Anderberg73,(Bio,Nei72))),(Orloci78,(Nelson81,"
+    "(Chem,Kluge69))))))),(((Nosofsky84,(2003,(Sattath77,(2001,2002)))),(((1994,"
+    "(1998,2000)),(Greenacre84,(Math,1999))),(((1996,(Psych,1995)),(1997,"
+    "Benzecri73)),(Fitch67,Schiffman81)))),(((Avise74,Farris72),(Soc,(Sneath73,"
+    "Swofford81))),((Hill74,Michalski83),(Rohlf82,(Adams72,Felsenstein82)))))))));"
+)
+
+
+def test_analyze_reference_ward_output_is_pinned(tmp_path):
+    outdir = tmp_path / "ref"
+    assert main(["analyze", "--fixture", "Table2", "--supplementary", "Table1",
+                 "--k", "5", "--outdir", str(outdir)]) == 0
+    table2, table1 = corpus.load_fixture("Table2"), corpus.load_fixture("Table1")
+    leaves = [*table2.row_labels, *map(str, table2.col_labels), *table1.row_labels]
+    cluster_of = {label: str(c) for c, labels in REFERENCE_CLUSTERS.items()
+                  for label in labels.split()}
+    with open(outdir / "partition.csv", newline="", encoding="utf-8") as f:
+        assert list(csv.reader(f)) == [["label", "cluster"]] + [
+            [label, cluster_of[label]] for label in leaves]
+    newick = (outdir / "dendrogram.nwk").read_text(encoding="utf-8")
+    assert re.sub(r":[-+.0-9eE]+", "", newick) == REFERENCE_TOPOLOGY + "\n"
 
 
 def test_analyze_from_table_csv_matches_fixture_run(tmp_path):
