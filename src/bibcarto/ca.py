@@ -183,9 +183,9 @@ def inertia_report(result: CaResult) -> list[tuple[int, float, float, float]]:
     report = []
     cumulative = 0.0
     percentages = result.inertia_percentages
-    for k, (lam, pct) in enumerate(zip(result.eigenvalues, percentages), 1):
+    for k, (lam, pct) in enumerate(zip(result.eigenvalues.tolist(), percentages.tolist()), 1):
         cumulative += pct
-        report.append((k, float(lam), float(pct), cumulative))
+        report.append((k, lam, pct, cumulative))
     return report
 
 
@@ -204,12 +204,12 @@ def write_coordinates_csv(
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", "kind", *(f"axis{i}" for i in range(1, k + 1))])
-    for label, coords in zip(result.row_labels, result.row_coords):
-        writer.writerow([label, "row", *(_fmt(c) for c in coords[:k])])
-    for label, coords in zip(result.col_labels, result.col_coords):
-        writer.writerow([label, "col", *(_fmt(c) for c in coords[:k])])
+    for label, coords in zip(result.row_labels, result.row_coords[:, :k].tolist()):
+        writer.writerow([label, "row", *map(_fmt, coords)])
+    for label, coords in zip(result.col_labels, result.col_coords[:, :k].tolist()):
+        writer.writerow([label, "col", *map(_fmt, coords)])
     for label, coords in supplementary:
-        writer.writerow([label, "sup", *(_fmt(c) for c in coords[:k])])
+        writer.writerow([label, "sup", *map(_fmt, coords[:k].tolist())])
     return buf.getvalue()
 
 

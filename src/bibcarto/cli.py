@@ -58,7 +58,7 @@ def _is_int(value) -> bool:
 # RunConfig field -> (test of the JSON value, what the test expects).
 _CONFIG_CHECKS = {
     "exclusion_terms": (
-        lambda v: isinstance(v, list) and all(isinstance(t, str) and t for t in v),
+        lambda v: isinstance(v, list) and all(isinstance(t, str) and t.strip() for t in v),
         "a list of non-empty strings",
     ),
     "year_range": (
@@ -112,7 +112,7 @@ _YEAR_RANGE_RE = re.compile(r"\s*([-+]?\d+)\s*:\s*([-+]?\d+)\s*")
 
 
 def _non_empty(text: str) -> str:
-    if not text:
+    if not text.strip():
         raise argparse.ArgumentTypeError("must be a non-empty string")
     return text
 
@@ -249,6 +249,9 @@ def cmd_tables(args) -> int:
         recs, _ = _parse_all(args.records, args.format)
         exclusions = tuple(args.exclude) if args.exclude is not None else config.exclusion_terms
         kept, dropped = corpus.filter_records(recs, exclusions)
+        if dropped:
+            print(f"bibcarto: excluded {len(dropped)} record(s) by title phrase",
+                  file=sys.stderr)
         years = args.years if args.years is not None else config.year_range
         if args.kind == "profiles":
             catalog_path = args.catalog if args.catalog is not None else config.catalog_path
@@ -263,9 +266,6 @@ def cmd_tables(args) -> int:
             tagger = lambda r: corpus.tag_disciplines(r, lexicon)
             labels = lexicon.labels
         table, skipped = corpus.build_table(kept, tagger, labels, years)
-        if dropped:
-            print(f"bibcarto: excluded {len(dropped)} record(s) by title phrase",
-                  file=sys.stderr)
         if skipped:
             print(f"bibcarto: skipped {skipped} record(s) outside {years[0]}..{years[1]}",
                   file=sys.stderr)

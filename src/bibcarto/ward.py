@@ -10,16 +10,28 @@ fusion least increases the within-cluster inertia,
 and records that increase as the merge height. Leaves are numbered
 0..n-1 in input order and each merge creates cluster id n, n+1, ...
 
-The increases live in a dense symmetric matrix with one row and column
-per live cluster, in ascending id order, and infinity on the diagonal.
-A merge deletes the rows and columns of both parts and appends the
-merged cluster, which has the largest id, as the last row and column,
-filled in one vector step by the Lance-Williams recurrence for Ward.
-The recurrence agrees with direct centroid recomputation to within
-1e-9, not bit for bit. Each step merges at the first matrix minimum in
-row-major order. Because the matrix is symmetric and its slots follow
-id order, that cell is the lexicographically least (smaller id, larger
-id) pair among all cells that equal the minimum exactly.
+The increases live in one dense symmetric n x n matrix with a fixed
+slot per leaf and infinity on the diagonal. A merge gives the merged
+cluster the slot of its smaller-id part and fills that slot's row and
+column in one vector step by the Lance-Williams recurrence for Ward; the
+other part's slot dies and its column becomes infinity. Nothing is
+reallocated. The recurrence agrees with direct centroid recomputation
+to within 1e-9, not bit for bit.
+
+Each slot caches its row minimum and a column that attains it, after
+Müllner's "generic" algorithm (arXiv:1109.2378, section 3.1). After a
+merge, only the merged slot and the rows whose cached column was one of
+the two parts are rescanned; every other row compares its cached
+minimum with its one new value. The least cached minimum is then the
+matrix minimum, and a NaN anywhere in the matrix is the cached minimum
+of its row, so a non-finite criterion raises at the same merge as a
+scan of the whole matrix would.
+
+Each step merges the lexicographically least (smaller id, larger id)
+pair among the cells that equal the minimum exactly. By symmetry a cell
+at the minimum lies in two rows whose cached minimum is the minimum. So
+when only two slots cache it, they are the pair; otherwise the pair is
+the least id among those slots and its least-id partner at the minimum.
 
 A dendrogram can be cut into k clusters by undoing the last k-1 merges,
 and exported as an indented text tree or in Newick form. Newick branch
@@ -30,6 +42,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -137,29 +150,51 @@ def ward_hac(points: PointSet) -> Dendrogram:
         diff = coords - coords[i]
         delta[i] = mass[i] * mass / (mass[i] + mass) * np.einsum("ij,ij->i", diff, diff)
     np.fill_diagonal(delta, np.inf)
-    ids = list(range(n))
+    ids = np.arange(n)
+    dead = np.zeros(n, dtype=bool)
+    nn = delta.argmin(1)
+    nnd = delta.min(1)
 
     merges = []
     for new_id in range(n, 2 * n - 1):
-        m = len(ids)
-        sa, sb = divmod(int(delta.argmin()), m)
+        s = int(nnd.argmin())
+        least = nnd[s]
+        if not math.isfinite(least):
+            raise ArithmeticError(f"Ward criterion is not finite ({least})")
+        t = int(nn[s])
+        tied = (nnd == least).nonzero()[0]
+        if len(tied) > 2:
+            s = tied[ids[tied].argmin()]
+            partners = tied[delta[s, tied] == least]
+            t = partners[ids[partners].argmin()]
+        sa, sb = (s, t) if ids[s] < ids[t] else (t, s)
         height = delta[sa, sb]
-        if not np.isfinite(height):
-            raise ArithmeticError(f"Ward criterion is not finite ({height})")
         m_new = mass[sa] + mass[sb]
         merged = (
             (mass[sa] + mass) * delta[sa]
             + (mass[sb] + mass) * delta[sb]
             - mass * height
         ) / (m_new + mass)
+        dead[sb] = True
+        merged[dead] = np.inf
         merged[sa] = np.inf
         delta[sa] = delta[:, sa] = merged
+        delta[:, sb] = np.inf
         mass[sa] = m_new
-        live = np.r_[0:sa, sa + 1 : sb, sb + 1 : m, sa]
-        delta, mass = delta[np.ix_(live, live)], mass[live]
-        merges.append(Merge(ids[sa], ids[sb], float(height), new_id))
-        del ids[sb], ids[sa]
-        ids.append(new_id)
+        merges.append(Merge(int(ids[sa]), int(ids[sb]), float(height), new_id))
+        ids[sa] = new_id
+
+        nn[sb], nnd[sb] = -1, np.inf  # a dead slot is never stale again
+        stale = (nn == sa) | (nn == sb)
+        stale[sa] = True
+        # true where the new value is smaller or NaN
+        better = ~(merged >= nnd)
+        nn[better] = sa
+        np.copyto(nnd, merged, where=better)
+        rows = stale.nonzero()[0]
+        scan = delta[rows]
+        nn[rows] = scan.argmin(1)
+        nnd[rows] = scan.min(1)
     return Dendrogram(points.labels, tuple(merges))
 
 

@@ -85,6 +85,49 @@ def naive_ward(coords: np.ndarray, masses: np.ndarray):
     return merges
 
 
+def dense_ward(coords: np.ndarray, masses: np.ndarray):
+    """Ward by scanning the whole live matrix at every merge.
+
+    The dense-matrix loop that ``ward.ward_hac`` replaced: one row and
+    column per live cluster in ascending id order, merged at the first
+    matrix minimum in row-major order, and compacted after each merge.
+    It shares ``ward_hac``'s initial fill and Lance-Williams expression,
+    so merges and heights must agree bit for bit. Returns merges as
+    (a, b, height, new_id); raises ``ArithmeticError`` like ``ward_hac``.
+    """
+    n = len(coords)
+    mass = np.array(masses, dtype=float)
+    delta = np.empty((n, n))
+    for i in range(n):
+        diff = coords - coords[i]
+        delta[i] = mass[i] * mass / (mass[i] + mass) * np.einsum("ij,ij->i", diff, diff)
+    np.fill_diagonal(delta, np.inf)
+    ids = list(range(n))
+
+    merges = []
+    for new_id in range(n, 2 * n - 1):
+        m = len(ids)
+        sa, sb = divmod(int(delta.argmin()), m)
+        height = delta[sa, sb]
+        if not np.isfinite(height):
+            raise ArithmeticError(f"Ward criterion is not finite ({height})")
+        m_new = mass[sa] + mass[sb]
+        merged = (
+            (mass[sa] + mass) * delta[sa]
+            + (mass[sb] + mass) * delta[sb]
+            - mass * height
+        ) / (m_new + mass)
+        merged[sa] = np.inf
+        delta[sa] = delta[:, sa] = merged
+        mass[sa] = m_new
+        live = np.r_[0:sa, sa + 1 : sb, sb + 1 : m, sa]
+        delta, mass = delta[np.ix_(live, live)], mass[live]
+        merges.append((ids[sa], ids[sb], float(height), new_id))
+        del ids[sb], ids[sa]
+        ids.append(new_id)
+    return merges
+
+
 def exact_ward_minima(coords: np.ndarray, merges):
     """Replay ``merges`` ((a, b) id pairs) on unit-mass points with integer
     coordinates, in exact rational arithmetic.

@@ -120,10 +120,24 @@ def test_analyze_k_zero_is_usage_error(capsys):
 
 
 def test_tables_empty_exclude_is_usage_error(toy_corpus_file, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["tables", "--records", str(toy_corpus_file), "--exclude", ""])
-    assert err.value.code == 2
-    assert "--exclude: must be a non-empty string" in capsys.readouterr().err
+    # a blank phrase would be found in every title that has two words
+    for phrase in ("", " ", "\t "):
+        with pytest.raises(SystemExit) as err:
+            main(["tables", "--records", str(toy_corpus_file), "--exclude", phrase])
+        assert err.value.code == 2
+        assert "--exclude: must be a non-empty string" in capsys.readouterr().err
+
+
+def test_tables_reports_exclusions_before_an_empty_table_error(tmp_path, capsys):
+    path = _write(tmp_path / "one.txt", "T   Neural network training\n"
+                  "K   computational biology\nU   J THINGS 2000\nW.  X Y 99\n")
+    argv = ["tables", "--records", str(path), "--years", "1999:2002",
+            "-o", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
+    assert main(argv + ["--exclude", "training"]) == 1
+    err = capsys.readouterr().err
+    assert "excluded 1 record(s) by title phrase" in err
+    assert "no (record, label) incidences" in err
 
 
 def test_tables_fixture_export(tmp_path):
@@ -337,6 +351,8 @@ REJECTED_INPUTS = {
     "config-year-range-string": ({"year_range": "1994"}, None, "tables", "year_range"),
     "config-exclusion-terms-string": ({"exclusion_terms": "galaxy"}, None, "tables",
                                       "exclusion_terms"),
+    "config-exclusion-terms-blank": ({"exclusion_terms": ["galaxy", " "]}, None, "tables",
+                                     "exclusion_terms"),
     "config-unknown-key": ({"kk": 3}, None, "analyze", "kk"),
     "csv-empty": (None, "", "analyze", ":1:"),
     "csv-overflow": (None, "label,1994,1995\nx,99999999999999999999,1\n", "analyze", ":2:"),

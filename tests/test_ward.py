@@ -16,7 +16,7 @@ from bibcarto.ward import (
     write_partition_csv,
 )
 
-from helpers import exact_ward_minima, naive_ward
+from helpers import dense_ward, exact_ward_minima, naive_ward
 
 
 def _points(coords, labels=None):
@@ -129,6 +129,44 @@ def test_matches_oracles_at_larger_n_with_ties():
         got = np.array([m.height for m in merges])
         assert np.abs(got - want).max() <= 1e-9
     assert merged_ties > 0
+
+
+def _outcome(run):
+    """Merges as (a, b, new_id, exact height), or the ArithmeticError text."""
+    try:
+        return [(a, b, new_id, float.hex(height)) for a, b, height, new_id in run()]
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+def test_equals_the_dense_ward_bit_for_bit():
+    # The nearest-neighbour cache must pick the same pairs as a scan of the
+    # whole matrix, and refill with the same arithmetic: equal heights
+    # to the last bit, equal errors at the same merge.
+    rng = np.random.default_rng(1109)
+    cases = []
+    for t in range(60):
+        n = int(rng.integers(2, 61))
+        coords = rng.normal(size=(n, int(rng.integers(1, 6))))
+        cases.append((np.round(coords * 2) if t % 3 == 0 else coords, 1.0))
+    cases.append((rng.normal(size=(400, 20)), 1.0))
+    lattice = np.array([[x, y] for x in range(3) for y in range(3)], dtype=float)
+    for mass in (1.0, 2.5, 0.0, -1.0):
+        cases += [
+            (np.zeros((7, 2)), mass),
+            (lattice[rng.integers(0, 9, size=24)], mass),
+            (lattice, mass),
+            (lattice * 1e200, mass),
+        ]
+    errors = 0
+    for coords, mass in cases:
+        points = PointSet(tuple(f"p{i}" for i in range(len(coords))), coords,
+                          np.full(len(coords), mass))
+        with np.errstate(invalid="ignore"):  # masses of 0 fill in 0/0
+            got = _outcome(lambda: ward_hac(points).merges)
+            assert got == _outcome(lambda: dense_ward(points.coords, points.masses))
+        errors += isinstance(got, str)
+    assert 0 < errors < len(cases)
 
 
 def test_overflowing_criterion_rejected():
