@@ -34,6 +34,10 @@ FORMAT_NAMES = {
 
 CONFIG_ENV_VAR = "BIBCARTO_CONFIG"
 
+# The years records.extract_year can return. A year range must lie within
+# them: a wider one counts no more records, it only adds empty columns.
+FIRST_YEAR, LAST_YEAR = 1900, 2100
+
 
 class ConfigError(DataError):
     """The BIBCARTO_CONFIG file is not JSON, not a JSON object, or has an
@@ -63,8 +67,8 @@ _CONFIG_CHECKS = {
     ),
     "year_range": (
         lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
-        and v[0] <= v[1],
-        "[FIRST, LAST] with integer years, FIRST <= LAST",
+        and FIRST_YEAR <= v[0] <= v[1] <= LAST_YEAR,
+        f"[FIRST, LAST] with integer years, {FIRST_YEAR} <= FIRST <= LAST <= {LAST_YEAR}",
     ),
     "catalog_path": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "lexicon_path": (lambda v: v is None or isinstance(v, str), "a string or null"),
@@ -124,6 +128,9 @@ def _year_range(text: str) -> tuple[int, int]:
     lo, hi = int(m[1]), int(m[2])
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty year range {text!r}")
+    if lo < FIRST_YEAR or hi > LAST_YEAR:
+        raise argparse.ArgumentTypeError(
+            f"years must lie in {FIRST_YEAR}..{LAST_YEAR}, got {text!r}")
     return lo, hi
 
 

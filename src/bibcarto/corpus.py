@@ -362,7 +362,7 @@ def build_table(
     """
     first, last = year_range
     if last < first:
-        raise ValueError("empty year range")
+        raise EmptyTableError("empty year range")
     cols = tuple(range(first, last + 1))
     row_index = {label: i for i, label in enumerate(row_labels)}
     counts = np.zeros((len(row_labels), len(cols)), dtype=np.int64)

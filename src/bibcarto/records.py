@@ -1,9 +1,13 @@
 """Parsers for the two citation-alert record formats.
 
 Lines are what ``str.splitlines`` yields, numbered from 1; a line that
-is empty or all whitespace is blank. Each format has one line rule,
-which ``detect_format`` and the parser both apply to every non-blank
-line.
+is empty or all whitespace is blank. Each format has one line rule; a
+bad line is a non-blank line it rejects. ``_norm`` puts a ``"\\n"``
+before every line and the text is scanned whole: one search per format,
+built from the rule's pattern text, finds the bad lines, a pattern cuts
+the records and one ``findall`` reads a record's fields. Only a record
+with a bad line (or Personal Alert text before the first ``TITLE:``) is
+walked line by line, to raise its first line's error and number it.
 
 Research Alert (tag-prefixed, used through 2003): a line is one of the
 tags below at column 0, followed by whitespace or the end of the line.
@@ -24,15 +28,13 @@ a tab and adds to the header above it; the pieces are joined with
 single spaces. A record may hold blank lines between header groups, so
 it ends before the next ``TITLE:`` line rather than at a blank line.
 
-All field values are whitespace-normalized, except ``profile_citations``
-entries whose interior padding is preserved (downstream matching
-normalizes it). The publication year is taken from the source field as
-the last standalone four-digit token in 1900..2100; records without one
-carry ``year = None``.
+Field values are whitespace-normalized (a joined field once), except
+``profile_citations`` entries, whose interior padding is preserved
+(downstream matching normalizes it). The publication year is the source
+field's last standalone four-digit token in 1900..2100, else ``None``.
 
-Records serialize to one JSON object per line with keys named exactly
-after the ``BibRecord`` fields; parsing those lines back yields equal
-records.
+Records serialize to one JSON object per line, keyed by the ``BibRecord``
+field names; parsing those lines back yields equal records.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ import enum
 import json
 import re
 import string
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import DataError
@@ -112,6 +115,7 @@ class BibRecord:
         return problems
 
 
+_RA, _PA = RecordFormat.RESEARCH_ALERT, RecordFormat.PERSONAL_ALERT
 _RA_TAGS = ("T", "A", "K", "U", "W", "W.")
 _PA_HEADERS = (
     "TITLE",
@@ -122,12 +126,26 @@ _PA_HEADERS = (
     "KEYWORDS+",
     "AUTHOR ADDRESS",
 )
+_RA_TAG = r"(T|A|K|U|W\.|W)"
+_PA_HEADER = "(" + "|".join(map(re.escape, _PA_HEADERS)) + "):"
 # One line rule per format; group 1 is the tag or header, and a Personal
 # Alert continuation line has none.
-_RA_LINE = re.compile(r"(T|A|K|U|W\.|W)(?:\s|$)")
-_PA_LINE = re.compile(r"[ \t]|(" + "|".join(map(re.escape, _PA_HEADERS)) + "):")
+_LINE_RULES = {_RA: _RA_TAG + r"(?:\s|$)", _PA: r"[ \t]|" + _PA_HEADER}
+_LINE = {fmt: re.compile(rule) for fmt, rule in _LINE_RULES.items()}
 
-_YEAR_TOKEN_RE = re.compile(r"[12][0-9]{3}")
+# The patterns below scan the output of _norm, in which "\n" opens
+# every line (so the k-th "\n" opens line k) and is the only line
+# boundary; "." stops at it.
+_BAD_LINE = {fmt: re.compile(r"\n(?!(?:" + rule + r"))(?=[^\S\n]*\S).*", re.M)
+             for fmt, rule in _LINE_RULES.items()}
+_RA_RECORD = re.compile(r"\n[^\S\n]*\S.*(?:\n[^\S\n]*\S.*)*")
+_RA_FIELD = re.compile(r"\n" + _RA_TAG + "(.*)")
+# A header line with the continuation and blank lines after it.
+_PA_FIELD = re.compile(r"\n" + _PA_HEADER + r"(.*(?:\n(?:[ \t].*|[^\S\n]*$))*)", re.M)
+_PA_CUT = re.compile(r"\nTITLE:")
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # of str.splitlines
+_PUNCT = "[" + re.escape(string.punctuation) + "]*"
+_YEAR = re.compile(r"(?<!\S)" + _PUNCT + r"(19[0-9]{2}|20[0-9]{2}|2100)" + _PUNCT + r"(?!\S)")
 
 
 def _squash(text: str) -> str:
@@ -136,18 +154,18 @@ def _squash(text: str) -> str:
 
 
 def extract_year(source: str) -> int | None:
-    """Last standalone 4-digit token of the source field, in 1900..2100."""
-    year = None
-    for token in source.split():
-        token = token.strip(string.punctuation)
-        if _YEAR_TOKEN_RE.fullmatch(token) and 1900 <= int(token) <= 2100:
-            year = int(token)
-    return year
+    """Last standalone 4-digit token of the source field, in 1900..2100: a maximal
+    non-whitespace run, four ASCII digits once stripped of ASCII punctuation."""
+    years = _YEAR.findall(source)
+    return int(years[-1]) if years else None
 
 
-def _lines(text: str) -> list[tuple[int, str]]:
-    """The non-blank lines of ``text`` as (line number, line) pairs."""
-    return [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+def _norm(text: str) -> str:
+    """``text`` with a "\\n" before each line and no other line boundary (text
+    already split only at "\\n" is kept, so a final "\\n" adds a blank line)."""
+    if any(brk in text for brk in _OTHER_BREAKS):
+        text = "\n".join(text.splitlines())
+    return "\n" + text
 
 
 def detect_format(text: str) -> RecordFormat:
@@ -159,39 +177,33 @@ def detect_format(text: str) -> RecordFormat:
     Raises AmbiguousFormatError, naming the first line each grammar
     rejects, when neither holds.
     """
-    lines = _lines(text)
-    if not lines:
+    norm = _norm(text)
+    if norm.isspace():
         raise AmbiguousFormatError("empty input matches no alert format")
-    ra_bad, pa_bad = (
-        next(((n, ln) for n, ln in lines if not pattern.match(ln)), None)
-        for pattern in (_RA_LINE, _PA_LINE)
-    )
-    if ra_bad is None:
-        return RecordFormat.RESEARCH_ALERT
-    if pa_bad is None:
-        return RecordFormat.PERSONAL_ALERT
-    raise AmbiguousFormatError(
-        "input matches no alert format: "
-        f"not ResearchAlert (line {ra_bad[0]}: {ra_bad[1]!r}); "
-        f"not PersonalAlert (line {pa_bad[0]}: {pa_bad[1]!r})"
-    )
+    misses = []
+    for fmt, bad_line in _BAD_LINE.items():
+        bad = bad_line.search(norm)
+        if bad is None:
+            return fmt
+        line_no = norm.count("\n", 0, bad.start() + 1)
+        misses.append(f"not {fmt.value} (line {line_no}: {bad[0][1:]!r})")
+    raise AmbiguousFormatError("input matches no alert format: " + "; ".join(misses))
 
 
-def _blocks(lines: list[tuple[int, str]], fmt: RecordFormat):
-    """Cut non-blank lines into records: a Research Alert record ends at
-    a blank line (a gap in the line numbers), a Personal Alert record
-    before each ``TITLE:`` line."""
-    ends_at_blank = fmt is RecordFormat.RESEARCH_ALERT
-    block: list[tuple[int, str]] = []
-    last = 0
-    for n, ln in lines:
-        if block and (n > last + 1 if ends_at_blank else ln.startswith("TITLE:")):
-            yield block
-            block = []
-        block.append((n, ln))
-        last = n
-    if block:
-        yield block
+def _raise_line_error(fmt: RecordFormat, text: str, first_no: int) -> None:
+    """Walk the lines of one record, numbered from ``first_no``, and raise
+    the error of the first one its grammar rejects, if any."""
+    current = None
+    for n, line in enumerate(text.split("\n"), first_no):
+        if not line.strip():
+            continue
+        m = _LINE[fmt].match(line)
+        if m is None:
+            raise (UnknownTagError(n, line.split(None, 1)[0]) if fmt is _RA
+                   else UnknownHeaderError(n, line.split(":")[0]))
+        current = m[1] or current
+        if current is None:
+            raise UnknownHeaderError(n, line.strip())
 
 
 def parse_research_alert(text: str) -> list[BibRecord]:
@@ -199,15 +211,10 @@ def parse_research_alert(text: str) -> list[BibRecord]:
     return parse_records(text, RecordFormat.RESEARCH_ALERT)
 
 
-def _parse_ra_block(block_no: int, block: list[tuple[int, str]]) -> BibRecord:
+def _parse_ra_record(norm: str, start: int, end: int, block_no: int) -> BibRecord:
     parts: dict[str, list[str]] = {tag: [] for tag in _RA_TAGS}
-    for n, ln in block:
-        m = _RA_LINE.match(ln)
-        if m is None:
-            raise UnknownTagError(n, ln.split(None, 1)[0])
-        tag = m[1]
-        value = ln[len(tag):]
-        parts[tag].append(value.strip() if tag == "W." else _squash(value))
+    for tag, value in _RA_FIELD.findall(norm, start, end):
+        parts[tag].append(value)
     title = _squash(" ".join(parts["T"]))
     if not title:
         raise MissingTitleError(block_no)
@@ -215,10 +222,10 @@ def _parse_ra_block(block_no: int, block: list[tuple[int, str]]) -> BibRecord:
     return BibRecord(
         title=title,
         raw_format=RecordFormat.RESEARCH_ALERT,
-        authors=[a for a in parts["A"] if a],
+        authors=[a for a in map(_squash, parts["A"]) if a],
         source=source,
-        keywords=[k for k in parts["K"] if k],
-        profile_citations=[w for w in parts["W."] if w],
+        keywords=[k for k in map(_squash, parts["K"]) if k],
+        profile_citations=[w for w in map(str.strip, parts["W."]) if w],
         address=_squash(" ".join(parts["W"])),
         year=extract_year(source),
     )
@@ -229,17 +236,10 @@ def parse_personal_alert(text: str) -> list[BibRecord]:
     return parse_records(text, RecordFormat.PERSONAL_ALERT)
 
 
-def _parse_pa_block(block_no: int, block: list[tuple[int, str]]) -> BibRecord:
+def _parse_pa_record(norm: str, start: int, end: int, block_no: int) -> BibRecord:
     values: dict[str, list[str]] = {h: [] for h in _PA_HEADERS}
-    current = None
-    for n, ln in block:
-        m = _PA_LINE.match(ln)
-        if m is None:
-            raise UnknownHeaderError(n, ln.split(":")[0])
-        current = m[1] or current
-        if current is None:
-            raise UnknownHeaderError(n, ln.strip())
-        values[current].append(ln[m.end():])
+    for header, value in _PA_FIELD.findall(norm, start, end):
+        values[header].append(value)
 
     def joined(header: str) -> str:
         return _squash(" ".join(values[header]))
@@ -259,6 +259,17 @@ def _parse_pa_block(block_no: int, block: list[tuple[int, str]]) -> BibRecord:
         address=joined("AUTHOR ADDRESS"),
         year=extract_year(source),
     )
+
+
+def _record_spans(fmt: RecordFormat, norm: str) -> list[tuple[int, int]]:
+    """(start, end) of each record: a run of non-blank lines (Research Alert),
+    or a ``TITLE:`` line to the next, plus any non-blank text before the first."""
+    if fmt is _RA:
+        return [m.span() for m in _RA_RECORD.finditer(norm)]
+    starts = [m.start() for m in _PA_CUT.finditer(norm)]
+    if norm[:starts[0] if starts else len(norm)].strip():
+        starts.insert(0, 0)
+    return list(zip(starts, starts[1:] + [len(norm)]))
 
 
 def _split_list(value: str) -> list[str]:
@@ -297,12 +308,20 @@ def parse_records_lenient(
         fmt = fmt or detect_format(text)
     except AmbiguousFormatError as exc:
         return [], [exc]
-    parse_one = _parse_ra_block if fmt is RecordFormat.RESEARCH_ALERT else _parse_pa_block
+    norm = _norm(text)
+    bad = [m.start() for m in _BAD_LINE[fmt].finditer(norm)]
+    parse_one = _parse_ra_record if fmt is _RA else _parse_pa_record
     records: list[BibRecord] = []
     errors: list[RecordParseError] = []
-    for block_no, block in enumerate(_blocks(_lines(text), fmt), 1):
+    line_no = counted = 0  # norm[:counted] holds line_no "\n"s; counting resumes there
+    for block_no, (start, end) in enumerate(_record_spans(fmt, norm), 1):
         try:
-            records.append(parse_one(block_no, block))
+            if bisect_left(bad, start) < bisect_left(bad, end) or (
+                    fmt is _PA and not _PA_CUT.match(norm, start)):
+                line_no += norm.count("\n", counted, start + 1)
+                counted = start + 1
+                _raise_line_error(fmt, norm[counted:end], line_no)
+            records.append(parse_one(norm, start, end, block_no))
         except RecordParseError as exc:
             errors.append(exc)
     return records, errors

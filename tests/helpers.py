@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the implementations they check."""
 import re
+import string
 from collections import Counter
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from bibcarto.records import (
     RecordParseError,
     UnknownHeaderError,
     UnknownTagError,
-    extract_year,
 )
 from bibcarto.search import FIELDS, tokenize
 
@@ -306,6 +306,15 @@ def _naive_squash(text):
     return " ".join(text.split())
 
 
+def naive_extract_year(source):
+    year = None
+    for token in source.split():
+        token = token.strip(string.punctuation)
+        if re.fullmatch(r"[12][0-9]{3}", token) and 1900 <= int(token) <= 2100:
+            year = int(token)
+    return year
+
+
 def _naive_pa_line_ok(line):
     if line[:1] in (" ", "\t"):
         return True
@@ -383,7 +392,7 @@ def _naive_parse_ra_block(block_no, block):
         keywords=[k for k in parts["K"] if k],
         profile_citations=[w for w in parts["W."] if w],
         address=_naive_squash(" ".join(parts["W"])),
-        year=extract_year(source),
+        year=naive_extract_year(source),
     )
 
 
@@ -430,7 +439,7 @@ def _naive_parse_pa_block(block_no, block):
         search_terms=[_naive_split_qualifier(t)
                       for t in _naive_split_list(joined("SEARCH TERM(S)"))],
         address=joined("AUTHOR ADDRESS"),
-        year=extract_year(source),
+        year=naive_extract_year(source),
     )
 
 

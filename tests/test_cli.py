@@ -119,6 +119,23 @@ def test_analyze_k_zero_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("years", ["0:4000000000", "1899:2000", "2000:2101", "-5:2000"])
+def test_tables_years_outside_1900_2100_is_usage_error(years, toy_corpus_file, capsys):
+    # a range as wide as the first one once asked for tens of GB of table
+    with pytest.raises(SystemExit) as err:
+        main(["tables", "--records", str(toy_corpus_file), f"--years={years}"])
+    assert err.value.code == 2
+    assert f"--years: years must lie in 1900..2100, got {years!r}" in capsys.readouterr().err
+
+
+def test_tables_years_may_span_1900_to_2100(toy_corpus_file, tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["tables", "--records", str(toy_corpus_file), "--years", "1900:2100",
+                 "-o", str(out)]) == 0
+    table = corpus.ContingencyTable.from_csv(out.read_text(encoding="utf-8"))
+    assert table.col_labels == tuple(range(1900, 2101))
+
+
 def test_tables_empty_exclude_is_usage_error(toy_corpus_file, capsys):
     # a blank phrase would be found in every title that has two words
     for phrase in ("", " ", "\t "):
@@ -349,6 +366,13 @@ REJECTED_INPUTS = {
     "config-k-string": ({"k": "5"}, None, "analyze", "k"),
     "config-axes-string": ({"axes": "3"}, None, "analyze", "axes"),
     "config-year-range-string": ({"year_range": "1994"}, None, "tables", "year_range"),
+    "config-year-range-huge": ({"year_range": [0, 4000000000]}, None, "tables",
+                               "year_range must be [FIRST, LAST] with integer years, "
+                               "1900 <= FIRST <= LAST <= 2100"),
+    "config-year-range-before-1900": ({"year_range": [1899, 1950]}, None, "tables",
+                                      "year_range"),
+    "config-year-range-after-2100": ({"year_range": [2000, 2101]}, None, "tables",
+                                     "year_range"),
     "config-exclusion-terms-string": ({"exclusion_terms": "galaxy"}, None, "tables",
                                       "exclusion_terms"),
     "config-exclusion-terms-blank": ({"exclusion_terms": ["galaxy", " "]}, None, "tables",

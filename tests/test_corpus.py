@@ -369,6 +369,12 @@ def test_build_table_empty_raises():
         build_table([rec], lambda r: set(), ["x"], (2000, 2001))
 
 
+def test_build_table_empty_year_range_is_a_data_error():
+    rec = _record(title="t", year=2000)
+    with pytest.raises(EmptyTableError, match="empty year range"):
+        build_table([rec], lambda r: {"x"}, ["x"], (2001, 2000))
+
+
 @given(
     st.lists(
         st.tuples(

@@ -1,3 +1,6 @@
+import random
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +26,7 @@ from bibcarto.records import (
     to_json_line,
 )
 
-from helpers import naive_parse_records_lenient
+from helpers import naive_extract_year, naive_parse_records_lenient
 
 
 def test_detect_research_alert(research_alert_text):
@@ -288,3 +291,106 @@ def test_lenient_parse_detects_through_the_module_attribute(research_alert_text,
     (rec,) = parse_records_lenient(research_alert_text)[0]
     assert calls == [research_alert_text]
     assert rec.raw_format is RecordFormat.RESEARCH_ALERT
+
+
+_YEAR_PIECES = st.one_of(
+    st.integers(0, 99999).map(str),
+    st.integers(1890, 2110).map(str),
+    st.sampled_from(list(string.punctuation)),
+    st.sampled_from([" ", "  ", "\xa0", "\u2003", "\t"]),
+    st.sampled_from(["1998-2001", "(1998).", "APR", "p.1551-1557", "\u0661\u0669\u0669\u0668",
+                     "\uff11\uff19\uff19\uff18", "19\u0669\u0668", "2\u2003001", "x1999"]),
+)
+
+
+@settings(max_examples=500)
+@given(source=st.lists(_YEAR_PIECES, max_size=10).map("".join))
+def test_extract_year_equals_the_token_loop(source):
+    assert extract_year(source) == naive_extract_year(source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(st.tuples(
+    st.sampled_from(_RA_PREFIXES + _PA_PREFIXES + _BAD_PREFIXES),
+    st.sampled_from(_GAPS + _BAD_GAPS),
+    _VALUES,
+    st.sampled_from(_BOUNDARIES),
+), max_size=12))
+def test_bad_line_search_flags_exactly_the_lines_the_rule_rejects(pieces):
+    text = "".join("".join(piece) for piece in pieces)
+    lines = text.splitlines()
+    norm = records._norm(text)
+    for fmt in RecordFormat:
+        flagged = {norm.count("\n", 0, m.start() + 1): m[0][1:]
+                   for m in records._BAD_LINE[fmt].finditer(norm)}
+        rejected = {n: line for n, line in enumerate(lines, 1)
+                    if line.strip() and not records._LINE[fmt].match(line)}
+        assert flagged == rejected
+
+
+def _big_alert_lines(fmt, rng):
+    """About 2,000 records of one format as a list of lines, with the
+    shapes that stress a whole-text scan: whitespace-only lines, blank
+    lines inside Personal Alert records, a 200,000-character whitespace
+    line and a field of 20,000 continuation lines."""
+    gaps, blanks = _GAPS, ["", "  ", "\xa0", "\t \xa0"]
+
+    def words(k):
+        return " ".join(rng.choice(["Ward", "cluster", "analysis", "Bark", "beetle", "1998",
+                                    "(2004).", "1998-2001", "a;b", "x"]) for _ in range(k))
+
+    def source():
+        year = rng.choice(["1994", "2004", "2011", "1899", "2101", "98", "(2009).", ""])
+        return f"J STUFF {rng.randrange(1, 99)}({rng.randrange(1, 12)}): 1-9, APR {year}"
+
+    lines = []
+    if fmt is RecordFormat.PERSONAL_ALERT:
+        lines += ["AUTHOR:  Orphan, A", "   before any title"]
+    for i in range(2000):
+        long_field = [words(2) for _ in range(20000)] if i == 3 else []
+        if fmt is RecordFormat.RESEARCH_ALERT:
+            record = [f"T{rng.choice(gaps)}{words(3)}"]
+            record += [f"T{rng.choice(gaps)}{w}" for w in long_field]
+            record += [f"A{rng.choice(gaps)}{words(2)}" for _ in range(rng.randrange(3))]
+            record += [f"K{rng.choice(gaps)}{words(2)}" for _ in range(rng.randrange(2))]
+            record += [f"U{rng.choice(gaps)}{source()}",
+                       f"W{rng.choice(gaps)}{words(3)}", "W", f"W.   {words(2)}  "]
+            if i % 97 == 5:
+                record = record[1:]  # no title
+            rng.shuffle(record)
+            lines += record + [rng.choice(blanks)]
+        else:
+            record = [f"TITLE:{rng.choice(gaps)}{words(4)}", f"  {words(2)}"]
+            record += [f"\t{w}" for w in long_field]
+            record += [f"AUTHOR:  {words(2)}; {words(1)}", f"SOURCE: {source()}",
+                       rng.choice(blanks), f"SEARCH TERM(S):  {words(2)}  rauth; X*  rwork",
+                       rng.choice(blanks), f"KEYWORDS: {words(2)}; {words(1)}",
+                       rng.choice(blanks), f"   {words(2)}", "KEYWORDS+:",
+                       f"AUTHOR ADDRESS:{rng.choice(gaps)}{words(3)}"]
+            if i % 89 == 7:
+                record[:2] = ["TITLE:   ", "\xa0"]  # no title
+            lines += record
+        if i == 9:
+            lines.append(" \xa0\t" * 66_667)
+    return lines
+
+
+@pytest.mark.parametrize("fmt", list(RecordFormat))
+@pytest.mark.parametrize("damaged", [False, True])
+def test_large_adversarial_text_equals_the_oracle(fmt, damaged):
+    rng = random.Random(f"{fmt.value}-{damaged}")
+    lines = _big_alert_lines(fmt, rng)
+    assert len(lines) > 34_000
+    if damaged:
+        bad = ["X   mystery", "FOO: what", "\xa0T  nbsp", "W.x", "  T  indented", "TITLE  x",
+               "T", "KEYWORDS+ x"]
+        for at in sorted(rng.sample(range(30_001, len(lines)), 12), reverse=True):
+            lines.insert(at, rng.choice(bad))
+    text = "".join(line + rng.choice(["\n", "\n", "\n", "\r\n", "\x85", "\u2028"])
+                   for line in lines)
+    for mode in (None, *RecordFormat):
+        got, got_errors = parse_records_lenient(text, mode)
+        want, want_errors = naive_parse_records_lenient(text, mode)
+        assert [to_json_line(r) for r in got] == [to_json_line(r) for r in want]
+        assert [(type(e), str(e), getattr(e, "line_no", None)) for e in got_errors] == \
+            [(type(e), str(e), getattr(e, "line_no", None)) for e in want_errors]
