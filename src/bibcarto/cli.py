@@ -155,9 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="export a bundled reference table")
     src.add_argument("--records", nargs="+", help="alert files to tabulate")
     p.add_argument("--kind", choices=["profiles", "disciplines"], default="disciplines")
-    p.add_argument("--catalog", help="profile catalog file (default: bundled)")
-    p.add_argument("--lexicon", help="discipline lexicon file (default: bundled)")
-    p.add_argument("--years", type=_year_range, default=None, metavar="FIRST:LAST")
+    p.add_argument("--catalog", help="profile catalog file for --kind profiles (default: bundled)")
+    p.add_argument("--lexicon",
+                   help="discipline lexicon file for --kind disciplines (default: bundled)")
+    first, last = RunConfig.year_range
+    p.add_argument("--years", type=_year_range, default=None, metavar="FIRST:LAST",
+                   help=f"year columns, within {FIRST_YEAR}..{LAST_YEAR} (default {first}:{last})")
     p.add_argument("--exclude", action="append", type=_non_empty, default=None,
                    metavar="PHRASE",
                    help="title phrase to exclude (repeatable; default: 'galaxy cluster')")
@@ -252,6 +255,12 @@ def cmd_tables(args) -> int:
     if args.fixture:
         table = corpus.load_fixture(args.fixture)
     else:
+        # each kind reads one vocabulary; a flag for the other would be ignored
+        flag, value, kind = (("--lexicon", args.lexicon, "disciplines") if args.kind == "profiles"
+                             else ("--catalog", args.catalog, "profiles"))
+        if value is not None:
+            print(f"bibcarto: {flag} applies only to --kind {kind}", file=sys.stderr)
+            return 2
         config = load_config()
         recs, _ = _parse_all(args.records, args.format)
         exclusions = tuple(args.exclude) if args.exclude is not None else config.exclusion_terms

@@ -11,7 +11,11 @@ once, when it is constructed:
   a prefix wildcard);
 * a discipline lexicon of case-insensitive terms looked up in the title,
   source, keywords and keywords+ fields. At each position only the
-  longest term starting there counts, for every label that lists it.
+  longest term starting there counts, for every label that lists it. A
+  term that starts no longer term is a plain substring test; a term that
+  does carries a guard pattern, the term followed by a negative lookahead
+  over the rest of each longer term, which finds an occurrence where no
+  longer term starts.
 
 Tagged records are then cross-tabulated into label-by-year contingency
 tables. The two bundled reference tables (profile-by-year and
@@ -27,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +136,7 @@ class ProfileCatalog(_Vocabulary):
                     raise DuplicateEntryError(i, f"token {token!r} already belongs to {owner!r}")
                 author = _TOKEN_YEAR_RE.sub("", token)
                 self._by_author.setdefault(author, set()).add(entry.id)
+        self._authors = sorted(self._by_author)  # the parts a prefix starts form a run
 
     @property
     def ids(self) -> list[str]:
@@ -150,8 +156,11 @@ class ProfileCatalog(_Vocabulary):
             return set()
         if not prefix:
             return set(self._by_author.get(term, ()))
-        return {pid for author, ids in self._by_author.items() if author.startswith(term)
-                for pid in ids}
+        found, i = set(), bisect_left(self._authors, term)
+        while i < len(self._authors) and self._authors[i].startswith(term):
+            found |= self._by_author[self._authors[i]]
+            i += 1
+        return found
 
 
 @dataclass(frozen=True)
@@ -168,14 +177,25 @@ class DisciplineLexicon(_Vocabulary):
 
     def __post_init__(self):
         self._check_unique(self.labels)
-        self._labels_of = {}  # lowercased term -> labels that list it
+        labels_of = {}  # lowercased term -> labels that list it
         for entry in self.entries:
             for term in entry.match_terms:
-                self._labels_of.setdefault(term.lower(), set()).add(entry.label)
-        # The lookahead tries every position, so overlapping occurrences
-        # count; the alternation, longest first, picks the longest term.
-        terms = sorted(self._labels_of, key=len, reverse=True)
-        self._pattern = re.compile(f"(?=({'|'.join(map(re.escape, terms))}))" if terms else "(?!)")
+                labels_of.setdefault(term.lower(), set()).add(entry.label)
+        # One rule per term: (term, its labels, guard). The longer terms a
+        # term starts follow it in sorted order; the guard finds the term
+        # where none of them starts. A term that starts none is a plain
+        # substring test, guarded only when it holds the "\n" that joins
+        # the fields in tag_disciplines.
+        terms = sorted(labels_of)
+        self._rules = []
+        for i, term in enumerate(terms):
+            suffixes, j = [], i + 1
+            while j < len(terms) and terms[j].startswith(term):
+                suffixes.append(re.escape(terms[j][len(term):]))
+                j += 1
+            guard = re.escape(term) + (f"(?!{'|'.join(suffixes)})" if suffixes else "")
+            self._rules.append((term, labels_of[term],
+                                re.compile(guard).search if suffixes or "\n" in term else None))
 
     @property
     def labels(self) -> list[str]:
@@ -200,11 +220,13 @@ def tag_disciplines(record: BibRecord, lexicon: DisciplineLexicon) -> set[str]:
     keywords or keywords+. Each position counts only for the longest term
     starting there, for every label listing it: with "Psych" under label A
     and "Psychology" under B, the word "PSYCHOLOGY" fires B alone."""
+    fields = (record.title.lower(), record.source.lower(), "; ".join(record.keywords).lower(),
+              "; ".join(record.keywords_plus).lower())
+    text = "\n".join(fields)
     labels = set()
-    for text in (record.title, record.source, "; ".join(record.keywords),
-                 "; ".join(record.keywords_plus)):
-        for m in lexicon._pattern.finditer(text.lower()):
-            labels |= lexicon._labels_of[m.group(1)]
+    for term, term_labels, guard in lexicon._rules:
+        if term in text and (guard is None or any(map(guard, fields))):
+            labels |= term_labels
     return labels
 
 
@@ -365,7 +387,7 @@ def build_table(
         raise EmptyTableError("empty year range")
     cols = tuple(range(first, last + 1))
     row_index = {label: i for i, label in enumerate(row_labels)}
-    counts = np.zeros((len(row_labels), len(cols)), dtype=np.int64)
+    counts = [[0] * len(cols) for _ in row_labels]
     skipped = 0
     for record in records:
         if record.year is None or not first <= record.year <= last:
@@ -375,10 +397,10 @@ def build_table(
         for label in tagger(record):
             i = row_index.get(label)
             if i is not None:
-                counts[i, j] += 1
-    if counts.sum() == 0:
+                counts[i][j] += 1
+    if not any(map(any, counts)):
         raise EmptyTableError("no (record, label) incidences in the year range")
-    return ContingencyTable(tuple(row_labels), cols, counts), skipped
+    return ContingencyTable(tuple(row_labels), cols, np.array(counts, dtype=np.int64)), skipped
 
 
 def _parse_fixture_table(text: str) -> ContingencyTable:

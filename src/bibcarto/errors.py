@@ -8,6 +8,7 @@ module imports nothing outside the standard library.
 """
 from __future__ import annotations
 
+import codecs
 from pathlib import Path
 
 
@@ -30,9 +31,11 @@ class InputFormatError(DataError):
 
 def read_file(path, parse):
     """``parse`` of the UTF-8 text of the file at ``path``, line ends as
-    :meth:`Path.read_text` gives them. Bytes that are not UTF-8, and an
-    InputFormatError from ``parse``, raise InputFormatError naming ``path``."""
-    data = Path(path).read_bytes()
+    :meth:`Path.read_text` gives them and one leading byte-order mark
+    dropped. Bytes that are not UTF-8, and an InputFormatError from
+    ``parse``, raise InputFormatError naming ``path``."""
+    # The mark holds no line break, so line numbers still count from the file's start.
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

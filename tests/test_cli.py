@@ -1,3 +1,4 @@
+import codecs
 import csv
 import importlib.util
 import inspect
@@ -429,6 +430,10 @@ REJECTED_FILES = {
     "catalog-not-utf8": ("--catalog", b"\xffWard63\tWARD JH 63\n", ":1:"),
     "records-not-utf8": ("--records", b"T   fine\nU   J THINGS 1999\n\nT   caf\xe9\n", ":4:"),
     "table-not-utf8": ("--table", b"label,1994\nx,1\ny\xff,2\n", ":3:"),
+    # a byte-order mark is dropped, but lines still count from the file's start
+    "records-bom-not-utf8": ("--records", codecs.BOM_UTF8 + b"T   fine\nU   J THINGS 1999\n"
+                             b"\nT   caf\xe9\n", ":4:"),
+    "catalog-bom-not-utf8": ("--catalog", codecs.BOM_UTF8 + b"\xffWard63\tWARD JH 63\n", ":1:"),
 }
 
 
@@ -449,6 +454,69 @@ def test_malformed_vocabulary_or_encoding_exits_1_naming_line(option, data, line
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(f"bibcarto: error: {named}{line}")
+
+
+# Input -> (its text, argv reading it as {path} and writing under {out}).
+# The config is read through BIBCARTO_CONFIG.
+BOM_INPUTS = {
+    "alerts": (RESEARCH_ALERT_SAMPLE, ["parse", "{path}", "-o", "{out}"]),
+    "lexicon": ("Eng\tEngineering\nMath\tMathematical\n",
+                ["tables", "--records", "{sample}", "--lexicon", "{path}", "-o", "{out}"]),
+    "catalog": ("Breiman84\tBREIMAN L 84\nWard63\tWARD JH 63\n",
+                ["tables", "--records", "{sample}", "--kind", "profiles", "--catalog", "{path}",
+                 "-o", "{out}"]),
+    "table": (corpus.load_fixture("Table2").to_csv(),
+              ["analyze", "--table", "{path}", "--outdir", "{out}"]),
+    "config": (json.dumps({"k": 3, "axes": 1}),
+               ["analyze", "--fixture", "Table2", "--outdir", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("name", BOM_INPUTS)
+def test_leading_byte_order_mark_is_not_content(name, sample_file, tmp_path, monkeypatch):
+    text, argv = BOM_INPUTS[name]
+    outputs = []
+    for mark in (b"", codecs.BOM_UTF8):
+        run = tmp_path / f"run{len(outputs)}"
+        run.mkdir()
+        path = run / "input.txt"
+        path.write_bytes(mark + text.encode("utf-8"))
+        if name == "config":
+            monkeypatch.setenv("BIBCARTO_CONFIG", str(path))
+        assert main([a.format(path=path, out=run / "out", sample=sample_file) for a in argv]) == 0
+        outputs.append({str(p.relative_to(run)): p.read_bytes()
+                        for p in sorted(run.rglob("*")) if p.is_file() and p != path})
+    assert outputs[0] and outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("kind, flag, wanted", [
+    (["--kind", "disciplines"], "--catalog", "profiles"),
+    ([], "--catalog", "profiles"),  # disciplines is the default kind
+    (["--kind", "profiles"], "--lexicon", "disciplines"),
+], ids=["catalog-disciplines", "catalog-default-kind", "lexicon-profiles"])
+def test_tables_vocabulary_flag_of_the_other_kind_is_usage_error(kind, flag, wanted,
+                                                                 toy_corpus_file, tmp_path,
+                                                                 capsys):
+    vocabulary = _write(tmp_path / "vocabulary.txt", "Net\tnetwork\n")
+    out = tmp_path / "t.csv"
+    assert main(["tables", "--records", str(toy_corpus_file), *kind, flag, str(vocabulary),
+                 "-o", str(out)]) == 2
+    assert f"{flag} applies only to --kind {wanted}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_vocabulary_paths_serve_either_kind(toy_corpus_file, tmp_path, monkeypatch):
+    catalog = _write(tmp_path / "catalog.txt", "XY99\tX Y 99\n")
+    lexicon = _write(tmp_path / "lexicon.txt", "Net\tnetwork\n")
+    config = _write(tmp_path / "config.json", json.dumps(
+        {"catalog_path": str(catalog), "lexicon_path": str(lexicon)}))
+    monkeypatch.setenv("BIBCARTO_CONFIG", str(config))
+    for kind, label, n in (("profiles", "XY99", 4), ("disciplines", "Net", 3)):
+        out = tmp_path / f"{kind}.csv"
+        assert main(["tables", "--records", str(toy_corpus_file), "--kind", kind,
+                     "-o", str(out)]) == 0
+        table = corpus.ContingencyTable.from_csv(out.read_text(encoding="utf-8"))
+        assert table.row_labels == (label,) and table.n == n
 
 
 @pytest.mark.parametrize("key", ["exclude", "years", "catalog", "lexicon", "outdir",
@@ -624,9 +692,9 @@ def test_tables_never_raises_on_arbitrary_alerts_catalog_and_lexicon(kind, alert
         for name, data in (("alerts", alerts), ("catalog", catalog), ("lexicon", lexicon)):
             paths[name] = tmp / f"{name}.txt"
             paths[name].write_bytes(data)
+        vocabulary = "catalog" if kind == "profiles" else "lexicon"
         code = main(["tables", "--records", str(paths["alerts"]), "--kind", kind,
-                     "--catalog", str(paths["catalog"]), "--lexicon", str(paths["lexicon"]),
-                     "-o", str(tmp / "t.csv")])
+                     f"--{vocabulary}", str(paths[vocabulary]), "-o", str(tmp / "t.csv")])
     assert code in (0, 1)
 
 

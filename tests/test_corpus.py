@@ -242,7 +242,8 @@ def test_lexicon_extra_columns_ignored():
 
 # ---------------------------------------------------------------- matchers vs oracles
 
-_fragments = st.sampled_from(["a", "b", "ab", "c++", "(", ".", "*", "İ", "i", "\u0307", " "])
+_fragments = st.sampled_from(["a", "b", "ab", "c++", "(", ".", "*", "İ", "i", "\u0307", " ",
+                              "\n"])
 _terms = st.lists(_fragments, min_size=1, max_size=4).map("".join)
 
 
@@ -275,6 +276,21 @@ def test_tag_disciplines_shared_term_fires_every_label():
     rec = _record(title="Programming in c++ (Cfront)")
     assert tag_disciplines(rec, DisciplineLexicon(entries)) == {"A", "B"}
     assert naive_disciplines(rec, entries) == {"A", "B"}
+
+
+def test_a_term_with_a_line_break_never_spans_two_fields():
+    # the tagger scans the fields joined by "\n" before it checks them one by one
+    entries = [LexiconEntry("A", ("a\nb",))]
+    lexicon = DisciplineLexicon(entries)
+    split = _record(title="xa", source="by")
+    assert tag_disciplines(split, lexicon) == naive_disciplines(split, entries) == set()
+    whole = _record(title="xa\nby")
+    assert tag_disciplines(whole, lexicon) == naive_disciplines(whole, entries) == {"A"}
+    # nor does it shadow a shorter term across the join
+    entries.append(LexiconEntry("B", ("a",)))
+    lexicon = DisciplineLexicon(entries)
+    assert tag_disciplines(split, lexicon) == naive_disciplines(split, entries) == {"B"}
+    assert tag_disciplines(whole, lexicon) == naive_disciplines(whole, entries) == {"A"}
 
 
 _authors = st.sampled_from(["WARD JH", "WARD J", "WARDLE", "WOLFE JH", "MC LACHLAN GJ", "SOKAL"])
@@ -312,6 +328,36 @@ def test_match_author_term_matches_the_catalog_scan(entries, terms):
     default = ProfileCatalog.default()
     for term in terms:
         assert default.match_author_term(term) == naive_author_matches(default.entries, term)
+
+
+# Author parts in sorted order: "WARD" < "WARD JH" < "WARD-SMITH" < "WARDE" <
+# "WARE" < "ÅSTRÖM KJ"; a wildcard walks forward from where its prefix sorts.
+_NEIGHBOURS = [ProfileEntry("Ward", ("WARD 63",)), ProfileEntry("WardJH", ("WARD JH 63",)),
+               ProfileEntry("WardSmith", ("WARD-SMITH 70",)), ProfileEntry("Warde", ("WARDE 80",)),
+               ProfileEntry("Ware", ("WARE 90",)), ProfileEntry("Astrom", ("ÅSTRÖM KJ 70",))]
+
+
+@pytest.mark.parametrize("term, expected", [
+    ("WARD*", {"Ward", "WardJH", "WardSmith", "Warde"}),
+    ("ward *", {"Ward", "WardJH", "WardSmith", "Warde"}),
+    ("WARD", {"Ward"}),
+    ("WARD J*", {"WardJH"}),
+    ("WARD-*", {"WardSmith"}),
+    ("WARDE*", {"Warde"}),
+    ("WAR*", {"Ward", "WardJH", "WardSmith", "Warde", "Ware"}),
+    ("WARE*", {"Ware"}),
+    ("WARF*", set()),          # sorts between WARE and ÅSTRÖM KJ
+    ("åst*", {"Astrom"}),      # the last author part in sort order
+    ("ÅSTRÖM KJ*", {"Astrom"}),
+    ("ÅSTRÖM KJX*", set()),    # sorts after every author part
+    ("Ö*", set()),
+    ("A*", set()),             # sorts before every author part
+])
+def test_match_author_term_at_neighbouring_prefixes(term, expected):
+    catalog = ProfileCatalog(_NEIGHBOURS)
+    assert catalog.match_author_term(term) == naive_author_matches(_NEIGHBOURS, term) == expected
+    reordered = _NEIGHBOURS[::-1]
+    assert ProfileCatalog(reordered).match_author_term(term) == expected
 
 
 # ---------------------------------------------------------------- filtering
