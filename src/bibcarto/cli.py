@@ -154,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--fixture", choices=["Table1", "Table2"],
                      help="export a bundled reference table")
     src.add_argument("--records", nargs="+", help="alert files to tabulate")
-    p.add_argument("--kind", choices=["profiles", "disciplines"], default="disciplines")
+    p.add_argument("--kind", choices=["profiles", "disciplines"],
+                   help="what labels the rows of a --records table (default disciplines)")
     p.add_argument("--catalog", help="profile catalog file for --kind profiles (default: bundled)")
     p.add_argument("--lexicon",
                    help="discipline lexicon file for --kind disciplines (default: bundled)")
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", nargs="+", required=True, help="alert files to index")
     p.add_argument("--mlt", type=int, metavar="ID",
                    help="show the three records most like this record id")
-    p.add_argument("--page", type=_positive_int, default=1)
+    p.add_argument("--page", type=_positive_int, help="page of QUERY's results (default 1)")
     p.add_argument("--interactive", action="store_true",
                    help="read queries from stdin until EOF or 'q'")
     p.add_argument("--format", choices=sorted(FORMAT_NAMES))
@@ -253,13 +254,19 @@ def cmd_parse(args) -> int:
 
 def cmd_tables(args) -> int:
     if args.fixture:
+        # a bundled table is exported as it is; a flag that builds a table would be ignored
+        for flag in ("kind", "catalog", "lexicon", "years", "exclude", "format"):
+            if getattr(args, flag) is not None:
+                print(f"bibcarto: --{flag} applies only to --records", file=sys.stderr)
+                return 2
         table = corpus.load_fixture(args.fixture)
     else:
+        kind = args.kind or "disciplines"
         # each kind reads one vocabulary; a flag for the other would be ignored
-        flag, value, kind = (("--lexicon", args.lexicon, "disciplines") if args.kind == "profiles"
-                             else ("--catalog", args.catalog, "profiles"))
+        flag, value, other = (("--lexicon", args.lexicon, "disciplines") if kind == "profiles"
+                              else ("--catalog", args.catalog, "profiles"))
         if value is not None:
-            print(f"bibcarto: {flag} applies only to --kind {kind}", file=sys.stderr)
+            print(f"bibcarto: {flag} applies only to --kind {other}", file=sys.stderr)
             return 2
         config = load_config()
         recs, _ = _parse_all(args.records, args.format)
@@ -269,7 +276,7 @@ def cmd_tables(args) -> int:
             print(f"bibcarto: excluded {len(dropped)} record(s) by title phrase",
                   file=sys.stderr)
         years = args.years if args.years is not None else config.year_range
-        if args.kind == "profiles":
+        if kind == "profiles":
             catalog_path = args.catalog if args.catalog is not None else config.catalog_path
             catalog = (corpus.ProfileCatalog.from_file(catalog_path)
                        if catalog_path else corpus.ProfileCatalog.default())
@@ -440,6 +447,17 @@ def _stdin_lines():
 
 
 def cmd_search(args) -> int:
+    # one of QUERY (paged by --page), --mlt and --interactive; any other flag would be ignored
+    modes = [name for name, given in (("QUERY", args.query is not None),
+                                      ("--mlt", args.mlt is not None),
+                                      ("--interactive", args.interactive)) if given]
+    if len(modes) > 1:
+        print(f"bibcarto: search takes one of QUERY, --mlt and --interactive, "
+              f"got {' and '.join(modes)}", file=sys.stderr)
+        return 2
+    if args.page is not None and modes and modes[0] != "QUERY":
+        print(f"bibcarto: --page applies only to a QUERY, not to {modes[0]}", file=sys.stderr)
+        return 2
     recs, _ = _parse_all(args.records, args.format)
     index = search.build_index(recs)
     if args.mlt is not None:
@@ -460,7 +478,7 @@ def cmd_search(args) -> int:
         print("bibcarto: search needs a query, --mlt, or --interactive",
               file=sys.stderr)
         return 2
-    return _run_query(index, args.query, args.page)
+    return _run_query(index, args.query, args.page or 1)
 
 
 if __name__ == "__main__":

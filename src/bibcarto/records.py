@@ -5,9 +5,11 @@ is empty or all whitespace is blank. Each format has one line rule; a
 bad line is a non-blank line it rejects. ``_norm`` puts a ``"\\n"``
 before every line and the text is scanned whole: one search per format,
 built from the rule's pattern text, finds the bad lines, a pattern cuts
-the records and one ``findall`` reads a record's fields. Only a record
-with a bad line (or Personal Alert text before the first ``TITLE:``) is
-walked line by line, to raise its first line's error and number it.
+the records and one ``findall`` reads a record's fields. A detected
+format is one whose search found no bad line, so only a format the
+caller names is searched again. Only a record with a bad line (or
+Personal Alert text before the first ``TITLE:``) is walked line by line,
+to raise its first line's error and number it.
 
 Research Alert (tag-prefixed, used through 2003): a line is one of the
 tags below at column 0, followed by whitespace or the end of the line.
@@ -28,10 +30,17 @@ a tab and adds to the header above it; the pieces are joined with
 single spaces. A record may hold blank lines between header groups, so
 it ends before the next ``TITLE:`` line rather than at a blank line.
 
-Field values are whitespace-normalized (a joined field once), except
-``profile_citations`` entries, whose interior padding is preserved
-(downstream matching normalizes it). The publication year is the source
-field's last standalone four-digit token in 1900..2100, else ``None``.
+Field values are whitespace-normalized, except ``profile_citations``
+entries, whose interior padding is preserved (downstream matching
+normalizes it). A record's ``findall`` pairs are gathered per tag or
+header that is present: a list of lines per Research Alert tag, whose
+title, source and address lines are joined and squashed once and whose
+author and keyword lines are squashed one by one; one string per
+Personal Alert header, squashed once. A Personal Alert list field is
+split at ``";"`` after that squash, so dropping the single spaces next
+to each ``";"`` strips every part. The publication year is the source
+field's last standalone four-digit token in 1900..2100, found by walking
+the tokens from the right, else ``None``.
 
 Records serialize to one JSON object per line, keyed by the ``BibRecord``
 field names; parsing those lines back yields equal records.
@@ -81,7 +90,7 @@ class MissingTitleError(RecordParseError):
         self.block_no = block_no
 
 
-@dataclass
+@dataclass(slots=True)
 class BibRecord:
     """One bibliographic citation record, unified across both formats."""
 
@@ -116,7 +125,6 @@ class BibRecord:
 
 
 _RA, _PA = RecordFormat.RESEARCH_ALERT, RecordFormat.PERSONAL_ALERT
-_RA_TAGS = ("T", "A", "K", "U", "W", "W.")
 _PA_HEADERS = (
     "TITLE",
     "AUTHOR",
@@ -144,8 +152,6 @@ _RA_FIELD = re.compile(r"\n" + _RA_TAG + "(.*)")
 _PA_FIELD = re.compile(r"\n" + _PA_HEADER + r"(.*(?:\n(?:[ \t].*|[^\S\n]*$))*)", re.M)
 _PA_CUT = re.compile(r"\nTITLE:")
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # of str.splitlines
-_PUNCT = "[" + re.escape(string.punctuation) + "]*"
-_YEAR = re.compile(r"(?<!\S)" + _PUNCT + r"(19[0-9]{2}|20[0-9]{2}|2100)" + _PUNCT + r"(?!\S)")
 
 
 def _squash(text: str) -> str:
@@ -153,11 +159,20 @@ def _squash(text: str) -> str:
     return " ".join(text.split())
 
 
+def _squash_each(lines) -> list[str]:
+    """Each line squashed, the empty ones dropped."""
+    return list(filter(None, map(" ".join, map(str.split, lines))))
+
+
 def extract_year(source: str) -> int | None:
     """Last standalone 4-digit token of the source field, in 1900..2100: a maximal
     non-whitespace run, four ASCII digits once stripped of ASCII punctuation."""
-    years = _YEAR.findall(source)
-    return int(years[-1]) if years else None
+    for token in reversed(source.split()):
+        token = token.strip(string.punctuation)
+        # isdigit alone accepts other scripts' digits, such as "١٩٩٨"
+        if len(token) == 4 and token.isascii() and token.isdigit() and "1900" <= token <= "2100":
+            return int(token)
+    return None
 
 
 def _norm(text: str) -> str:
@@ -212,22 +227,26 @@ def parse_research_alert(text: str) -> list[BibRecord]:
 
 
 def _parse_ra_record(norm: str, start: int, end: int, block_no: int) -> BibRecord:
-    parts: dict[str, list[str]] = {tag: [] for tag in _RA_TAGS}
+    parts: dict[str, list[str]] = {}
     for tag, value in _RA_FIELD.findall(norm, start, end):
-        parts[tag].append(value)
-    title = _squash(" ".join(parts["T"]))
+        parts.setdefault(tag, []).append(value)
+    get = parts.get
+    title = _squash(" ".join(get("T", ())))
     if not title:
         raise MissingTitleError(block_no)
-    source = _squash(" ".join(parts["U"]))
+    source = _squash(" ".join(get("U", ())))
+    # positional, in field order: keyword arguments cost about twice as much
     return BibRecord(
-        title=title,
-        raw_format=RecordFormat.RESEARCH_ALERT,
-        authors=[a for a in map(_squash, parts["A"]) if a],
-        source=source,
-        keywords=[k for k in map(_squash, parts["K"]) if k],
-        profile_citations=[w for w in map(str.strip, parts["W."]) if w],
-        address=_squash(" ".join(parts["W"])),
-        year=extract_year(source),
+        title,
+        _RA,
+        _squash_each(get("A", ())),
+        source,
+        _squash_each(get("K", ())),
+        [],
+        [],
+        [w for w in map(str.strip, get("W.", ())) if w],
+        _squash(" ".join(get("W", ()))),
+        extract_year(source),
     )
 
 
@@ -237,27 +256,25 @@ def parse_personal_alert(text: str) -> list[BibRecord]:
 
 
 def _parse_pa_record(norm: str, start: int, end: int, block_no: int) -> BibRecord:
-    values: dict[str, list[str]] = {h: [] for h in _PA_HEADERS}
+    values: dict[str, str] = {}
     for header, value in _PA_FIELD.findall(norm, start, end):
-        values[header].append(value)
-
-    def joined(header: str) -> str:
-        return _squash(" ".join(values[header]))
-
-    title = joined("TITLE")
+        values[header] = f"{values[header]} {value}" if header in values else value
+    get = values.get
+    title = _squash(get("TITLE", ""))
     if not title:
         raise MissingTitleError(block_no)
-    source = joined("SOURCE")
+    source = _squash(get("SOURCE", ""))
     return BibRecord(
-        title=title,
-        raw_format=RecordFormat.PERSONAL_ALERT,
-        authors=_split_list(joined("AUTHOR")),
-        source=source,
-        keywords=_split_list(joined("KEYWORDS")),
-        keywords_plus=_split_list(joined("KEYWORDS+")),
-        search_terms=[_split_qualifier(t) for t in _split_list(joined("SEARCH TERM(S)"))],
-        address=joined("AUTHOR ADDRESS"),
-        year=extract_year(source),
+        title,
+        _PA,
+        _split_list(get("AUTHOR", "")),
+        source,
+        _split_list(get("KEYWORDS", "")),
+        _split_list(get("KEYWORDS+", "")),
+        [_split_qualifier(t) for t in _split_list(get("SEARCH TERM(S)", ""))],
+        [],
+        _squash(get("AUTHOR ADDRESS", "")),
+        extract_year(source),
     )
 
 
@@ -273,7 +290,10 @@ def _record_spans(fmt: RecordFormat, norm: str) -> list[tuple[int, int]]:
 
 
 def _split_list(value: str) -> list[str]:
-    return [part.strip() for part in value.split(";") if part.strip()]
+    """The non-empty ";"-separated parts of ``value``, each squashed. Once
+    squashed, the only whitespace left is single spaces inside the text, so
+    dropping those next to a ";" strips every part."""
+    return list(filter(None, _squash(value).replace("; ", ";").replace(" ;", ";").split(";")))
 
 
 def _split_qualifier(entry: str) -> tuple[str, str]:
@@ -283,7 +303,7 @@ def _split_qualifier(entry: str) -> tuple[str, str]:
     head, _, tail = entry.rpartition(" ")
     if not head:
         return entry, ""
-    return head.strip(), tail
+    return head, tail
 
 
 def parse_records(text: str, fmt: RecordFormat | None = None) -> list[BibRecord]:
@@ -304,12 +324,15 @@ def parse_records_lenient(
     AmbiguousFormatError as the only error: there is no sound way to
     carve records out of text in an unknown grammar.
     """
-    try:
-        fmt = fmt or detect_format(text)
-    except AmbiguousFormatError as exc:
-        return [], [exc]
     norm = _norm(text)
-    bad = [m.start() for m in _BAD_LINE[fmt].finditer(norm)]
+    if fmt is None:
+        try:
+            fmt = detect_format(text)
+        except AmbiguousFormatError as exc:
+            return [], [exc]
+        bad = []  # detection found no bad line for this format
+    else:
+        bad = [m.start() for m in _BAD_LINE[fmt].finditer(norm)]
     parse_one = _parse_ra_record if fmt is _RA else _parse_pa_record
     records: list[BibRecord] = []
     errors: list[RecordParseError] = []

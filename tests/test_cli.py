@@ -164,6 +164,21 @@ def test_tables_fixture_export(tmp_path):
     assert out.read_text(encoding="utf-8") == corpus.load_fixture("Table1").to_csv()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--kind", "profiles"),
+    ("--catalog", "/nonexistent/catalog.txt"),
+    ("--lexicon", "/nonexistent/lexicon.txt"),
+    ("--years", "2000:2001"),
+    ("--exclude", "x"),
+    ("--format", "research-alert"),
+])
+def test_tables_fixture_with_a_records_flag_is_usage_error(flag, value, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["tables", "--fixture", "Table2", flag, value, "-o", str(out)]) == 2
+    assert f"{flag} applies only to --records" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tables_from_records(toy_corpus_file, tmp_path, capsys):
     out = tmp_path / "disc.csv"
     assert main([
@@ -743,6 +758,27 @@ def test_search_without_query_is_usage_error(toy_corpus_file, capsys):
     assert main(["search", "--records", str(toy_corpus_file)]) == 2
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["network", "--mlt", "1"], "QUERY and --mlt"),
+    (["network", "--interactive"], "QUERY and --interactive"),
+    (["--mlt", "1", "--interactive"], "--mlt and --interactive"),
+    (["--interactive", "--page", "3"], "--page applies only to a QUERY, not to --interactive"),
+    (["--mlt", "1", "--page", "3"], "--page applies only to a QUERY, not to --mlt"),
+], ids=["query-mlt", "query-interactive", "mlt-interactive", "interactive-page", "mlt-page"])
+def test_search_flags_of_two_modes_are_usage_error(flags, named, toy_corpus_file, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("network\nq\n"))
+    assert main(["search", *flags, "--records", str(toy_corpus_file)]) == 2
+    out, err = capsys.readouterr()
+    assert named in err
+    assert out == ""
+
+
+def test_search_query_page_still_pages(toy_corpus_file, capsys):
+    assert main(["search", "network", "--records", str(toy_corpus_file), "--page", "2"]) == 0
+    assert "page 2" in capsys.readouterr().out
+
+
 def test_search_interactive_loop(toy_corpus_file, capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("network\nq\n"))
@@ -811,7 +847,7 @@ def test_search_command_calls_search_functions_as_module_attributes(name, toy_co
         return real(*args, **kwargs)
 
     monkeypatch.setattr(search, name, spy)
-    query = ["--mlt", "0"] if name == "more_like_this" else []
-    argv = ["search", "network", "--records", str(toy_corpus_file), *query]
+    mode = ["--mlt", "0"] if name == "more_like_this" else ["network"]
+    argv = ["search", *mode, "--records", str(toy_corpus_file)]
     assert main(argv) == 0
     assert calls == [name]

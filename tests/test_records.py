@@ -147,6 +147,24 @@ def test_personal_alert_without_keywords_plus():
     assert rec.year == 2005
 
 
+def test_personal_alert_list_fields_with_empty_and_padded_parts():
+    text = ("TITLE: t\n"
+            "AUTHOR: ; Rossi, JP ; ;; Guyon, D\u2003;\u2003van Halder, I;\n"
+            "KEYWORDS: ;;\u3000a\u2003 b ;\n"
+            "   ; c\x1f;\n"
+            "KEYWORDS+: \u2003;\u2003\n"
+            "SEARCH TERM(S):  RIPLEY BD\u2003 rauth ;; ;MULTI*\u2003rwork;\n")
+    got, got_errors = parse_records_lenient(text)
+    want, want_errors = naive_parse_records_lenient(text)
+    assert got_errors == want_errors == []
+    assert [to_json_line(r) for r in got] == [to_json_line(r) for r in want]
+    (rec,) = got
+    assert rec.authors == ["Rossi, JP", "Guyon, D", "van Halder, I"]
+    assert rec.keywords == ["a b", "c"]
+    assert rec.keywords_plus == []
+    assert rec.search_terms == [("RIPLEY BD", "rauth"), ("MULTI*", "rwork")]
+
+
 def test_personal_alert_multiple_records():
     text = (
         "TITLE: first one\nSOURCE: A 2004.\n\n"
@@ -186,6 +204,28 @@ def test_lenient_collects_errors():
     assert [r.title for r in records] == ["good record", "another good"]
     assert len(errors) == 1
     assert isinstance(errors[0], UnknownTagError)
+
+
+@pytest.mark.parametrize("fmt, text, titles", [
+    (RecordFormat.RESEARCH_ALERT,
+     "T   first\nA   ok\nX   bad tag\n\nT   second\n\nT   third\nZ   bad\n\nT   fourth\n",
+     ["second", "fourth"]),
+    (RecordFormat.PERSONAL_ALERT,
+     "TITLE: one\nFOO: bad\nTITLE: two\nAUTHOR: a\nTITLE: three\n\nBAR baz\nTITLE: four\n",
+     ["two", "four"]),
+])
+def test_a_forced_format_still_finds_the_bad_lines(fmt, text, titles):
+    with pytest.raises(AmbiguousFormatError):
+        detect_format(text)
+    assert [str(e) for e in parse_records_lenient(text)[1]] == \
+        [str(e) for e in naive_parse_records_lenient(text)[1]]
+    got, got_errors = parse_records_lenient(text, fmt)
+    want, want_errors = naive_parse_records_lenient(text, fmt)
+    assert [to_json_line(r) for r in got] == [to_json_line(r) for r in want]
+    assert [r.title for r in got] == titles
+    assert [(type(e), e.line_no) for e in got_errors] == \
+        [(type(e), e.line_no) for e in want_errors]
+    assert len(got_errors) == 2
 
 
 def test_lenient_reports_an_undetectable_format_as_its_only_error():
@@ -236,6 +276,17 @@ def test_json_line_field_names():
     assert from_json_line(line) == rec
 
 
+def test_every_field_round_trips_through_a_json_line():
+    rec = BibRecord("t", RecordFormat.PERSONAL_ALERT, ["A, B"], "J 1999", ["k"], ["K+"],
+                    [("RIPLEY BD", "rauth")], ["W X 99"], "addr", 1999)
+    again = from_json_line(to_json_line(rec))
+    assert again == rec
+    assert again.search_terms == [("RIPLEY BD", "rauth")]
+    assert not hasattr(again, "__dict__")
+    again.year = 2000
+    assert again != rec
+
+
 # Line pieces for generated alert text: the tags and headers of each
 # grammar, malformed ones, and the line boundaries str.splitlines honours
 # beyond "\n" (a bare "\r", "\x0c", "\x1c", "\x85", "\u2028").
@@ -248,7 +299,8 @@ _GAPS = [" ", "   ", "\t", "\xa0"]
 _BAD_GAPS = ["", ":"]
 _BOUNDARIES = ["\n", "\n", "\n\n", "\r\n", "\r", "\n  \n", "\n\xa0\n", "\x0c", "\x1c",
                "\x85", "\u2028"]
-_VALUES = st.text(alphabet="aZ19 ;:()*\t\xa0", max_size=10) | st.sampled_from(
+# "\u2003", "\u3000" and "\x1f" are whitespace to str.split but no line boundary
+_VALUES = st.text(alphabet="aZ19 ;:()*\t\xa0\u2003\u3000\x1f", max_size=10) | st.sampled_from(
     ["RIPLEY BD  rauth; MULTI*  rwork", "J STUFF 3 (1). JAN 5 2005.", "BREIMAN L    84"])
 
 
