@@ -24,16 +24,19 @@ dropped. Per-axis signs are canonicalized by flipping so the row
 coordinate of largest magnitude is negative; magnitudes within a
 relative 1e-9 of the largest count as tied, and ties go to the
 alphabetically first row label.
+
+The CSV writers render every number with ``%.12g`` (12 significant
+digits) and format each row with one ``%`` string built once per file,
+so a row costs one C call however many axes it has; labels are quoted
+exactly as ``csv.writer`` quotes them (:func:`corpus.csv_field`).
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ContingencyTable
+from .corpus import ContingencyTable, csv_field
 from .errors import DataError
 
 EIGENVALUE_TOL = 1e-12
@@ -189,10 +192,6 @@ def inertia_report(result: CaResult) -> list[tuple[int, float, float, float]]:
     return report
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 def write_coordinates_csv(
     result: CaResult,
     supplementary: list[tuple[str, np.ndarray]] = (),
@@ -201,22 +200,19 @@ def write_coordinates_csv(
     """Coordinates as CSV rows (label, kind, axis1..axisK) covering the
     fitted rows, the fitted columns, and any supplementary projections."""
     k = result.n_axes if axes is None else min(axes, result.n_axes)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "kind", *(f"axis{i}" for i in range(1, k + 1))])
-    for label, coords in zip(result.row_labels, result.row_coords[:, :k].tolist()):
-        writer.writerow([label, "row", *map(_fmt, coords)])
-    for label, coords in zip(result.col_labels, result.col_coords[:, :k].tolist()):
-        writer.writerow([label, "col", *map(_fmt, coords)])
-    for label, coords in supplementary:
-        writer.writerow([label, "sup", *map(_fmt, coords[:k].tolist())])
-    return buf.getvalue()
+    axis = ",%.12g" * k
+    lines = ["label,kind" + "".join(f",axis{i}" for i in range(1, k + 1))]
+    blocks = [("row", result.row_labels, result.row_coords[:, :k].tolist()),
+              ("col", result.col_labels, result.col_coords[:, :k].tolist()),
+              ("sup", [label for label, _ in supplementary],
+               [coords[:k].tolist() for _, coords in supplementary])]
+    for kind, labels, coords in blocks:
+        row = f",{kind}{axis}"
+        lines += [csv_field(label) + row % tuple(c) for label, c in zip(labels, coords)]
+    return "\n".join(lines) + "\n"
 
 
 def write_inertia_csv(result: CaResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["axis", "eigenvalue", "percentage", "cumulative"])
-    for axis, lam, pct, cum in inertia_report(result):
-        writer.writerow([axis, _fmt(lam), _fmt(pct), _fmt(cum)])
-    return buf.getvalue()
+    lines = ["axis,eigenvalue,percentage,cumulative"]
+    lines += ["%d,%.12g,%.12g,%.12g" % row for row in inertia_report(result)]
+    return "\n".join(lines) + "\n"

@@ -295,28 +295,36 @@ class ContingencyTable:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["label", *self.col_labels])
-        for label, row in zip(self.row_labels, self.counts):
-            writer.writerow([label, *(int(v) for v in row)])
-        return buf.getvalue()
+        """The table as CSV, byte for byte what ``csv.writer`` writes: each
+        row's counts go through one ``%d`` row format."""
+        counts = ",%d" * len(self.col_labels)
+        lines = ["label" + "".join("," + csv_field(c) for c in self.col_labels)]
+        lines += [csv_field(label, alone=not counts) + counts % tuple(row)
+                  for label, row in zip(self.row_labels, self.counts.tolist())]
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "ContingencyTable":
         """Parse the CSV that :meth:`to_csv` writes: a header row (label
         column, then one column per year; integer headers become ints) and
         one row per label of nonnegative integer counts summing to at most
-        2**63 - 1. Blank lines are skipped. Any other shape raises
-        :class:`TableFormatError`."""
+        2**63 - 1. Blank lines are skipped. A row label must not be blank,
+        and no label may hold a line boundary (one ``str.splitlines`` splits
+        at). Any other shape raises :class:`TableFormatError`, naming the
+        line where the offending record starts."""
         reader = csv.reader(io.StringIO(text))
         header, header_line, rows, lines = None, 0, {}, []
         try:
+            end = 0
             for fields in reader:
-                line = reader.line_num
+                line, end = end + 1, reader.line_num
                 if not fields:
                     continue
                 if header is None:
+                    for c in fields[1:]:
+                        if _holds_line_break(c):
+                            raise TableFormatError(
+                                line, f"column label {c!r} holds a line break")
                     try:
                         header = tuple(_column_label(c) for c in fields[1:])
                     except ValueError:  # a digit run longer than int() converts
@@ -328,10 +336,15 @@ class ContingencyTable:
                 if len(fields) != len(header) + 1:
                     raise TableFormatError(
                         line, f"expected {len(header)} counts, got {len(fields) - 1}")
-                if fields[0] in rows:
-                    raise TableFormatError(line, f"duplicate row label {fields[0]!r}")
+                label = fields[0]
+                if not label.strip():
+                    raise TableFormatError(line, "blank row label")
+                if _holds_line_break(label):
+                    raise TableFormatError(line, f"row label {label!r} holds a line break")
+                if label in rows:
+                    raise TableFormatError(line, f"duplicate row label {label!r}")
                 try:
-                    rows[fields[0]] = [int(v) for v in fields[1:]]
+                    rows[label] = list(map(int, fields[1:]))
                 except ValueError:
                     raise TableFormatError(line, "counts must be integers") from None
                 lines.append(line)
@@ -359,6 +372,27 @@ class ContingencyTable:
 
 
 _MAX_TOTAL = 2**63 - 1  # largest int64
+
+
+def _holds_line_break(label: str) -> bool:
+    return label.splitlines() != label.splitlines(keepends=True)
+
+
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def csv_field(value, alone: bool = False) -> str:
+    """``value`` as one CSV field, quoted exactly as ``csv.writer`` (with
+    ``lineterminator="\\n"``) quotes it; ``alone`` marks a row's only
+    field, which that writer also quotes when it is empty. Plain text is
+    returned as is, and only text holding a comma, a quote or a line
+    break goes through ``csv.writer``."""
+    text = str(value)
+    if _CSV_SPECIAL.isdisjoint(text) and (text or not alone):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text] if alone else [text, ""])
+    return buf.getvalue()[: -1 if alone else -2]
 
 
 def _column_label(text: str):

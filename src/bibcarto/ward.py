@@ -11,11 +11,14 @@ and records that increase as the merge height. Leaves are numbered
 0..n-1 in input order and each merge creates cluster id n, n+1, ...
 
 The increases live in one dense symmetric n x n matrix with a fixed
-slot per leaf and infinity on the diagonal. A merge gives the merged
-cluster the slot of its smaller-id part and fills that slot's row and
-column in one vector step by the Lance-Williams recurrence for Ward; the
-other part's slot dies and its column becomes infinity. Nothing is
-reallocated. The recurrence agrees with direct centroid recomputation
+slot per leaf and infinity on the diagonal. It is filled in place: for
+each row, one reused difference buffer and an ``einsum`` of squared
+distances written straight into the row; then the whole matrix is
+scaled once by the equal-mass factor m m / (m + m), which gives the
+same bits as scaling each row. A merge gives the merged cluster the
+slot of its smaller-id part and fills that slot's row and column in one
+vector step by the Lance-Williams recurrence for Ward; the other part's
+slot dies and its column becomes infinity. Nothing is reallocated. The recurrence agrees with direct centroid recomputation
 to within 1e-9, not bit for bit.
 
 Each slot caches its row minimum and a column that attains it, after
@@ -146,9 +149,11 @@ def ward_hac(points: PointSet) -> Dendrogram:
     coords = points.coords
     mass = points.masses.copy()
     delta = np.empty((n, n))
+    diff = np.empty_like(coords)
     for i in range(n):
-        diff = coords - coords[i]
-        delta[i] = mass[i] * mass / (mass[i] + mass) * np.einsum("ij,ij->i", diff, diff)
+        np.subtract(coords, coords[i], out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=delta[i])
+    delta *= mass[0] * mass[0] / (mass[0] + mass[0])  # one factor: masses are equal
     np.fill_diagonal(delta, np.inf)
     ids = np.arange(n)
     dead = np.zeros(n, dtype=bool)
@@ -250,8 +255,13 @@ def _children(dendrogram: Dendrogram):
     return children, heights
 
 
+_NEWICK_SPECIAL = frozenset(",():;'[]")
+
+
 def _quote_newick(label: str) -> str:
-    if any(ch in label for ch in " \t,():;'[]"):
+    """Quote a label holding whitespace (as ``str.isspace`` defines it) or
+    Newick punctuation; a quote inside doubles."""
+    if not _NEWICK_SPECIAL.isdisjoint(label) or any(map(str.isspace, label)):
         return "'" + label.replace("'", "''") + "'"
     return label
 

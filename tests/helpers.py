@@ -1,4 +1,6 @@
 """Shared test oracles, independent of the implementations they check."""
+import csv
+import io
 import re
 import string
 from collections import Counter
@@ -6,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from bibcarto.ca import inertia_report
 from bibcarto.corpus import ContingencyTable
 from bibcarto.records import (
     AmbiguousFormatError,
@@ -465,3 +468,43 @@ def naive_parse_records_lenient(text, fmt=None):
         except RecordParseError as exc:
             errors.append(exc)
     return records, errors
+
+
+def _fmt(x: float) -> str:
+    return format(x, ".12g")
+
+
+def naive_coordinates_csv(result, supplementary=(), axes=None) -> str:
+    """``ca.write_coordinates_csv`` as ``csv.writer`` plus one ``format``
+    call per cell, the way it was written before the row-format writer."""
+    k = result.n_axes if axes is None else min(axes, result.n_axes)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["label", "kind", *(f"axis{i}" for i in range(1, k + 1))])
+    for label, coords in zip(result.row_labels, result.row_coords[:, :k].tolist()):
+        writer.writerow([label, "row", *map(_fmt, coords)])
+    for label, coords in zip(result.col_labels, result.col_coords[:, :k].tolist()):
+        writer.writerow([label, "col", *map(_fmt, coords)])
+    for label, coords in supplementary:
+        writer.writerow([label, "sup", *map(_fmt, coords[:k].tolist())])
+    return buf.getvalue()
+
+
+def naive_inertia_csv(result) -> str:
+    """``ca.write_inertia_csv`` through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["axis", "eigenvalue", "percentage", "cumulative"])
+    for axis, lam, pct, cum in inertia_report(result):
+        writer.writerow([axis, _fmt(lam), _fmt(pct), _fmt(cum)])
+    return buf.getvalue()
+
+
+def naive_table_csv(table) -> str:
+    """``ContingencyTable.to_csv`` through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["label", *table.col_labels])
+    for label, row in zip(table.row_labels, table.counts):
+        writer.writerow([label, *(int(v) for v in row)])
+    return buf.getvalue()

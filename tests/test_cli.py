@@ -307,6 +307,19 @@ def test_analyze_mismatched_supplementary_is_data_error(tmp_path, capsys):
     assert "columns differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, where", [
+    ("label,1994,1995\na,1,2\n,2,1\nc,3,3\n", ":3: blank row label"),
+    ('label,1994,1995\na,1,2\n"b\nc",2,1\nd,3,3\n', ":3: row label 'b\\nc' holds"),
+])
+def test_analyze_table_with_a_bad_label_exits_1_naming_the_line(text, where, tmp_path, capsys):
+    path = _write(tmp_path / "table.csv", text)
+    assert main(["analyze", "--table", str(path), "--outdir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{path}{where}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_file_supplies_defaults(tmp_path, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"k": 5}), encoding="utf-8")

@@ -495,6 +495,29 @@ def test_from_csv_rejects_malformed_naming_line(text, line_no):
     assert str(err.value).startswith(f"line {line_no}: ")
 
 
+@pytest.mark.parametrize("text, line_no, reason", [
+    ("label,1994\n,1\n", 2, "blank row label"),
+    ("label,1994\na,1\n \t,2\n", 3, "blank row label"),
+    ('label,1994\n"a\nb",1\n', 2, "row label 'a\\nb' holds a line break"),
+    ('label,1994\n"a\rb",1\n', 2, "row label 'a\\rb' holds a line break"),
+    ("label,1994\na\x85b,1\n", 2, "row label 'a\\x85b' holds a line break"),
+    ("label,1994\na\u2028b,1\n", 2, "row label 'a\\u2028b' holds a line break"),
+    ('\nlabel,"19\n94",1995\nx,1,2\n', 2, "column label '19\\n94' holds a line break"),
+    ("label,1994,a\x0bb\nx,1,2\n", 1, "column label 'a\\x0bb' holds a line break"),
+])
+def test_from_csv_rejects_blank_and_line_breaking_labels(text, line_no, reason):
+    # the line named is the one where the offending record starts
+    with pytest.raises(TableFormatError) as err:
+        ContingencyTable.from_csv(text)
+    assert (err.value.line_no, err.value.reason) == (line_no, reason)
+
+
+def test_from_csv_keeps_labels_with_inner_spaces_and_an_empty_column_label():
+    table = ContingencyTable.from_csv("label,1994,\n a b ,1,2\n")
+    assert table.row_labels == (" a b ",)
+    assert table.col_labels == (1994, "")
+
+
 def test_from_csv_year_headers_become_ints():
     table = ContingencyTable.from_csv("label,1994,-3,x1,\u0661\na,1,2,3,4\n")
     assert table.col_labels == (1994, -3, "x1", "\u0661")

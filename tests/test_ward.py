@@ -272,6 +272,12 @@ def test_newick_quotes_awkward_labels():
     assert "'it''s':2.25" in text
 
 
+def test_newick_quotes_labels_holding_any_whitespace():
+    dendrogram = ward_hac(_points([[0.0], [3.0], [9.0]], labels=("x\ny", "a\u00a0b", "c")))
+    expected = "(c:18.75,('x\ny':2.25,'a\u00a0b':2.25):16.5);"
+    assert export_dendrogram(dendrogram, "newick") == expected
+
+
 def test_text_export_and_bad_format():
     dendrogram = ward_hac(_points([[0.0], [1.0], [10.0]], "ABC"))
     text = export_dendrogram(dendrogram, "text")
