@@ -1,63 +1,40 @@
-"""Citation-alert bibliography cartography toolkit."""
+"""Citation-alert bibliography cartography toolkit.
 
-from .errors import DataError
-from .records import (
-    BibRecord,
-    RecordFormat,
-    RecordParseError,
-    detect_format,
-    parse_personal_alert,
-    parse_records,
-    parse_research_alert,
-)
-from .corpus import (
-    ContingencyTable,
-    DisciplineLexicon,
-    ProfileCatalog,
-    build_table,
-    filter_records,
-    load_fixture,
-    match_profiles,
-    tag_disciplines,
-)
-from .ca import CaResult, ca_fit, inertia_report, project_supplementary_col, project_supplementary_row
-from .ward import Dendrogram, Partition, PointSet, cut, embed_for_clustering, export_dendrogram, ward_hac
-from .search import Index, Query, build_index, more_like_this, parse_query
+Each submodule and each public name below loads on first use (PEP 562),
+so ``bibcarto.records`` and ``bibcarto.errors`` import without numpy.
+"""
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BibRecord",
-    "CaResult",
-    "ContingencyTable",
-    "DataError",
-    "Dendrogram",
-    "DisciplineLexicon",
-    "Index",
-    "Partition",
-    "PointSet",
-    "ProfileCatalog",
-    "Query",
-    "RecordFormat",
-    "RecordParseError",
-    "build_index",
-    "build_table",
-    "ca_fit",
-    "cut",
-    "detect_format",
-    "embed_for_clustering",
-    "export_dendrogram",
-    "filter_records",
-    "inertia_report",
-    "load_fixture",
-    "match_profiles",
-    "more_like_this",
-    "parse_personal_alert",
-    "parse_query",
-    "parse_records",
-    "parse_research_alert",
-    "project_supplementary_col",
-    "project_supplementary_row",
-    "tag_disciplines",
-    "ward_hac",
-]
+# Submodule -> the public names the package re-exports from it.
+_EXPORTS = {
+    "errors": ("DataError",),
+    "records": ("BibRecord", "RecordFormat", "RecordParseError", "detect_format",
+                "parse_personal_alert", "parse_records", "parse_research_alert"),
+    "fixtures": (),
+    "corpus": ("ContingencyTable", "DisciplineLexicon", "ProfileCatalog", "build_table",
+               "filter_records", "load_fixture", "match_profiles", "tag_disciplines"),
+    "ca": ("CaResult", "ca_fit", "inertia_report", "project_supplementary_col",
+           "project_supplementary_row"),
+    "ward": ("Dendrogram", "Partition", "PointSet", "cut", "embed_for_clustering",
+             "export_dendrogram", "ward_hac"),
+    "search": ("Index", "Query", "build_index", "more_like_this", "parse_query"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -199,6 +199,8 @@ def write_coordinates_csv(
 ) -> str:
     """Coordinates as CSV rows (label, kind, axis1..axisK) covering the
     fitted rows, the fitted columns, and any supplementary projections."""
+    if axes is not None and axes < 0:
+        raise ValueError(f"axes must not be negative, got {axes}")
     k = result.n_axes if axes is None else min(axes, result.n_axes)
     axis = ",%.12g" * k
     lines = ["label,kind" + "".join(f",axis{i}" for i in range(1, k + 1))]

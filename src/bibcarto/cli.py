@@ -34,10 +34,6 @@ FORMAT_NAMES = {
 
 CONFIG_ENV_VAR = "BIBCARTO_CONFIG"
 
-# The years records.extract_year can return. A year range must lie within
-# them: a wider one counts no more records, it only adds empty columns.
-FIRST_YEAR, LAST_YEAR = 1900, 2100
-
 
 class ConfigError(DataError):
     """The BIBCARTO_CONFIG file is not JSON, not a JSON object, or has an
@@ -67,8 +63,9 @@ _CONFIG_CHECKS = {
     ),
     "year_range": (
         lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
-        and FIRST_YEAR <= v[0] <= v[1] <= LAST_YEAR,
-        f"[FIRST, LAST] with integer years, {FIRST_YEAR} <= FIRST <= LAST <= {LAST_YEAR}",
+        and records.FIRST_YEAR <= v[0] <= v[1] <= records.LAST_YEAR,
+        f"[FIRST, LAST] with integer years, "
+        f"{records.FIRST_YEAR} <= FIRST <= LAST <= {records.LAST_YEAR}",
     ),
     "catalog_path": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "lexicon_path": (lambda v: v is None or isinstance(v, str), "a string or null"),
@@ -128,9 +125,11 @@ def _year_range(text: str) -> tuple[int, int]:
     lo, hi = int(m[1]), int(m[2])
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty year range {text!r}")
-    if lo < FIRST_YEAR or hi > LAST_YEAR:
+    # A wider range than the years a record can carry counts no more
+    # records, it only adds empty columns.
+    if lo < records.FIRST_YEAR or hi > records.LAST_YEAR:
         raise argparse.ArgumentTypeError(
-            f"years must lie in {FIRST_YEAR}..{LAST_YEAR}, got {text!r}")
+            f"years must lie in {records.FIRST_YEAR}..{records.LAST_YEAR}, got {text!r}")
     return lo, hi
 
 
@@ -161,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="discipline lexicon file for --kind disciplines (default: bundled)")
     first, last = RunConfig.year_range
     p.add_argument("--years", type=_year_range, default=None, metavar="FIRST:LAST",
-                   help=f"year columns, within {FIRST_YEAR}..{LAST_YEAR} (default {first}:{last})")
+                   help=f"year columns, within {records.FIRST_YEAR}..{records.LAST_YEAR} "
+                        f"(default {first}:{last})")
     p.add_argument("--exclude", action="append", type=_non_empty, default=None,
                    metavar="PHRASE",
                    help="title phrase to exclude (repeatable; default: 'galaxy cluster')")
@@ -344,13 +344,12 @@ def run_analysis(
                 "supplementary table columns differ from the fitted table's"
             )
         fitted = {*table.row_labels, *map(str, table.col_labels)}
-        for label in supplementary.row_labels:
+        for label, counts in zip(supplementary.row_labels, supplementary.counts):
             if label in fitted:
                 raise ca.SupplementaryError(f"supplementary row {label!r} repeats a fitted label")
-            if not supplementary.row(label).any():
+            if not counts.any():
                 raise ca.EmptySupplementaryError(f"supplementary row {label!r} has no incidences")
-            coords = ca.project_supplementary_row(supplementary.row(label), result)
-            projected.append((label, coords))
+            projected.append((label, ca.project_supplementary_row(counts, result)))
 
     points = ward.embed_for_clustering(result, projected)
     dendrogram = ward.ward_hac(points)

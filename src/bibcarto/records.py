@@ -57,6 +57,10 @@ from dataclasses import dataclass, field
 from .errors import DataError
 
 
+# The years a record can carry: extract_year returns None outside them.
+FIRST_YEAR, LAST_YEAR = 1900, 2100
+
+
 class RecordFormat(enum.Enum):
     RESEARCH_ALERT = "ResearchAlert"
     PERSONAL_ALERT = "PersonalAlert"
@@ -115,8 +119,8 @@ class BibRecord:
         problems = []
         if not self.title:
             problems.append("empty title")
-        if self.year is not None and not 1900 <= self.year <= 2100:
-            problems.append(f"year {self.year} outside 1900..2100")
+        if self.year is not None and not FIRST_YEAR <= self.year <= LAST_YEAR:
+            problems.append(f"year {self.year} outside {FIRST_YEAR}..{LAST_YEAR}")
         if self.raw_format is RecordFormat.RESEARCH_ALERT and not self.profile_citations:
             problems.append("ResearchAlert record cites no profile item")
         if self.raw_format is RecordFormat.PERSONAL_ALERT and not self.search_terms:
@@ -164,13 +168,17 @@ def _squash_each(lines) -> list[str]:
     return list(filter(None, map(" ".join, map(str.split, lines))))
 
 
+_FIRST_YEAR_TEXT, _LAST_YEAR_TEXT = str(FIRST_YEAR), str(LAST_YEAR)
+
+
 def extract_year(source: str) -> int | None:
     """Last standalone 4-digit token of the source field, in 1900..2100: a maximal
     non-whitespace run, four ASCII digits once stripped of ASCII punctuation."""
     for token in reversed(source.split()):
         token = token.strip(string.punctuation)
         # isdigit alone accepts other scripts' digits, such as "١٩٩٨"
-        if len(token) == 4 and token.isascii() and token.isdigit() and "1900" <= token <= "2100":
+        if (len(token) == 4 and token.isascii() and token.isdigit()
+                and _FIRST_YEAR_TEXT <= token <= _LAST_YEAR_TEXT):
             return int(token)
     return None
 

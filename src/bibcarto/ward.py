@@ -43,8 +43,6 @@ through a node equals the node's merge height.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -53,6 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ca import CaResult
+from .corpus import csv_field
 from .errors import DataError
 
 
@@ -302,9 +301,6 @@ def _to_text(dendrogram: Dendrogram) -> str:
 
 
 def write_partition_csv(partition: Partition) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "cluster"])
-    for label, cluster in partition.assignment.items():
-        writer.writerow([label, cluster])
-    return buf.getvalue()
+    lines = ["label,cluster"]
+    lines += [f"{csv_field(label)},{cluster}" for label, cluster in partition.assignment.items()]
+    return "\n".join(lines) + "\n"

@@ -508,3 +508,13 @@ def naive_table_csv(table) -> str:
     for label, row in zip(table.row_labels, table.counts):
         writer.writerow([label, *(int(v) for v in row)])
     return buf.getvalue()
+
+
+def naive_partition_csv(partition) -> str:
+    """``ward.write_partition_csv`` through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["label", "cluster"])
+    for label, cluster in partition.assignment.items():
+        writer.writerow([label, cluster])
+    return buf.getvalue()

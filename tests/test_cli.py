@@ -6,6 +6,7 @@ import io
 import json
 import pkgutil
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -738,6 +739,23 @@ def test_reference_script_writes_the_analyze_artifacts(tmp_path, capsys):
     for name in ARTIFACTS:
         assert (tmp_path / "script" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
     assert "full 114-point 5-cut" in capsys.readouterr().out
+
+
+def test_export_script_writes_the_reference_tables(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "export_reference_tables.py"
+    spec = importlib.util.spec_from_file_location("export_reference_tables", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path / "out")])
+    assert module.main() == 0
+    for name, filename in (("Table1", "profile_by_year.csv"),
+                           ("Table2", "discipline_by_year.csv")):
+        written = (tmp_path / "out" / filename).read_bytes()
+        assert written == corpus.load_fixture(name).to_csv().encode("utf-8")
+    assert capsys.readouterr().out == (
+        "profile_by_year.csv: 82 rows x 18 years, 111091 incidences\n"
+        "discipline_by_year.csv: 14 rows x 18 years, 23997 incidences\n"
+    )
 
 
 def test_search_query_pages(toy_corpus_file, capsys):

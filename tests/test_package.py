@@ -1,0 +1,71 @@
+"""The package's public surface, and what importing it loads."""
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bibcarto
+
+from conftest import RESEARCH_ALERT_SAMPLE
+
+# Each public name, in __all__ order, with the submodule that defines it.
+SURFACE = {
+    "BibRecord": "records", "CaResult": "ca", "ContingencyTable": "corpus",
+    "DataError": "errors", "Dendrogram": "ward", "DisciplineLexicon": "corpus",
+    "Index": "search", "Partition": "ward", "PointSet": "ward",
+    "ProfileCatalog": "corpus", "Query": "search", "RecordFormat": "records",
+    "RecordParseError": "records", "build_index": "search", "build_table": "corpus",
+    "ca_fit": "ca", "cut": "ward", "detect_format": "records",
+    "embed_for_clustering": "ward", "export_dendrogram": "ward",
+    "filter_records": "corpus", "inertia_report": "ca", "load_fixture": "corpus",
+    "match_profiles": "corpus", "more_like_this": "search",
+    "parse_personal_alert": "records", "parse_query": "search",
+    "parse_records": "records", "parse_research_alert": "records",
+    "project_supplementary_col": "ca", "project_supplementary_row": "ca",
+    "tag_disciplines": "corpus", "ward_hac": "ward",
+}
+SUBMODULES = ("errors", "records", "fixtures", "corpus", "ca", "ward", "search")
+
+
+def _python(code: str, stdin: str = "") -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(bibcarto.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_records_and_errors_import_without_numpy():
+    done = _python(
+        "import sys, bibcarto, bibcarto.errors, bibcarto.records\n"
+        "(record,) = bibcarto.parse_records(sys.stdin.read())\n"
+        "assert issubclass(bibcarto.DataError, ValueError)\n"
+        "print(record.year, 'numpy' in sys.modules)\n",
+        RESEARCH_ALERT_SAMPLE,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1998", "False"]
+
+
+def test_the_cli_imports_in_a_fresh_interpreter():
+    done = _python("import bibcarto.cli")
+    assert done.returncode == 0, done.stderr
+
+
+def test_public_surface():
+    assert len(SURFACE) == 33
+    assert bibcarto.__all__ == list(SURFACE)
+    for name, module in SURFACE.items():
+        assert getattr(bibcarto, name) is getattr(importlib.import_module(f"bibcarto.{module}"),
+                                                  name)
+    for module in SUBMODULES:
+        assert getattr(bibcarto, module) is importlib.import_module(f"bibcarto.{module}")
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        bibcarto.no_such_name
+    # A bare import lists every name before any of them is loaded.
+    done = _python("import bibcarto\nprint(*dir(bibcarto))")
+    assert done.returncode == 0, done.stderr
+    assert {*SURFACE, *SUBMODULES, "__version__"} <= set(done.stdout.split())

@@ -92,6 +92,18 @@ def test_split_title_joins_byte_identical():
     assert a.title == b.title
 
 
+@pytest.mark.parametrize("year, problem", [
+    (1899, ["year 1899 outside 1900..2100"]), (1900, []), (2100, []),
+    (2101, ["year 2101 outside 1900..2100"]),
+])
+def test_validate_keeps_years_within_the_extractable_range(year, problem):
+    rec = BibRecord(title="t", raw_format=RecordFormat.RESEARCH_ALERT,
+                    profile_citations=["X 99"], year=year)
+    assert rec.validate() == problem
+    assert (records.FIRST_YEAR, records.LAST_YEAR) == (1900, 2100)
+    assert extract_year(f"J {year}") == (year if not problem else None)
+
+
 def test_missing_profile_citation_is_not_a_parse_error():
     text = "T      Some Title\nA      AUTHOR ONE\nA      AUTHOR TWO\n"
     (rec,) = parse_research_alert(text)

@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibcarto import ca
+from bibcarto import ca, ward
 from bibcarto.cli import run_analysis
 from bibcarto.corpus import ContingencyTable, csv_field, load_fixture
 
-from helpers import naive_coordinates_csv, naive_inertia_csv, naive_table_csv
+from helpers import (
+    naive_coordinates_csv,
+    naive_inertia_csv,
+    naive_partition_csv,
+    naive_table_csv,
+)
 
 # Labels with what csv quotes (comma, quote, line breaks), padding,
 # non-ASCII text and the empty string, plus arbitrary text.
@@ -66,6 +71,22 @@ def test_a_zero_axis_result_writes_label_and_kind_only():
     assert text == naive_coordinates_csv(result, [("s", np.zeros(0))])
     assert text == "label,kind\na,row\nb,row\n1,col\n2,col\ns,sup\n"
     assert ca.write_inertia_csv(result) == naive_inertia_csv(result)
+
+
+def test_negative_axes_is_a_value_error():
+    result = ca.ca_fit(load_fixture("Table2"))
+    with pytest.raises(ValueError, match=r"^axes must not be negative, got -1$"):
+        ca.write_coordinates_csv(result, (), -1)
+    text = ca.write_coordinates_csv(result, (), 0)
+    assert text == naive_coordinates_csv(result, (), 0)
+    assert text.startswith("label,kind\nMed,row\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(assignment=st.dictionaries(_labels, st.integers(1, 9), max_size=8))
+def test_partition_csv_equals_the_csv_writer(assignment):
+    partition = ward.Partition(max(assignment.values(), default=1), assignment)
+    assert ward.write_partition_csv(partition) == naive_partition_csv(partition)
 
 
 @pytest.mark.parametrize("x", [
