@@ -37,4 +37,6 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS, *__all__})
+    # the public names, the submodules (loaded or not) and the dunders
+    loaded = {name for name in globals() if not name.startswith("_") or name.startswith("__")}
+    return sorted({*loaded, *_EXPORTS, *__all__})

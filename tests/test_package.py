@@ -68,4 +68,7 @@ def test_public_surface():
     # A bare import lists every name before any of them is loaded.
     done = _python("import bibcarto\nprint(*dir(bibcarto))")
     assert done.returncode == 0, done.stderr
-    assert {*SURFACE, *SUBMODULES, "__version__"} <= set(done.stdout.split())
+    listed = set(done.stdout.split())
+    assert {*SURFACE, *SUBMODULES, "__version__"} <= listed
+    # and no private helper
+    assert [name for name in listed if name.startswith("_") and not name.startswith("__")] == []

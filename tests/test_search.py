@@ -1,6 +1,8 @@
 import math
-from collections import Counter
+import random
+from collections import Counter, defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from bibcarto.search import (
     tokenize,
 )
 
-from helpers import linear_scan_search, naive_more_like_this, naive_ranked_matches
+from helpers import _doc_terms, linear_scan_search, naive_more_like_this, naive_ranked_matches
 
 
 def _record(title, authors=(), source="", keywords=(), keywords_plus=(), address=""):
@@ -305,3 +307,54 @@ def test_ranked_matches_equals_the_scan(corpus, weights, text):
     query = parse_query(text)
     expected = naive_ranked_matches(corpus, weights or DEFAULT_FIELD_WEIGHTS, query)
     assert ranked_matches(index, query) == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(corpus=_CORPORA)
+def test_postings_rows_equal_the_token_counts(corpus):
+    postings = build_index(corpus).postings
+    assert postings._ids.dtype == postings._tf.dtype == np.int32
+    expected = defaultdict(list)  # (term, field) -> [(record id, tf), ...], ids ascending
+    for doc_id, per_field in enumerate(_doc_terms(corpus)):
+        for name, counts in per_field.items():
+            for term, tf in counts.items():
+                expected[term, name].append((doc_id, tf))
+    assert set(postings) == {term for term, _ in expected}
+    assert len(postings._ids) == sum(map(len, expected.values()))
+    for term in [*postings, "absent"]:
+        for name in FIELDS:
+            ids, tf = postings.row(term, name)
+            assert ids.dtype == tf.dtype == np.int32
+            assert list(zip(ids.tolist(), tf.tolist())) == expected.get((term, name), [])
+
+
+def _tie_heavy_corpus(n=300):
+    """Record 0 has every field empty, so it scores 0 against every record;
+    the other records repeat a pool of four, so nearly every score ties."""
+    empty = _record("")
+    pool = [
+        empty,
+        _record("network clustering", authors=["ARABIE P"], keywords=["ward"]),
+        _record("network analysis", keywords=["ward", "trees"], source="J CLASSIF"),
+        _record("clustering trees", address="Trinity College, Dublin"),
+    ]
+    rng = random.Random(0)
+    return [empty, *(rng.choice(pool) for _ in range(n - 1))]
+
+
+_TIE_HEAVY = _tie_heavy_corpus()
+_N = len(_TIE_HEAVY)
+
+
+@pytest.mark.parametrize("weights", [DEFAULT_FIELD_WEIGHTS, {
+    "title": 0.1, "authors": 0.2, "source": 0.3, "keywords": 0.7, "keywords_plus": 1e-9,
+    "address": 0.3}])
+@pytest.mark.parametrize("doc_id", [0, _N // 2, _N - 1])
+@pytest.mark.parametrize("limit", [0, 1, 3, _N - 2, _N - 1, _N, _N + 5])
+def test_more_like_this_on_a_large_tie_heavy_corpus(weights, doc_id, limit):
+    index = build_index(_TIE_HEAVY, weights)
+    expected = naive_more_like_this(_TIE_HEAVY, weights, doc_id, limit)
+    assert more_like_this(index, doc_id, limit) == expected
+    if doc_id == 0:
+        # every score is 0, so the answer is the smallest other ids
+        assert expected == list(range(1, min(limit, _N - 1) + 1))
