@@ -211,7 +211,12 @@ def main(argv=None) -> int:
         print(f"bibcarto: error: <stdout>: cannot encode U+{ord(char):04X} as {exc.encoding}",
               file=sys.stderr)
         return 1
-    except (DataError, OSError, UnicodeError) as exc:
+    except OSError as exc:
+        # "[Errno 2] No such file or directory: 'x'" becomes "x: No such file or directory"
+        reason = exc if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+        print(f"bibcarto: error: {reason}", file=sys.stderr)
+        return 1
+    except (DataError, UnicodeError) as exc:
         print(f"bibcarto: error: {exc}", file=sys.stderr)
         return 1
 
@@ -357,7 +362,7 @@ def run_analysis(
     artifacts = {
         "coordinates.csv": ca.write_coordinates_csv(result, projected, axes),
         "inertia.csv": ca.write_inertia_csv(result),
-        "dendrogram.nwk": ward.export_dendrogram(dendrogram, "newick") + "\n",
+        "dendrogram.nwk": ward.export_dendrogram(dendrogram) + "\n",
         "partition.csv": ward.write_partition_csv(partition),
     }
     return Analysis(artifacts, result, partition)

@@ -276,23 +276,8 @@ class ContingencyTable:
             raise EmptyTableError("table has no incidences")
         return self.counts / self.n
 
-    @property
-    def row_masses(self) -> np.ndarray:
-        return self.frequencies.sum(axis=1)
-
-    @property
-    def col_masses(self) -> np.ndarray:
-        return self.frequencies.sum(axis=0)
-
     def row(self, label: str) -> np.ndarray:
         return self.counts[self.row_labels.index(label)]
-
-    def transposed(self) -> "ContingencyTable":
-        return ContingencyTable(
-            tuple(str(c) for c in self.col_labels),
-            self.row_labels,
-            self.counts.T,
-        )
 
     def to_csv(self) -> str:
         """The table as CSV, byte for byte what ``csv.writer`` writes: each

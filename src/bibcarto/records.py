@@ -109,24 +109,6 @@ class BibRecord:
     address: str = ""
     year: int | None = None
 
-    def validate(self) -> list[str]:
-        """Return corpus-level invariant violations (empty list if clean).
-
-        Parsing deliberately does not enforce these: a Research Alert
-        record without a cited profile item is a data problem, not a
-        syntax problem.
-        """
-        problems = []
-        if not self.title:
-            problems.append("empty title")
-        if self.year is not None and not FIRST_YEAR <= self.year <= LAST_YEAR:
-            problems.append(f"year {self.year} outside {FIRST_YEAR}..{LAST_YEAR}")
-        if self.raw_format is RecordFormat.RESEARCH_ALERT and not self.profile_citations:
-            problems.append("ResearchAlert record cites no profile item")
-        if self.raw_format is RecordFormat.PERSONAL_ALERT and not self.search_terms:
-            problems.append("PersonalAlert record has no search terms")
-        return problems
-
 
 _RA, _PA = RecordFormat.RESEARCH_ALERT, RecordFormat.PERSONAL_ALERT
 _PA_HEADERS = (

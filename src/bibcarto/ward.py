@@ -37,9 +37,9 @@ when only two slots cache it, they are the pair; otherwise the pair is
 the least id among those slots and its least-id partner at the minimum.
 
 A dendrogram can be cut into k clusters by undoing the last k-1 merges,
-and exported as an indented text tree or in Newick form. Newick branch
-lengths halve the merge heights so that the leaf-to-leaf path length
-through a node equals the node's merge height.
+and exported in Newick form, whose branch lengths halve the merge
+heights so that the leaf-to-leaf path length through a node equals the
+node's merge height.
 """
 from __future__ import annotations
 
@@ -230,30 +230,6 @@ def cut(dendrogram: Dendrogram, k: int) -> Partition:
     return Partition(k, assignment)
 
 
-def export_dendrogram(dendrogram: Dendrogram, format: str = "newick") -> str:
-    """Render the merge tree; ``format`` is "newick" or "text".
-
-    Both formats walk the tree with an explicit stack (of nodes, and for
-    Newick of literal text), so a chain-shaped tree as deep as it has
-    leaves renders without reaching the interpreter's recursion limit.
-    """
-    if format == "newick":
-        return _to_newick(dendrogram)
-    if format == "text":
-        return _to_text(dendrogram)
-    raise ValueError(f"unknown dendrogram format {format!r}")
-
-
-def _children(dendrogram: Dendrogram):
-    n = len(dendrogram.leaf_labels)
-    children = {}
-    heights = {i: 0.0 for i in range(n)}
-    for merge in dendrogram.merges:
-        children[merge.new_id] = (merge.a, merge.b)
-        heights[merge.new_id] = merge.height
-    return children, heights
-
-
 _NEWICK_SPECIAL = frozenset(",():;'[]")
 
 
@@ -265,9 +241,19 @@ def _quote_newick(label: str) -> str:
     return label
 
 
-def _to_newick(dendrogram: Dendrogram) -> str:
-    children, heights = _children(dendrogram)
+def export_dendrogram(dendrogram: Dendrogram) -> str:
+    """Render the merge tree in Newick form.
+
+    The tree is walked with an explicit stack of nodes and literal text,
+    so a chain-shaped tree as deep as it has leaves renders without
+    reaching the interpreter's recursion limit.
+    """
     labels = dendrogram.leaf_labels
+    children = {}
+    heights = dict.fromkeys(range(len(labels)), 0.0)
+    for merge in dendrogram.merges:
+        children[merge.new_id] = (merge.a, merge.b)
+        heights[merge.new_id] = merge.height
     out = []
     stack: list[int | str] = [dendrogram.merges[-1].new_id if dendrogram.merges else 0]
     while stack:
@@ -281,23 +267,6 @@ def _to_newick(dendrogram: Dendrogram) -> str:
             la, lb = ((heights[item] - heights[child]) / 2.0 for child in (a, b))
             stack += [f":{format(lb, '.12g')})", b, f":{format(la, '.12g')},", a, "("]
     return "".join(out) + ";"
-
-
-def _to_text(dendrogram: Dendrogram) -> str:
-    children, heights = _children(dendrogram)
-    labels = dendrogram.leaf_labels
-    lines = []
-    stack = [(dendrogram.merges[-1].new_id if dendrogram.merges else 0, 0)]
-    while stack:
-        node, indent = stack.pop()
-        pad = "  " * indent
-        if node not in children:
-            lines.append(f"{pad}{labels[node]}")
-            continue
-        lines.append(f"{pad}+ height={format(heights[node], '.12g')}")
-        a, b = children[node]
-        stack += [(b, indent + 1), (a, indent + 1)]
-    return "\n".join(lines) + "\n"
 
 
 def write_partition_csv(partition: Partition) -> str:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bibcarto
-from bibcarto import DataError, corpus, records, search
+from bibcarto import DataError, ca, cli, corpus, records, search, ward
 from bibcarto.cli import RunConfig, main
 
 from conftest import PERSONAL_ALERT_SAMPLE, RESEARCH_ALERT_SAMPLE
@@ -107,6 +107,23 @@ def test_parse_output_file(sample_file, tmp_path):
 def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert main(["parse", str(tmp_path / "nope.txt")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, argv, config", [
+    ("nope.txt", ["tables", "--records", "nope.txt"], None),
+    ("adir", ["analyze", "--table", "adir"], None),
+    ("no/dump.jsonl", ["parse", "sample.txt", "-o", "no/dump.jsonl"], None),
+    ("nope.json", ["analyze", "--fixture", "Table2"], "nope.json"),
+])
+def test_os_error_names_the_file(path, argv, config, sample_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    if config:
+        monkeypatch.setenv("BIBCARTO_CONFIG", config)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"bibcarto: error: {path}: ")
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -882,3 +899,23 @@ def test_search_command_calls_search_functions_as_module_attributes(name, toy_co
     argv = ["search", *mode, "--records", str(toy_corpus_file)]
     assert main(argv) == 0
     assert calls == [name]
+
+
+def test_perfbench_tracer_wraps_and_restores_the_package(tmp_path, monkeypatch):
+    # --trace 1 wraps functions by name and counts through their results, so a
+    # renamed function or a dropped `len(index.postings)` breaks it here first
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    owners = [cli, records, corpus, corpus.ContingencyTable, ca, ward, search]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["analyze", "--fixture", "Table2", "--outdir", str(tmp_path)]) == 0
+        search.build_index(records.parse_records(RESEARCH_ALERT_SAMPLE)
+                           + records.parse_records(PERSONAL_ALERT_SAMPLE))
+    finally:
+        tracer.uninstall()
+    assert all(tracer.counts[key] > 0 for key in ("ca.axes", "ward.points", "search.terms"))
+    for owner, attrs in zip(owners, before):
+        assert all(vars(owner)[name] is value for name, value in attrs.items()), owner

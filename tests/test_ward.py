@@ -256,18 +256,18 @@ def test_table2_two_cut_splits_year_ranges():
 
 def test_newick_two_leaves():
     dendrogram = ward_hac(_points([[0.0], [3.0]], "AB"))
-    assert export_dendrogram(dendrogram, "newick") == "(A:2.25,B:2.25);"
+    assert export_dendrogram(dendrogram) == "(A:2.25,B:2.25);"
 
 
 def test_newick_three_leaves_nested_by_merge_order():
     dendrogram = ward_hac(_points([[0.0], [1.0], [10.0]], "ABC"))
     expected = "(C:30.0833333333,(A:0.25,B:0.25):29.8333333333);"
-    assert export_dendrogram(dendrogram, "newick") == expected
+    assert export_dendrogram(dendrogram) == expected
 
 
 def test_newick_quotes_awkward_labels():
     dendrogram = ward_hac(_points([[0.0], [3.0]], labels=("Kruskal64,78", "it's")))
-    text = export_dendrogram(dendrogram, "newick")
+    text = export_dendrogram(dendrogram)
     assert "'Kruskal64,78':2.25" in text
     assert "'it''s':2.25" in text
 
@@ -275,17 +275,7 @@ def test_newick_quotes_awkward_labels():
 def test_newick_quotes_labels_holding_any_whitespace():
     dendrogram = ward_hac(_points([[0.0], [3.0], [9.0]], labels=("x\ny", "a\u00a0b", "c")))
     expected = "(c:18.75,('x\ny':2.25,'a\u00a0b':2.25):16.5);"
-    assert export_dendrogram(dendrogram, "newick") == expected
-
-
-def test_text_export_and_bad_format():
-    dendrogram = ward_hac(_points([[0.0], [1.0], [10.0]], "ABC"))
-    text = export_dendrogram(dendrogram, "text")
-    assert "height=60.1666666667" in text
-    assert text.splitlines()[0].startswith("+ height=")
-    for bad in ("", "svg"):
-        with pytest.raises(ValueError):
-            export_dendrogram(dendrogram, bad)
+    assert export_dendrogram(dendrogram) == expected
 
 
 def test_export_renders_a_chain_deeper_than_the_recursion_limit():
@@ -296,11 +286,7 @@ def test_export_renders_a_chain_deeper_than_the_recursion_limit():
     dendrogram = Dendrogram(tuple(f"p{i}" for i in range(n)), merges)
     newick = ("(" * (n - 1) + "p0:0.5,p1:0.5)"
               + "".join(f":0.5,p{k + 1}:{(k + 1) / 2:.12g})" for k in range(1, n - 1)) + ";")
-    assert export_dendrogram(dendrogram, "newick") == newick
-    text = ([f"{'  ' * j}+ height={n - 1 - j}" for j in range(n - 1)]
-            + [f"{'  ' * (n - 1)}p0", f"{'  ' * (n - 1)}p1"]
-            + [f"{'  ' * (n - 1 - k)}p{k + 1}" for k in range(1, n - 1)])
-    assert export_dendrogram(dendrogram, "text") == "\n".join(text) + "\n"
+    assert export_dendrogram(dendrogram) == newick
 
 
 def test_partition_csv():
