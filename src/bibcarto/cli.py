@@ -7,12 +7,13 @@ from the standard streams; :func:`main` prints it as ``bibcarto: error:
 standard streams are named ``<stdin>`` (with the line of an undecodable
 byte) and ``<stdout>`` (for a character its encoding lacks). Input
 files, the config among them, are read through :func:`errors.read_file`,
-and ``analyze`` prefixes an error from :func:`run_analysis` with the
-file it concerns. The environment variable BIBCARTO_CONFIG may point to
-a JSON object whose keys are RunConfig field names; it supplies defaults
-for ``tables`` and ``analyze``, and explicit flags win.
-:func:`run_analysis` is the analysis pipeline that ``analyze`` and
-``scripts/run_reference_analysis.py`` share.
+which names the file in their errors, and ``analyze`` prefixes an error
+from :func:`run_analysis` with the file it concerns. The environment
+variable BIBCARTO_CONFIG may point to a JSON object whose keys are
+RunConfig field names; it supplies defaults for ``tables`` and
+``analyze``, and explicit flags win. :func:`run_analysis` is the
+analysis pipeline that ``analyze`` and ``scripts/run_reference_analysis.py``
+share.
 """
 from __future__ import annotations
 
@@ -33,11 +34,6 @@ FORMAT_NAMES = {
 }
 
 CONFIG_ENV_VAR = "BIBCARTO_CONFIG"
-
-
-class ConfigError(DataError):
-    """The BIBCARTO_CONFIG file is not JSON, not a JSON object, or has an
-    unknown key or a wrongly typed value."""
 
 
 @dataclass(frozen=True)
@@ -77,28 +73,29 @@ _CONFIG_CHECKS = {
 
 def load_config() -> RunConfig:
     """The RunConfig from the BIBCARTO_CONFIG file, or the defaults when
-    the variable is unset or empty. Raises a DataError naming the file,
-    and the line for bad JSON syntax or bytes that are not UTF-8."""
+    the variable is unset or empty. The file is read through
+    :func:`errors.read_file`, so its DataError names the file, and the
+    line for bad JSON syntax or bytes that are not UTF-8."""
     path = os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return RunConfig()
-    text = read_file(path, str)
+    return read_file(path, _parse_config) if path else RunConfig()
+
+
+def _parse_config(text: str) -> RunConfig:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}: not a JSON file: {exc.msg} "
-                          f"(column {exc.colno})") from None
+        raise InputFormatError(exc.lineno, f"not a JSON file: {exc.msg} "
+                                           f"(column {exc.colno})") from None
     except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
-        raise ConfigError(f"{path}: not a JSON file: {exc}") from None
+        raise DataError(f"not a JSON file: {exc}") from None
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+        raise DataError("config must be a JSON object")
     for key, value in data.items():
         if key not in _CONFIG_CHECKS:
-            raise ConfigError(f"{path}: unknown key {key!r} "
-                              f"(accepted: {', '.join(_CONFIG_CHECKS)})")
+            raise DataError(f"unknown key {key!r} (accepted: {', '.join(_CONFIG_CHECKS)})")
         check, expected = _CONFIG_CHECKS[key]
         if not check(value):
-            raise ConfigError(f"{path}: {key} must be {expected}, got {value!r}")
+            raise DataError(f"{key} must be {expected}, got {value!r}")
     return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
@@ -164,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default {first}:{last})")
     p.add_argument("--exclude", action="append", type=_non_empty, default=None,
                    metavar="PHRASE",
-                   help="title phrase to exclude (repeatable; default: 'galaxy cluster')")
+                   help="title phrase to exclude (repeatable; default: "
+                        f"{', '.join(map(repr, RunConfig.exclusion_terms))})")
     p.add_argument("--format", choices=sorted(FORMAT_NAMES))
     p.add_argument("-o", "--output", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_tables)
@@ -178,10 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bundled table whose rows are projected post hoc")
     sup.add_argument("--supplementary-table", help="CSV of rows to project post hoc")
     p.add_argument("--k", type=_positive_int, default=None,
-                   help="number of clusters for the partition (default 2)")
+                   help=f"number of clusters for the partition (default {RunConfig.k})")
     p.add_argument("--axes", type=_positive_int, default=None,
                    help="number of axes in coordinates.csv (default: all retained)")
-    p.add_argument("--outdir", default=None, help="output directory (default bibcarto_out)")
+    p.add_argument("--outdir", default=None,
+                   help=f"output directory (default {RunConfig.output_dir})")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("search", help="query records or fetch similar ones")
@@ -225,16 +224,13 @@ def _parse_all(paths, fmt_name, lenient=False):
     fmt = FORMAT_NAMES[fmt_name] if fmt_name else None
     all_records, all_errors = [], []
     for path in paths:
-        text = read_file(path, str)
+        # through the module attribute, which perfbench's tracer wraps
         if lenient:
-            recs, errors = records.parse_records_lenient(text, fmt)
-            all_records.extend(recs)
+            recs, errors = read_file(path, lambda text: records.parse_records_lenient(text, fmt))
             all_errors.extend((path, err) for err in errors)
         else:
-            try:
-                all_records.extend(records.parse_records(text, fmt))
-            except records.RecordParseError as exc:
-                raise records.RecordParseError(f"{path}: {exc}") from exc
+            recs = read_file(path, lambda text: records.parse_records(text, fmt))
+        all_records.extend(recs)
     return all_records, all_errors
 
 
@@ -295,8 +291,8 @@ def cmd_tables(args) -> int:
             labels = lexicon.labels
         table, skipped = corpus.build_table(kept, tagger, labels, years)
         if skipped:
-            print(f"bibcarto: skipped {skipped} record(s) outside {years[0]}..{years[1]}",
-                  file=sys.stderr)
+            print(f"bibcarto: skipped {skipped} record(s) with no year or a year outside "
+                  f"{years[0]}..{years[1]}", file=sys.stderr)
     text = table.to_csv()
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")

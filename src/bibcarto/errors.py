@@ -3,8 +3,8 @@
 Each exception class bibcarto defines subclasses :class:`DataError`, so
 a caller can tell input it should report (exit 1 on the command line)
 from a fault of the program, which it should let propagate. Errors about
-a file read through :func:`read_file` name it as ``path:line``. This
-module imports nothing outside the standard library.
+a file read through :func:`read_file` name it, as ``path:line`` where the
+line is known. This module imports nothing outside the standard library.
 """
 from __future__ import annotations
 
@@ -33,7 +33,9 @@ def read_file(path, parse):
     """``parse`` of the UTF-8 text of the file at ``path``, line ends as
     :meth:`Path.read_text` gives them and one leading byte-order mark
     dropped. Bytes that are not UTF-8, and an InputFormatError from
-    ``parse``, raise InputFormatError naming ``path``."""
+    ``parse``, raise InputFormatError naming ``path`` and the line; any
+    other DataError from ``parse`` is raised again as a DataError whose
+    message starts with ``path``."""
     # The mark holds no line break, so line numbers still count from the file's start.
     data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
@@ -45,3 +47,5 @@ def read_file(path, parse):
         return parse(text.replace("\r\n", "\n").replace("\r", "\n"))
     except InputFormatError as exc:
         raise type(exc)(exc.line_no, exc.reason, path) from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -7,9 +7,11 @@ before every line and the text is scanned whole: one search per format,
 built from the rule's pattern text, finds the bad lines, a pattern cuts
 the records and one ``findall`` reads a record's fields. A detected
 format is one whose search found no bad line, so only a format the
-caller names is searched again. Only a record with a bad line (or
-Personal Alert text before the first ``TITLE:``) is walked line by line,
-to raise its first line's error and number it.
+caller names is searched again. A record's error is its first bad line,
+found by bisecting the search's hits and numbered by counting ``"\\n"``
+on from the previous error. Personal Alert text before the first
+``TITLE:`` also fails when its first non-blank line starts with a space
+or a tab, as that line continues no header.
 
 Research Alert (tag-prefixed, used through 2003): a line is one of the
 tags below at column 0, followed by whitespace or the end of the line.
@@ -122,10 +124,8 @@ _PA_HEADERS = (
 )
 _RA_TAG = r"(T|A|K|U|W\.|W)"
 _PA_HEADER = "(" + "|".join(map(re.escape, _PA_HEADERS)) + "):"
-# One line rule per format; group 1 is the tag or header, and a Personal
-# Alert continuation line has none.
+# One line rule per format: the pattern text a good line starts with.
 _LINE_RULES = {_RA: _RA_TAG + r"(?:\s|$)", _PA: r"[ \t]|" + _PA_HEADER}
-_LINE = {fmt: re.compile(rule) for fmt, rule in _LINE_RULES.items()}
 
 # The patterns below scan the output of _norm, in which "\n" opens
 # every line (so the k-th "\n" opens line k) and is the only line
@@ -137,6 +137,7 @@ _RA_FIELD = re.compile(r"\n" + _RA_TAG + "(.*)")
 # A header line with the continuation and blank lines after it.
 _PA_FIELD = re.compile(r"\n" + _PA_HEADER + r"(.*(?:\n(?:[ \t].*|[^\S\n]*$))*)", re.M)
 _PA_CUT = re.compile(r"\nTITLE:")
+_SPACE = re.compile(r"\s*")
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # of str.splitlines
 
 
@@ -193,22 +194,6 @@ def detect_format(text: str) -> RecordFormat:
         line_no = norm.count("\n", 0, bad.start() + 1)
         misses.append(f"not {fmt.value} (line {line_no}: {bad[0][1:]!r})")
     raise AmbiguousFormatError("input matches no alert format: " + "; ".join(misses))
-
-
-def _raise_line_error(fmt: RecordFormat, text: str, first_no: int) -> None:
-    """Walk the lines of one record, numbered from ``first_no``, and raise
-    the error of the first one its grammar rejects, if any."""
-    current = None
-    for n, line in enumerate(text.split("\n"), first_no):
-        if not line.strip():
-            continue
-        m = _LINE[fmt].match(line)
-        if m is None:
-            raise (UnknownTagError(n, line.split(None, 1)[0]) if fmt is _RA
-                   else UnknownHeaderError(n, line.split(":")[0]))
-        current = m[1] or current
-        if current is None:
-            raise UnknownHeaderError(n, line.strip())
 
 
 def parse_research_alert(text: str) -> list[BibRecord]:
@@ -323,17 +308,26 @@ def parse_records_lenient(
         bad = []  # detection found no bad line for this format
     else:
         bad = [m.start() for m in _BAD_LINE[fmt].finditer(norm)]
+    bad.append(len(norm))  # a hit past every record
     parse_one = _parse_ra_record if fmt is _RA else _parse_pa_record
     records: list[BibRecord] = []
     errors: list[RecordParseError] = []
     line_no = counted = 0  # norm[:counted] holds line_no "\n"s; counting resumes there
     for block_no, (start, end) in enumerate(_record_spans(fmt, norm), 1):
+        hit = bad[bisect_left(bad, start)]  # the "\n" opening the record's first bad line
+        if fmt is _PA and not _PA_CUT.match(norm, start):  # text before the first TITLE:
+            first = norm.rfind("\n", start, _SPACE.match(norm, start, end).end())
+            if norm[first + 1] in " \t":
+                hit = first
         try:
-            if bisect_left(bad, start) < bisect_left(bad, end) or (
-                    fmt is _PA and not _PA_CUT.match(norm, start)):
-                line_no += norm.count("\n", counted, start + 1)
-                counted = start + 1
-                _raise_line_error(fmt, norm[counted:end], line_no)
+            if hit < end:
+                line_no += norm.count("\n", counted, hit + 1)
+                counted = hit + 1
+                stop = norm.find("\n", counted, end)
+                line = norm[counted:end if stop < 0 else stop]
+                raise (UnknownTagError(line_no, line.split(None, 1)[0]) if fmt is _RA
+                       else UnknownHeaderError(line_no, line.strip() if line[0] in " \t"
+                                               else line.split(":")[0]))
             records.append(parse_one(norm, start, end, block_no))
         except RecordParseError as exc:
             errors.append(exc)

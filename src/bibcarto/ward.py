@@ -18,8 +18,9 @@ scaled once by the equal-mass factor m m / (m + m), which gives the
 same bits as scaling each row. A merge gives the merged cluster the
 slot of its smaller-id part and fills that slot's row and column in one
 vector step by the Lance-Williams recurrence for Ward; the other part's
-slot dies and its column becomes infinity. Nothing is reallocated. The recurrence agrees with direct centroid recomputation
-to within 1e-9, not bit for bit.
+slot dies and its column becomes infinity. Nothing is reallocated. The
+recurrence agrees with direct centroid recomputation to within 1e-9,
+not bit for bit.
 
 Each slot caches its row minimum and a column that attains it, after
 Müllner's "generic" algorithm (arXiv:1109.2378, section 3.1). After a
@@ -135,8 +136,7 @@ def embed_for_clustering(
             )
         labels.append(label)
         blocks.append(coords[None, :])
-    coords = np.vstack(blocks) if blocks else np.zeros((0, d))
-    return PointSet(tuple(labels), coords, np.ones(len(labels)))
+    return PointSet(tuple(labels), np.vstack(blocks), np.ones(len(labels)))
 
 
 def ward_hac(points: PointSet) -> Dendrogram:

@@ -176,6 +176,41 @@ def test_tables_reports_exclusions_before_an_empty_table_error(tmp_path, capsys)
     assert "no (record, label) incidences" in err
 
 
+def test_tables_skip_message_counts_yearless_records(tmp_path, capsys):
+    # build_table skips a record with no year as well as one outside the range
+    path = _write(tmp_path / "three.txt", "T   Neural network training\n"
+                  "K   computational biology\nU   J THINGS 2000\n\n"
+                  "T   Neural network pruning\nU   J THINGS\n\n"
+                  "T   Neural network theory\nU   J THINGS 2005\n")
+    assert main(["tables", "--records", str(path), "--years", "1999:2000",
+                 "-o", str(tmp_path / "t.csv")]) == 0
+    assert ("bibcarto: skipped 2 record(s) with no year or a year outside 1999..2000\n"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("years, reason", [("1999-2000", "expected FIRST:LAST, got"),
+                                           ("2000:1999", "empty year range")])
+def test_tables_malformed_years_is_usage_error(years, reason, toy_corpus_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["tables", "--records", str(toy_corpus_file), "--years", years])
+    assert err.value.code == 2
+    assert f"--years: {reason} {years!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, shown", [
+    ("tables", [f"(default {RunConfig.year_range[0]}:{RunConfig.year_range[1]})",
+                *map(repr, RunConfig.exclusion_terms)]),
+    ("analyze", [f"(default {RunConfig.k})", f"(default {RunConfig.output_dir})"]),
+])
+def test_help_names_each_run_config_default(command, shown, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    for default in shown:
+        assert default in text
+
+
 def test_tables_fixture_export(tmp_path):
     out = tmp_path / "t1.csv"
     assert main(["tables", "--fixture", "Table1", "-o", str(out)]) == 0
@@ -425,12 +460,15 @@ REJECTED_INPUTS = {
     "config-exclusion-terms-blank": ({"exclusion_terms": ["galaxy", " "]}, None, "tables",
                                      "exclusion_terms"),
     "config-unknown-key": ({"kk": 3}, None, "analyze", "kk"),
+    "config-not-an-object": ([1], None, "analyze", ": config must be a JSON object"),
     "csv-empty": (None, "", "analyze", ":1:"),
     "csv-overflow": (None, "label,1994,1995\nx,99999999999999999999,1\n", "analyze", ":2:"),
     "csv-ragged": (None, "label,1994,1995\nx,1,2\ny,3\n", "analyze", ":3:"),
     "csv-non-integer": (None, "label,1994,1995\nx,1,2\ny,3,z\n", "analyze", ":3:"),
     "csv-header-only": (None, "label,1994,1995\n", "analyze", ":1:"),
     "csv-year-too-long": (None, f"label,{'1' * 5000}\nx,1\n", "analyze", ":1:"),
+    "csv-field-too-large": (None, f"label,1994,1995\na,1,2\nb,{'1' * 200_000},1\n", "analyze",
+                            ":3: field larger than field limit"),
     "csv-zero-row": (None, "label,1994,1995\na,0,0\nb,1,2\nc,2,1\n", "analyze",
                      ": row 'a' has zero mass"),
     "csv-1x1": (None, "label,1994\na,3\n", "analyze", "2x2"),

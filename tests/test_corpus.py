@@ -470,6 +470,11 @@ def test_contingency_table_rejects_bad_input():
         ContingencyTable(("a",), (1,), np.array([[1, 2]]))
 
 
+def test_contingency_table_rejects_duplicate_column_labels():
+    with pytest.raises(ValueError, match="duplicate column labels"):
+        ContingencyTable(("a",), (1, 1), np.array([[1, 2]]))
+
+
 def test_contingency_table_csv_round_trip():
     table = load_fixture("Table2")
     again = ContingencyTable.from_csv(table.to_csv())

@@ -1,4 +1,5 @@
 import random
+import re
 import string
 
 import pytest
@@ -381,7 +382,7 @@ def test_bad_line_search_flags_exactly_the_lines_the_rule_rejects(pieces):
         flagged = {norm.count("\n", 0, m.start() + 1): m[0][1:]
                    for m in records._BAD_LINE[fmt].finditer(norm)}
         rejected = {n: line for n, line in enumerate(lines, 1)
-                    if line.strip() and not records._LINE[fmt].match(line)}
+                    if line.strip() and not re.match(records._LINE_RULES[fmt], line)}
         assert flagged == rejected
 
 

@@ -34,6 +34,15 @@ def test_pointset_validation():
         PointSet(("a", "b"), np.zeros((2, 1)), np.array([1.0, 2.0]))
 
 
+def test_pointset_rejects_misshapen_coords_and_masses():
+    for coords in (np.zeros(2), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="coords must be one row per label"):
+            PointSet(("a", "b"), coords, np.ones(2))
+    for masses in (np.ones(3), np.ones((2, 1))):
+        with pytest.raises(ValueError, match="one mass per label required"):
+            PointSet(("a", "b"), np.zeros((2, 1)), masses)
+
+
 def test_embed_table2_has_32_points_in_13_dims():
     result = ca_fit(load_fixture("Table2"))
     points = embed_for_clustering(result)
