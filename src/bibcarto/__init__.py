@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("DataError",),
     "records": ("BibRecord", "RecordFormat", "RecordParseError", "detect_format",
-                "parse_personal_alert", "parse_records", "parse_research_alert"),
+                "parse_records"),
     "fixtures": (),
     "corpus": ("ContingencyTable", "DisciplineLexicon", "ProfileCatalog", "build_table",
                "filter_records", "load_fixture", "match_profiles", "tag_disciplines"),

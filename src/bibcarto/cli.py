@@ -139,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse alert files to JSON lines")
     p.add_argument("files", nargs="+")
-    p.add_argument("--format", choices=sorted(FORMAT_NAMES))
+    p.add_argument("--format", choices=sorted(FORMAT_NAMES),
+                   help="read each file in this format instead of detecting it; with "
+                        "--lenient, keep the good records of a file that detection rejects")
     p.add_argument("--lenient", action="store_true",
                    help="keep going on malformed records, report them at the end")
     p.add_argument("-o", "--output", help="write records here instead of stdout")
@@ -163,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="PHRASE",
                    help="title phrase to exclude (repeatable; default: "
                         f"{', '.join(map(repr, RunConfig.exclusion_terms))})")
-    p.add_argument("--format", choices=sorted(FORMAT_NAMES))
     p.add_argument("-o", "--output", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_tables)
 
@@ -184,16 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("search", help="query records or fetch similar ones")
-    p.add_argument("query", nargs="?",
-                   help="terms, AND-separated; field:term pins a field "
-                        "(give the query before --records)")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("query", nargs="?",
+                      help="terms, AND-separated; field:term pins a field "
+                           "(give the query before --records)")
     p.add_argument("--records", nargs="+", required=True, help="alert files to index")
-    p.add_argument("--mlt", type=int, metavar="ID",
-                   help="show the three records most like this record id")
+    mode.add_argument("--mlt", type=int, metavar="ID",
+                      help="show the three records most like this record id")
     p.add_argument("--page", type=_positive_int, help="page of QUERY's results (default 1)")
-    p.add_argument("--interactive", action="store_true",
-                   help="read queries from stdin until EOF or 'q'")
-    p.add_argument("--format", choices=sorted(FORMAT_NAMES))
+    mode.add_argument("--interactive", action="store_true",
+                      help="read queries from stdin until EOF or 'q'")
     p.set_defaults(func=cmd_search)
 
     return parser
@@ -220,7 +221,7 @@ def main(argv=None) -> int:
         return 1
 
 
-def _parse_all(paths, fmt_name, lenient=False):
+def _parse_all(paths, fmt_name=None, lenient=False):
     fmt = FORMAT_NAMES[fmt_name] if fmt_name else None
     all_records, all_errors = [], []
     for path in paths:
@@ -256,7 +257,7 @@ def cmd_parse(args) -> int:
 def cmd_tables(args) -> int:
     if args.fixture:
         # a bundled table is exported as it is; a flag that builds a table would be ignored
-        for flag in ("kind", "catalog", "lexicon", "years", "exclude", "format"):
+        for flag in ("kind", "catalog", "lexicon", "years", "exclude"):
             if getattr(args, flag) is not None:
                 print(f"bibcarto: --{flag} applies only to --records", file=sys.stderr)
                 return 2
@@ -270,7 +271,7 @@ def cmd_tables(args) -> int:
             print(f"bibcarto: {flag} applies only to --kind {other}", file=sys.stderr)
             return 2
         config = load_config()
-        recs, _ = _parse_all(args.records, args.format)
+        recs, _ = _parse_all(args.records)
         exclusions = tuple(args.exclude) if args.exclude is not None else config.exclusion_terms
         kept, dropped = corpus.filter_records(recs, exclusions)
         if dropped:
@@ -447,18 +448,11 @@ def _stdin_lines():
 
 
 def cmd_search(args) -> int:
-    # one of QUERY (paged by --page), --mlt and --interactive; any other flag would be ignored
-    modes = [name for name, given in (("QUERY", args.query is not None),
-                                      ("--mlt", args.mlt is not None),
-                                      ("--interactive", args.interactive)) if given]
-    if len(modes) > 1:
-        print(f"bibcarto: search takes one of QUERY, --mlt and --interactive, "
-              f"got {' and '.join(modes)}", file=sys.stderr)
+    if args.page is not None and args.query is None:
+        mode = "--mlt" if args.mlt is not None else "--interactive"
+        print(f"bibcarto: --page applies only to a QUERY, not to {mode}", file=sys.stderr)
         return 2
-    if args.page is not None and modes and modes[0] != "QUERY":
-        print(f"bibcarto: --page applies only to a QUERY, not to {modes[0]}", file=sys.stderr)
-        return 2
-    recs, _ = _parse_all(args.records, args.format)
+    recs, _ = _parse_all(args.records)
     index = search.build_index(recs)
     if args.mlt is not None:
         similar = search.more_like_this(index, args.mlt)
@@ -474,10 +468,6 @@ def cmd_search(args) -> int:
                 break
             _run_query(index, line, 1)
         return 0
-    if not args.query:
-        print("bibcarto: search needs a query, --mlt, or --interactive",
-              file=sys.stderr)
-        return 2
     return _run_query(index, args.query, args.page or 1)
 
 

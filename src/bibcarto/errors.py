@@ -37,14 +37,17 @@ def read_file(path, parse):
     other DataError from ``parse`` is raised again as a DataError whose
     message starts with ``path``."""
     # The mark holds no line break, so line numbers still count from the file's start.
+    # Line ends become "\n" before decoding (UTF-8 holds byte 0x0d only as "\r"), so a
+    # bad byte is counted on the line the text gives it.
     data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise InputFormatError(line_no, f"not UTF-8: byte 0x{data[exc.start]:02x}", path) from None
     try:
-        return parse(text.replace("\r\n", "\n").replace("\r", "\n"))
+        return parse(text)
     except InputFormatError as exc:
         raise type(exc)(exc.line_no, exc.reason, path) from None
     except DataError as exc:

@@ -196,11 +196,6 @@ def detect_format(text: str) -> RecordFormat:
     raise AmbiguousFormatError("input matches no alert format: " + "; ".join(misses))
 
 
-def parse_research_alert(text: str) -> list[BibRecord]:
-    """Parse a stream of blank-line-separated Research Alert records."""
-    return parse_records(text, RecordFormat.RESEARCH_ALERT)
-
-
 def _parse_ra_record(norm: str, start: int, end: int, block_no: int) -> BibRecord:
     parts: dict[str, list[str]] = {}
     for tag, value in _RA_FIELD.findall(norm, start, end):
@@ -223,11 +218,6 @@ def _parse_ra_record(norm: str, start: int, end: int, block_no: int) -> BibRecor
         _squash(" ".join(get("W", ()))),
         extract_year(source),
     )
-
-
-def parse_personal_alert(text: str) -> list[BibRecord]:
-    """Parse a stream of Personal Alert records (one per TITLE: header)."""
-    return parse_records(text, RecordFormat.PERSONAL_ALERT)
 
 
 def _parse_pa_record(norm: str, start: int, end: int, block_no: int) -> BibRecord:

@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import csv
 import importlib.util
@@ -211,6 +212,32 @@ def test_help_names_each_run_config_default(command, shown, capsys):
         assert default in text
 
 
+def _readme_synopsis() -> dict[str, str]:
+    """Each command's lines in README's command synopsis block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = {}
+    for line in block.splitlines():
+        if line.startswith("bibcarto "):
+            command = line.split()[1]
+        if line.strip():
+            lines[command] = lines.get(command, "") + line + "\n"
+    return lines
+
+
+def test_readme_synopsis_names_the_options_of_each_command():
+    synopsis = _readme_synopsis()
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(synopsis) == sorted(commands)
+    for command, parser in commands.items():
+        named = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", synopsis[command]))
+        options = [action.option_strings for action in parser._actions
+                   if action.option_strings and not isinstance(action, argparse._HelpAction)]
+        assert [o for o in options if not named & set(o)] == [], command
+        assert named <= {o for strings in options for o in strings}, command
+
+
 def test_tables_fixture_export(tmp_path):
     out = tmp_path / "t1.csv"
     assert main(["tables", "--fixture", "Table1", "-o", str(out)]) == 0
@@ -223,7 +250,6 @@ def test_tables_fixture_export(tmp_path):
     ("--lexicon", "/nonexistent/lexicon.txt"),
     ("--years", "2000:2001"),
     ("--exclude", "x"),
-    ("--format", "research-alert"),
 ])
 def test_tables_fixture_with_a_records_flag_is_usage_error(flag, value, tmp_path, capsys):
     out = tmp_path / "t.csv"
@@ -351,6 +377,11 @@ def test_analyze_axes_limit(tmp_path):
     assert header == "label,kind,axis1,axis2"
 
 
+def test_analyze_error_about_a_bundled_table_names_no_file(tmp_path, capsys):
+    assert main(["analyze", "--fixture", "Table2", "--k", "1000", "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "bibcarto: error: k must be in 1..32, got 1000\n"
+
+
 def test_analyze_mismatched_supplementary_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("label,1994,1995\nx,1,2\n", encoding="utf-8")
@@ -469,6 +500,8 @@ REJECTED_INPUTS = {
     "csv-year-too-long": (None, f"label,{'1' * 5000}\nx,1\n", "analyze", ":1:"),
     "csv-field-too-large": (None, f"label,1994,1995\na,1,2\nb,{'1' * 200_000},1\n", "analyze",
                             ":3: field larger than field limit"),
+    "csv-all-zero": (None, "label,1994,1995\na,0,0\nb,0,0\n", "analyze",
+                     ": table has no incidences"),
     "csv-zero-row": (None, "label,1994,1995\na,0,0\nb,1,2\nc,2,1\n", "analyze",
                      ": row 'a' has zero mass"),
     "csv-1x1": (None, "label,1994\na,3\n", "analyze", "2x2"),
@@ -518,6 +551,9 @@ REJECTED_FILES = {
     "records-bom-not-utf8": ("--records", codecs.BOM_UTF8 + b"T   fine\nU   J THINGS 1999\n"
                              b"\nT   caf\xe9\n", ":4:"),
     "catalog-bom-not-utf8": ("--catalog", codecs.BOM_UTF8 + b"\xffWard63\tWARD JH 63\n", ":1:"),
+    # "\r\n" and "\r" end a line, as they do for the parser
+    "records-cr-not-utf8": ("--records", b"T  a\rT  b\rT  c\xff", ":3:"),
+    "records-crlf-not-utf8": ("--records", b"T  a\r\nT  b\r\nT  c\xff", ":3:"),
 }
 
 
@@ -748,6 +784,18 @@ _vocabulary_texts = st.text(max_size=40) | st.lists(
 ).map(lambda lines: "\n".join(key + sep + terms for key, sep, terms in lines))
 
 
+@settings(max_examples=200, deadline=None)
+@given(text=_alert_texts, fmt=st.sampled_from(records.RecordFormat))
+def test_a_format_that_parses_a_text_is_the_one_detected(text, fmt):
+    # so tables and search, which detect each file's format, read what a named format would
+    try:
+        named = records.parse_records(text, fmt)
+    except records.RecordParseError:
+        return
+    if text.strip():
+        assert records.parse_records(text) == named
+
+
 def _file_bytes(texts):
     """Text as UTF-8 (two times in three), or arbitrary bytes (mostly not UTF-8)."""
     utf8 = texts.map(lambda t: t.encode("utf-8"))
@@ -841,20 +889,29 @@ def test_search_bad_query_is_usage_error(toy_corpus_file, capsys):
 
 
 def test_search_without_query_is_usage_error(toy_corpus_file, capsys):
-    assert main(["search", "--records", str(toy_corpus_file)]) == 2
+    with pytest.raises(SystemExit) as err:
+        main(["search", "--records", str(toy_corpus_file)])
+    assert err.value.code == 2
+    assert "one of the arguments query --mlt --interactive is required" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, named", [
-    (["network", "--mlt", "1"], "QUERY and --mlt"),
-    (["network", "--interactive"], "QUERY and --interactive"),
-    (["--mlt", "1", "--interactive"], "--mlt and --interactive"),
+    (["network", "--mlt", "1"], "argument --mlt: not allowed with argument query"),
+    (["network", "--interactive"], "argument --interactive: not allowed with argument query"),
+    (["--mlt", "1", "--interactive"], "argument --interactive: not allowed with argument --mlt"),
     (["--interactive", "--page", "3"], "--page applies only to a QUERY, not to --interactive"),
     (["--mlt", "1", "--page", "3"], "--page applies only to a QUERY, not to --mlt"),
 ], ids=["query-mlt", "query-interactive", "mlt-interactive", "interactive-page", "mlt-page"])
 def test_search_flags_of_two_modes_are_usage_error(flags, named, toy_corpus_file, capsys,
                                                    monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("network\nq\n"))
-    assert main(["search", *flags, "--records", str(toy_corpus_file)]) == 2
+    argv = ["search", *flags, "--records", str(toy_corpus_file)]
+    if "not allowed with argument" in named:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == 2
     out, err = capsys.readouterr()
     assert named in err
     assert out == ""

@@ -22,8 +22,7 @@ SURFACE = {
     "embed_for_clustering": "ward", "export_dendrogram": "ward",
     "filter_records": "corpus", "inertia_report": "ca", "load_fixture": "corpus",
     "match_profiles": "corpus", "more_like_this": "search",
-    "parse_personal_alert": "records", "parse_query": "search",
-    "parse_records": "records", "parse_research_alert": "records",
+    "parse_query": "search", "parse_records": "records",
     "project_supplementary_col": "ca", "project_supplementary_row": "ca",
     "tag_disciplines": "corpus", "ward_hac": "ward",
 }
@@ -56,7 +55,7 @@ def test_the_cli_imports_in_a_fresh_interpreter():
 
 
 def test_public_surface():
-    assert len(SURFACE) == 33
+    assert len(SURFACE) == 31
     assert bibcarto.__all__ == list(SURFACE)
     for name, module in SURFACE.items():
         assert getattr(bibcarto, name) is getattr(importlib.import_module(f"bibcarto.{module}"),
@@ -72,3 +71,7 @@ def test_public_surface():
     assert {*SURFACE, *SUBMODULES, "__version__"} <= listed
     # and no private helper
     assert [name for name in listed if name.startswith("_") and not name.startswith("__")] == []
+
+
+def test_dir_lists_every_public_name_and_submodule():
+    assert {*bibcarto.__all__, *SUBMODULES} <= set(dir(bibcarto))

@@ -20,10 +20,8 @@ from bibcarto.records import (
     extract_year,
     from_json_line,
     load_records,
-    parse_personal_alert,
     parse_records,
     parse_records_lenient,
-    parse_research_alert,
     to_json_line,
 )
 
@@ -51,7 +49,7 @@ def test_detect_garbage_names_offending_lines():
 
 
 def test_research_alert_golden(research_alert_text):
-    (rec,) = parse_research_alert(research_alert_text)
+    (rec,) = parse_records(research_alert_text, RecordFormat.RESEARCH_ALERT)
     assert rec.title == "Learning to Set-Up Numerical Optimizations of Engineering Designs"
     assert rec.authors == ["SCHWABAC.M", "ELLMAN T", "HIRSH H"]
     assert rec.keywords == ["MATHEMATICAL SCIENCES - Computer Science"]
@@ -65,7 +63,7 @@ def test_research_alert_golden(research_alert_text):
 
 
 def test_personal_alert_golden(personal_alert_text):
-    (rec,) = parse_personal_alert(personal_alert_text)
+    (rec,) = parse_records(personal_alert_text, RecordFormat.PERSONAL_ALERT)
     assert rec.title.startswith("Multiscale spatial variation of the bark beetle")
     assert rec.title.endswith("(Landes de Gascogne, Southwestern France) (Article, English)")
     assert rec.authors == [
@@ -88,8 +86,8 @@ def test_personal_alert_golden(personal_alert_text):
 def test_split_title_joins_byte_identical():
     split = "T       Learning to Set-Up Numerical Optimizations of\nT       Engineering Designs\nW.      X Y 99\n"
     joined = "T       Learning to Set-Up Numerical Optimizations of Engineering Designs\nW.      X Y 99\n"
-    (a,) = parse_research_alert(split)
-    (b,) = parse_research_alert(joined)
+    (a,) = parse_records(split, RecordFormat.RESEARCH_ALERT)
+    (b,) = parse_records(joined, RecordFormat.RESEARCH_ALERT)
     assert a.title == b.title
 
 
@@ -101,54 +99,54 @@ def test_extract_year_keeps_years_from_first_to_last_year(year, kept):
 
 def test_missing_profile_citation_is_not_a_parse_error():
     text = "T      Some Title\nA      AUTHOR ONE\nA      AUTHOR TWO\n"
-    (rec,) = parse_research_alert(text)
+    (rec,) = parse_records(text, RecordFormat.RESEARCH_ALERT)
     assert rec.profile_citations == []
     assert rec.authors == ["AUTHOR ONE", "AUTHOR TWO"]
 
 
 def test_multiple_cited_profile_lines():
     text = "T   Title\nW.  BREIMAN L 84\nW.  RIPLEY BD 81\n"
-    (rec,) = parse_research_alert(text)
+    (rec,) = parse_records(text, RecordFormat.RESEARCH_ALERT)
     assert rec.profile_citations == ["BREIMAN L 84", "RIPLEY BD 81"]
 
 
 def test_unknown_tag_names_line():
     text = "T   ok title\nX   mystery\n"
     with pytest.raises(UnknownTagError) as err:
-        parse_research_alert(text)
+        parse_records(text, RecordFormat.RESEARCH_ALERT)
     assert err.value.line_no == 2
     assert err.value.tag == "X"
 
 
 def test_indented_tag_line_rejected():
     with pytest.raises(UnknownTagError):
-        parse_research_alert("T  fine\n  T  sneaky indent\n")
+        parse_records("T  fine\n  T  sneaky indent\n", RecordFormat.RESEARCH_ALERT)
 
 
 def test_missing_title_names_block():
     text = "T   first\n\nA   ORPHAN AUTHOR\n"
     with pytest.raises(MissingTitleError) as err:
-        parse_research_alert(text)
+        parse_records(text, RecordFormat.RESEARCH_ALERT)
     assert err.value.block_no == 2
 
 
 def test_unknown_header_names_line():
     text = "TITLE:  ok\nFOO: mystery\n"
     with pytest.raises(UnknownHeaderError) as err:
-        parse_personal_alert(text)
+        parse_records(text, RecordFormat.PERSONAL_ALERT)
     assert err.value.line_no == 2
     assert err.value.header == "FOO"
 
 
 def test_personal_alert_headers_before_title():
     with pytest.raises(MissingTitleError) as err:
-        parse_personal_alert("AUTHOR: Orphan, A\n\nTITLE: real record\n")
+        parse_records("AUTHOR: Orphan, A\n\nTITLE: real record\n", RecordFormat.PERSONAL_ALERT)
     assert err.value.block_no == 1
 
 
 def test_personal_alert_without_keywords_plus():
     text = "TITLE: something\nSOURCE: J STUFF 3 (1). JAN 5 2005. p.1-2\n"
-    (rec,) = parse_personal_alert(text)
+    (rec,) = parse_records(text, RecordFormat.PERSONAL_ALERT)
     assert rec.keywords_plus == []
     assert rec.year == 2005
 
@@ -177,14 +175,14 @@ def test_personal_alert_multiple_records():
         "KEYWORDS: k1; k2\n\n"
         "TITLE: second one\nSOURCE: B 2005.\n"
     )
-    records = parse_personal_alert(text)
+    records = parse_records(text, RecordFormat.PERSONAL_ALERT)
     assert [r.title for r in records] == ["first one", "second one"]
     assert records[0].keywords == ["k1", "k2"]
 
 
 def test_order_preserved_research_alert():
     text = "".join(f"T   title {i}\n\n" for i in range(7))
-    titles = [r.title for r in parse_research_alert(text)]
+    titles = [r.title for r in parse_records(text, RecordFormat.RESEARCH_ALERT)]
     assert titles == [f"title {i}" for i in range(7)]
 
 
@@ -267,7 +265,7 @@ def test_synthesized_research_alert_round_trips(title, authors, keywords, cited)
     lines += [f"K   {k}" for k in keywords]
     lines += [f"W.  {w}" for w in cited]
     text = "\n".join(lines) + "\n"
-    records = parse_research_alert(text)
+    records = parse_records(text, RecordFormat.RESEARCH_ALERT)
     assert load_records(dump_records(records)) == records
     (rec,) = records
     assert rec.title == _squash(title)
