@@ -184,12 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"output directory (default {RunConfig.output_dir})")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("search", help="query records or fetch similar ones")
+    # argparse cannot draw a required group that holds a positional, so the
+    # usage line, which would show all three modes as optional, is written out
+    p = sub.add_parser("search", help="query records or fetch similar ones",
+                       usage="%(prog)s [-h] (QUERY | --mlt ID | --interactive) "
+                             "--records FILE [FILE ...] [--page PAGE]")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("query", nargs="?",
                       help="terms, AND-separated; field:term pins a field "
                            "(give the query before --records)")
-    p.add_argument("--records", nargs="+", required=True, help="alert files to index")
+    p.add_argument("--records", nargs="+", required=True, metavar="FILE",
+                   help="alert files to index")
     mode.add_argument("--mlt", type=int, metavar="ID",
                       help="show the three records most like this record id")
     p.add_argument("--page", type=_positive_int, help="page of QUERY's results (default 1)")

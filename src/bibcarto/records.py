@@ -273,11 +273,8 @@ def _split_qualifier(entry: str) -> tuple[str, str]:
 
 def parse_records(text: str, fmt: RecordFormat | None = None) -> list[BibRecord]:
     """Parse alert text in the given (or auto-detected) format, raising
-    the first RecordParseError."""
-    records, errors = parse_records_lenient(text, fmt)
-    if errors:
-        raise errors[0]
-    return records
+    the first RecordParseError as soon as it is found."""
+    return _parse(text, fmt, strict=True)[0]
 
 
 def parse_records_lenient(
@@ -289,11 +286,21 @@ def parse_records_lenient(
     AmbiguousFormatError as the only error: there is no sound way to
     carve records out of text in an unknown grammar.
     """
+    return _parse(text, fmt, strict=False)
+
+
+def _parse(
+    text: str, fmt: RecordFormat | None, strict: bool
+) -> tuple[list[BibRecord], list[RecordParseError]]:
+    """The records and errors of ``text``; a strict parse raises the first
+    error instead, and reads no record past it."""
     norm = _norm(text)
     if fmt is None:
         try:
             fmt = detect_format(text)
         except AmbiguousFormatError as exc:
+            if strict:
+                raise
             return [], [exc]
         bad = []  # detection found no bad line for this format
     else:
@@ -320,6 +327,8 @@ def parse_records_lenient(
                                                else line.split(":")[0]))
             records.append(parse_one(norm, start, end, block_no))
         except RecordParseError as exc:
+            if strict:
+                raise
             errors.append(exc)
     return records, errors
 

@@ -1,6 +1,12 @@
 """In-memory inverted index over bibliographic records.
 
-Tokens are maximal alphanumeric runs, lowercased; indexed fields are
+A token is a maximal run of ASCII ``0-9a-z`` in the lowercased text;
+every other character separates tokens, so ``café`` gives ``caf``,
+``naïve`` gives ``na`` and ``ve``, ``İstanbul`` (whose lowercase is
+``i`` plus a combining dot) gives ``i`` and ``stanbul``, and ``٣``
+gives none. The rule is one 256-byte table that keeps ``0-9a-z`` and
+maps every other byte to a space, applied to the text encoded as ASCII
+with ``"replace"`` (one byte per character). Indexed fields are
 title, authors, source, keywords, keywords_plus and address. Queries
 are conjunctions: the (case-sensitive) keyword AND separates terms,
 ``field:term`` pins a term to one field, bare terms match in any field.
@@ -23,13 +29,19 @@ field; "more like this" first counts the shared distinct terms of each
 field as integers, then adds ``weight * count`` in ``FIELDS`` order.
 Each record's score is thus the same float, bit for bit, and ties
 fall to the smaller record id.
+
+``build_index`` tokenizes a block of 256 records at a time in one
+pass through the token table, rather than each field on its own, and
+reduces the block at once to one integer code per token. The block is
+bounded to keep peak memory down (see ``build_index``).
 """
 from __future__ import annotations
 
 import itertools
 import math
 import numbers
-import re
+import operator
+import string
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -41,6 +53,7 @@ from .errors import DataError
 from .records import BibRecord
 
 FIELDS = ("title", "authors", "source", "keywords", "keywords_plus", "address")
+_FIELD_VALUES = operator.attrgetter(*FIELDS)
 _FIELD_ALIASES = {"author": "authors", "keyword": "keywords"}
 DEFAULT_FIELD_WEIGHTS = {
     "title": 3.0,
@@ -52,7 +65,11 @@ DEFAULT_FIELD_WEIGHTS = {
 }
 PAGE_SIZE = 10
 
-_TOKEN_RE = re.compile(r"[0-9a-z]+")
+# The token rule: ASCII 0-9 and a-z are kept, every other byte becomes a space.
+_TOKEN_TABLE = bytes(c if chr(c) in string.digits + string.ascii_lowercase else ord(" ")
+                     for c in range(256))
+# Records per block pass of build_index: a bound on its peak memory (see there).
+_BLOCK = 256
 
 
 class QueryError(DataError):
@@ -75,15 +92,21 @@ class FieldWeightError(DataError):
     pass
 
 
+def _token_bytes(lowered: str) -> bytes:
+    """``lowered`` with every character outside ``0-9a-z`` made a space, as
+    one byte per character, so offsets are those of ``lowered``."""
+    return lowered.encode("ascii", "replace").translate(_TOKEN_TABLE)
+
+
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    return _token_bytes(text.lower()).decode("ascii").split()
 
 
-def _field_text(record: BibRecord, name: str) -> str:
-    value = getattr(record, name)
-    if isinstance(value, list):
-        return " ; ".join(value)
-    return value
+def _field_texts(record: BibRecord) -> list[str]:
+    """The text of each of the record's ``FIELDS``, in order; a list field's
+    items are joined with " ; "."""
+    return [value if isinstance(value, str) else " ; ".join(value)
+            for value in _FIELD_VALUES(record)]
 
 
 class Conjunct(NamedTuple):
@@ -181,28 +204,53 @@ def _checked_weights(field_weights: dict[str, float] | None) -> dict[str, float]
 def build_index(
     records: list[BibRecord], field_weights: dict[str, float] | None = None
 ) -> Index:
+    """Index ``records`` (ids are their positions) under ``field_weights``,
+    by default ``DEFAULT_FIELD_WEIGHTS``.
+
+    A block of records is tokenized in one pass. The lowercased texts of
+    its (record, field) slots are joined with spaces, translated through
+    the token table and split once; each token's slot is found by binary
+    search of its start offset among the slots' ends (each character is
+    one byte, so byte offsets are text offsets). The block becomes one int64
+    (term, field, record) code per token before the next block starts,
+    and one ``np.unique`` over all the codes gives the postings.
+
+    Blocks bound the memory of the token strings. Freed at once, they
+    still pin the allocator's arenas: on 10,000 records (in process, parse
+    plus build), peak RSS was 87.5 MB with the whole corpus in one block,
+    61.8 MB with 1,024-record blocks, 57.5 MB with 256-record blocks and
+    59.7 MB when each field was tokenized on its own.
+    """
     weights = _checked_weights(field_weights)
-    # Number each distinct term in order of first occurrence, and each
-    # (record, field) slot as record id * len(FIELDS) + field position.
-    term_number = defaultdict(itertools.count().__next__)
-    token_terms, slot_sizes = [], []
-    for record in records:
-        for name in FIELDS:
-            tokens = tokenize(_field_text(record, name))
-            token_terms += map(term_number.__getitem__, tokens)
-            slot_sizes.append(len(tokens))
-    slots = np.repeat(np.arange(len(slot_sizes)), slot_sizes)
-    keys = np.array(token_terms, dtype=np.int64) * len(FIELDS) + slots % len(FIELDS)
-    del token_terms
-    # One sort of the tokens by (key, record id); the run length of each
-    # pair is the term frequency.
     doc_count = max(len(records), 1)
-    pairs, tf = np.unique(keys * doc_count + slots // len(FIELDS), return_counts=True)
-    # Free the per-token temporaries before allocating the arrays the index
+    # Number each distinct term in order of first occurrence, and each
+    # (record, field) slot of a block as its record's place in the block
+    # * len(FIELDS) + field position. A token's code is
+    # (term * len(FIELDS) + field position) * doc_count + record id.
+    term_number = defaultdict(itertools.count().__next__)
+    codes = [np.empty(0, np.int64)]
+    for first in range(0, len(records), _BLOCK):
+        texts = [text.lower() for record in records[first : first + _BLOCK]
+                 for text in _field_texts(record)]
+        # A space opens every slot's text, so slot s lies just before ends[s]
+        # and a token starts at a non-space byte after a space.
+        text = _token_bytes(" " + " ".join(texts))
+        word = np.frombuffer(text, np.uint8) != ord(" ")
+        ends = np.cumsum(np.fromiter(map(len, texts), np.int64, len(texts)) + 1)
+        slots = np.searchsorted(ends, np.flatnonzero(word[1:] > word[:-1]) + 1, side="right")
+        terms = np.fromiter(map(term_number.__getitem__, text.decode("ascii").split()),
+                            np.int64, len(slots))
+        codes.append((terms * len(FIELDS) + slots % len(FIELDS)) * doc_count
+                     + first + slots // len(FIELDS))
+    # One sort of the codes, by (key, record id); the run length of each
+    # code is the term frequency.
+    codes = np.concatenate(codes)
+    pairs, tf = np.unique(codes, return_counts=True)
+    # Free the per-token codes before allocating the arrays the index
     # keeps. Kept arrays allocated among them would pin the freed heap, and
     # the process would stay about 9 MB larger (at 10,000 records) for as
     # long as the index lives.
-    del keys, slots
+    del codes
     # pairs ascend, so the row of key k starts at the first pair >= k * doc_count
     starts = np.searchsorted(pairs, np.arange(len(term_number) * len(FIELDS) + 1) * doc_count)
     pairs %= doc_count
@@ -296,8 +344,8 @@ def more_like_this(index: Index, doc_id: int, limit: int = 3) -> list[int]:
         return []
     record = index.records[doc_id]
     total = np.zeros(index.doc_count)
-    for name in FIELDS:
-        terms = set(tokenize(_field_text(record, name)))
+    for name, text in zip(FIELDS, _field_texts(record)):
+        terms = set(tokenize(text))
         if terms:
             rows = [index.postings.row(term, name)[0] for term in terms]
             shared = np.bincount(np.concatenate(rows), minlength=index.doc_count)

@@ -2,8 +2,9 @@
 import csv
 import io
 import re
+import itertools
 import string
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from bibcarto.records import (
     UnknownHeaderError,
     UnknownTagError,
 )
-from bibcarto.search import FIELDS, tokenize
+from bibcarto.search import FIELDS, Postings, tokenize
 
 
 def random_table(rng, min_side=3, max_side=20) -> ContingencyTable:
@@ -199,6 +200,32 @@ def _doc_terms(records):
             per_field[name] = Counter(tokenize(text))
         out.append(per_field)
     return out
+
+
+def naive_tokenize(text):
+    """The token rule as a regular expression: maximal runs of ASCII 0-9a-z
+    in the lowercased text."""
+    return re.findall("[0-9a-z]+", text.lower())
+
+
+def naive_build_index(records):
+    """The postings built by tokenizing every (record, field) slot on its
+    own, with ``naive_tokenize``, and sorting all the tokens at once."""
+    term_number = defaultdict(itertools.count().__next__)
+    token_terms, slot_sizes = [], []
+    for record in records:
+        for name in FIELDS:
+            value = getattr(record, name)
+            tokens = naive_tokenize(" ; ".join(value) if isinstance(value, list) else value)
+            token_terms += map(term_number.__getitem__, tokens)
+            slot_sizes.append(len(tokens))
+    slots = np.repeat(np.arange(len(slot_sizes)), slot_sizes)
+    keys = np.array(token_terms, dtype=np.int64) * len(FIELDS) + slots % len(FIELDS)
+    doc_count = max(len(records), 1)
+    pairs, tf = np.unique(keys * doc_count + slots // len(FIELDS), return_counts=True)
+    starts = np.searchsorted(pairs, np.arange(len(term_number) * len(FIELDS) + 1) * doc_count)
+    pairs %= doc_count
+    return Postings(dict(term_number), starts, pairs.astype(np.int32), tf.astype(np.int32))
 
 
 def naive_ranked_matches(records, weights, query):

@@ -917,6 +917,21 @@ def test_search_flags_of_two_modes_are_usage_error(flags, named, toy_corpus_file
     assert out == ""
 
 
+def test_search_help_shows_the_one_of_three_rule_and_every_option(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["search", "--help"])
+    assert err.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    assert "(QUERY | --mlt ID | --interactive)" in usage
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    named = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", usage))
+    options = [action.option_strings for action in commands["search"]._actions
+               if action.option_strings]
+    assert [o for o in options if not named & set(o)] == []
+    assert named <= {o for strings in options for o in strings}
+
+
 def test_search_query_page_still_pages(toy_corpus_file, capsys):
     assert main(["search", "network", "--records", str(toy_corpus_file), "--page", "2"]) == 0
     assert "page 2" in capsys.readouterr().out

@@ -333,6 +333,43 @@ def test_parser_equals_the_oracle(text, fmt):
     assert [(type(e), str(e)) for e in got_errors] == [(type(e), str(e)) for e in want_errors]
 
 
+@settings(max_examples=600, deadline=None)
+@given(text=_alert_texts(), fmt=st.sampled_from([None, *RecordFormat]))
+def test_strict_parse_raises_the_first_lenient_error(text, fmt):
+    want, want_errors = parse_records_lenient(text, fmt)
+    if want_errors:
+        with pytest.raises(type(want_errors[0])) as caught:
+            parse_records(text, fmt)
+        assert str(caught.value) == str(want_errors[0])
+    else:
+        assert [to_json_line(r) for r in parse_records(text, fmt)] == \
+            [to_json_line(r) for r in want]
+
+
+@pytest.mark.parametrize("fmt, bad, error, assembled", [
+    (RecordFormat.RESEARCH_ALERT, "X   unknown tag", UnknownTagError, [1, 2]),
+    (None, "A   no title here", MissingTitleError, [1, 2, 3]),
+], ids=["unknown-tag", "no-title"])
+def test_strict_parse_assembles_no_record_after_the_first_error(fmt, bad, error, assembled,
+                                                               monkeypatch):
+    real = records._parse_ra_record
+    blocks = []
+
+    def spy(norm, start, end, block_no):
+        blocks.append(block_no)
+        return real(norm, start, end, block_no)
+
+    monkeypatch.setattr(records, "_parse_ra_record", spy)
+    text = "".join(f"T   record {i}\n\n" for i in (1, 2)) + bad + "\n\n" + \
+        "".join(f"T   record {i}\n\n" for i in range(4, 50))
+    with pytest.raises(error):
+        parse_records(text, fmt)
+    assert blocks == assembled
+    blocks.clear()
+    assert len(parse_records_lenient(text, fmt)[0]) == 48
+    assert len(blocks) == 49 - (error is UnknownTagError)
+
+
 def test_lenient_parse_detects_through_the_module_attribute(research_alert_text, monkeypatch):
     # perfbench's --trace 1 wraps records.detect_format; a call bound
     # some other way would escape it

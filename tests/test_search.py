@@ -4,7 +4,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bibcarto.errors import DataError
@@ -18,6 +18,7 @@ from bibcarto.search import (
     QueryError,
     UnknownFieldError,
     UnknownRecordError,
+    _BLOCK,
     build_index,
     more_like_this,
     parse_query,
@@ -26,7 +27,14 @@ from bibcarto.search import (
     tokenize,
 )
 
-from helpers import _doc_terms, linear_scan_search, naive_more_like_this, naive_ranked_matches
+from helpers import (
+    _doc_terms,
+    linear_scan_search,
+    naive_build_index,
+    naive_more_like_this,
+    naive_ranked_matches,
+    naive_tokenize,
+)
 
 
 def _record(title, authors=(), source="", keywords=(), keywords_plus=(), address=""):
@@ -326,6 +334,75 @@ def test_postings_rows_equal_the_token_counts(corpus):
             ids, tf = postings.row(term, name)
             assert ids.dtype == tf.dtype == np.int32
             assert list(zip(ids.tolist(), tf.tolist())) == expected.get((term, name), [])
+
+
+# Characters whose lowercase is longer (İ), ASCII (the Kelvin sign K), or
+# depends on context (final sigma), that fold to several (ß, ﬃ), a digit of
+# another script, a lone surrogate and control characters.
+_TRICKY = "\u0130\u212a\u03a3\u03c2\u00df\ufb03\u0663\ud800\x00\t\n"
+
+
+@settings(max_examples=1000)
+@given(text=st.text(st.characters(exclude_categories=()) | st.sampled_from(_TRICKY)))
+@example(text=_TRICKY)
+@example(text="A\u03a3 \u03a3b \u0130stanbul K9\ud800x")
+def test_tokenize_equals_the_regex(text):
+    assert tokenize(text) == naive_tokenize(text)
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("caf\u00e9", ["caf"]),
+    ("na\u00efve", ["na", "ve"]),
+    ("\u0130stanbul", ["i", "stanbul"]),
+    ("\u0663", []),
+])
+def test_tokens_are_runs_of_ascii_letters_and_digits(text, tokens):
+    assert tokenize(text) == tokens
+
+
+def _assert_same_postings(got, want):
+    assert list(got) == list(want)
+    for name in ("_starts", "_ids", "_tf"):
+        got_array, want_array = getattr(got, name), getattr(want, name)
+        assert got_array.dtype == want_array.dtype, name
+        assert np.array_equal(got_array, want_array), name
+
+
+def _random_corpus(count, rng):
+    """``count`` records of words from a small vocabulary with tricky
+    characters; about one field in three is empty and one record in five
+    repeats an earlier one."""
+    words = ["net", "Work", "net-work", "a1", "caf\u00e9", "\u0130stanbul", "K\u212a",
+             "\u03a3\u03c3\u03c2", "stra\u00dfe", "\ufb03x", "\u0663", "\ud800z", "n\x00t", "tab\tnl\n"]
+
+    def text():
+        return " ".join(rng.choices(words, k=rng.randrange(5))) if rng.random() > 0.3 else ""
+
+    records = []
+    for _ in range(count):
+        if records and rng.random() < 0.2:
+            records.append(rng.choice(records))
+            continue
+        records.append(_record(text(), authors=[text() for _ in range(rng.randrange(3))],
+                               source=text(), keywords=[text() for _ in range(rng.randrange(3))],
+                               keywords_plus=[text() for _ in range(rng.randrange(2))],
+                               address=text()))
+    return records
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_block_build_equals_the_per_field_build(count):
+    records = _random_corpus(count, random.Random(count))
+    _assert_same_postings(build_index(records).postings, naive_build_index(records))
+
+
+@settings(deadline=None, max_examples=200)
+@given(corpus=st.lists(st.builds(
+    _record, title=st.text(_TRICKY + "aZ9 ;-", max_size=8),
+    authors=st.lists(st.text(_TRICKY + "aZ9 ;-", max_size=6), max_size=2),
+    address=st.text(_TRICKY + "aZ9 ;-", max_size=8)), max_size=8))
+def test_build_index_equals_the_per_field_build_on_tricky_text(corpus):
+    _assert_same_postings(build_index(corpus).postings, naive_build_index(corpus))
 
 
 def _tie_heavy_corpus(n=300):
