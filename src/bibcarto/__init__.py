@@ -1,7 +1,9 @@
 """Citation-alert bibliography cartography toolkit.
 
-Each submodule and each public name below loads on first use (PEP 562),
-so ``bibcarto.records`` and ``bibcarto.errors`` import without numpy.
+Each submodule and each public name below loads on first use (PEP 562).
+Only ``ca``, ``ward`` and ``search`` import numpy, so of the commands only
+``analyze`` and ``search`` need it; ``ContingencyTable.counts`` loads it
+on first use.
 """
 from importlib import import_module as _import_module
 

@@ -24,9 +24,13 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import ca, corpus, records, search, ward
+from . import corpus, records
 from .errors import DataError, InputFormatError, read_file
+
+if TYPE_CHECKING:  # loaded by the commands that use them, as they load numpy
+    from . import ca, search, ward
 
 FORMAT_NAMES = {
     "research-alert": records.RecordFormat.RESEARCH_ALERT,
@@ -190,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                        usage="%(prog)s [-h] (QUERY | --mlt ID | --interactive) "
                              "--records FILE [FILE ...] [--page PAGE]")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("query", nargs="?",
+    mode.add_argument("query", nargs="?", metavar="QUERY",
                       help="terms, AND-separated; field:term pins a field "
                            "(give the query before --records)")
     p.add_argument("--records", nargs="+", required=True, metavar="FILE",
@@ -343,6 +347,8 @@ def run_analysis(
     any) into it, cluster every point with Ward, cut into ``k`` clusters
     and render coordinates.csv (``axes`` axes, default all retained),
     inertia.csv, dendrogram.nwk and partition.csv."""
+    from . import ca, ward
+
     result = ca.ca_fit(table)
     projected = []
     if supplementary is not None:
@@ -395,6 +401,8 @@ def _file_concerned(exc: DataError, args) -> str | None:
     """The file an error from :func:`run_analysis` is about (None for a
     bundled table): the supplementary table, the config for its ``k``,
     or the fitted table."""
+    from . import ca, ward
+
     if isinstance(exc, ca.SupplementaryError):
         return args.supplementary_table
     if isinstance(exc, ward.ClusterCountError) and args.k is None:
@@ -414,7 +422,9 @@ def _print_record(doc_id: int, record: records.BibRecord) -> None:
     print("-" * 60)
 
 
-def _run_query(index: search.Index, query_text: str, page: int) -> int:
+def _run_query(search, index: search.Index, query_text: str, page: int) -> int:
+    """Print page ``page`` of the matches of ``query_text``. ``search`` is the
+    module, imported once by :func:`cmd_search` rather than once per query."""
     try:
         query = search.parse_query(query_text)
     except search.QueryError as exc:
@@ -457,6 +467,8 @@ def cmd_search(args) -> int:
         mode = "--mlt" if args.mlt is not None else "--interactive"
         print(f"bibcarto: --page applies only to a QUERY, not to {mode}", file=sys.stderr)
         return 2
+    from . import search
+
     recs, _ = _parse_all(args.records)
     index = search.build_index(recs)
     if args.mlt is not None:
@@ -471,9 +483,9 @@ def cmd_search(args) -> int:
             line = line.strip()
             if not line or line == "q":
                 break
-            _run_query(index, line, 1)
+            _run_query(search, index, line, 1)
         return 0
-    return _run_query(index, args.query, args.page or 1)
+    return _run_query(search, index, args.query, args.page or 1)
 
 
 if __name__ == "__main__":

@@ -31,14 +31,19 @@ from __future__ import annotations
 import csv
 import io
 import re
+from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from typing import TYPE_CHECKING
 
 from . import fixtures
 from .errors import DataError, InputFormatError, read_file
 from .records import BibRecord
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_EXCLUSION_TERMS = ("galaxy cluster",)
 
@@ -245,30 +250,56 @@ def filter_records(
 
 @dataclass(frozen=True)
 class ContingencyTable:
-    """Labeled nonnegative count matrix, rows crossed by year columns."""
+    """Labeled nonnegative count matrix, rows crossed by year columns.
+
+    The counts are given as an array or as nested int sequences and kept
+    in ``rows``, a tuple of int tuples, so that building, reading and
+    writing a table needs no numpy. ``counts`` is the same matrix as a
+    read-only int64 array, made (and numpy loaded) on first use over the
+    packed bytes that the constructor checks the counts with."""
 
     row_labels: tuple[str, ...]
     col_labels: tuple
-    counts: np.ndarray
+    rows: tuple[tuple[int, ...], ...]
+    n: int = field(init=False, repr=False, compare=False)
+    _cells: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if arr.shape != (len(self.row_labels), len(self.col_labels)):
+        rows = self.rows.tolist() if hasattr(self.rows, "tolist") else self.rows
+        rows = tuple(map(tuple, rows))
+        if len(rows) != len(self.row_labels) or {*map(len, rows)} - {len(self.col_labels)}:
             raise ValueError("counts shape does not match labels")
-        if (arr < 0).any():
-            raise ValueError("negative counts")
         if len(set(self.row_labels)) != len(self.row_labels):
             raise ValueError("duplicate row labels")
         if len(set(self.col_labels)) != len(self.col_labels):
             raise ValueError("duplicate column labels")
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
+        # exact on Python ints; a float or numpy scalar anywhere makes the total one too
+        total = sum(map(sum, rows))
+        if type(total) is not int:
+            raise ValueError("counts must be integers")
+        try:
+            # Packed as unsigned 64-bit ints, which no negative count fits. The
+            # total caps every count at 2**63 - 1, so the bytes also read as int64.
+            cells = array("Q", chain.from_iterable(rows)).tobytes()
+        except OverflowError:
+            cells = None
+        if cells is None and min(map(min, rows)) < 0:
+            raise ValueError("negative counts")
+        if total > _MAX_TOTAL:
+            raise ValueError("counts total exceeds 2**63 - 1")
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n", total)
+        object.__setattr__(self, "_cells", cells)
 
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
+    @cached_property
+    def counts(self) -> np.ndarray:
+        import numpy as np
+
+        # read-only, as the bytes it views are
+        return np.frombuffer(self._cells, dtype=np.int64).reshape(len(self.rows),
+                                                                 len(self.col_labels))
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -276,7 +307,7 @@ class ContingencyTable:
             raise EmptyTableError("table has no incidences")
         return self.counts / self.n
 
-    def row(self, label: str) -> np.ndarray:
+    def row(self, label: str):
         return self.counts[self.row_labels.index(label)]
 
     def to_csv(self) -> str:
@@ -285,7 +316,7 @@ class ContingencyTable:
         counts = ",%d" * len(self.col_labels)
         lines = ["label" + "".join("," + csv_field(c) for c in self.col_labels)]
         lines += [csv_field(label, alone=not counts) + counts % tuple(row)
-                  for label, row in zip(self.row_labels, self.counts.tolist())]
+                  for label, row in zip(self.row_labels, self.rows)]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -329,7 +360,7 @@ class ContingencyTable:
                 if label in rows:
                     raise TableFormatError(line, f"duplicate row label {label!r}")
                 try:
-                    rows[label] = list(map(int, fields[1:]))
+                    rows[label] = tuple(map(int, fields[1:]))
                 except ValueError:
                     raise TableFormatError(line, "counts must be integers") from None
                 lines.append(line)
@@ -340,20 +371,16 @@ class ContingencyTable:
         if not rows:
             raise TableFormatError(header_line, "header but no rows")
         try:
-            counts = np.array(list(rows.values()), dtype=np.int64)
-        except OverflowError:
-            counts = None
-        # The float sum screens for totals near the int64 limit; the exact
-        # check below runs only on tables that fail the screen.
-        if counts is None or (counts < 0).any() or counts.sum(dtype=np.float64) >= 2**62:
+            return cls(tuple(rows), header, tuple(rows.values()))
+        except ValueError:  # a negative count or too large a total: find its line
             total = 0
             for line, row in zip(lines, rows.values()):
                 if min(row, default=0) < 0:
-                    raise TableFormatError(line, "negative count")
+                    raise TableFormatError(line, "negative count") from None
                 total += sum(row)
                 if total > _MAX_TOTAL:
-                    raise TableFormatError(line, "counts total exceeds 2**63 - 1")
-        return cls(tuple(rows), header, counts)
+                    raise TableFormatError(line, "counts total exceeds 2**63 - 1") from None
+            raise
 
 
 _MAX_TOTAL = 2**63 - 1  # largest int64
@@ -419,7 +446,7 @@ def build_table(
                 counts[i][j] += 1
     if not any(map(any, counts)):
         raise EmptyTableError("no (record, label) incidences in the year range")
-    return ContingencyTable(tuple(row_labels), cols, np.array(counts, dtype=np.int64)), skipped
+    return ContingencyTable(tuple(row_labels), cols, counts), skipped
 
 
 def _parse_fixture_table(text: str) -> ContingencyTable:
@@ -432,7 +459,7 @@ def _parse_fixture_table(text: str) -> ContingencyTable:
         parts = ln.split()
         labels.append(parts[0])
         rows.append([int(v) for v in parts[1:]])
-    return ContingencyTable(tuple(labels), years, np.array(rows))
+    return ContingencyTable(tuple(labels), years, rows)
 
 
 def load_fixture(name: str) -> ContingencyTable:

@@ -44,7 +44,10 @@ def read_file(path, parse):
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        # The parsers number lines by str.splitlines, so "\x0c" or U+2028 ends one
+        # too. The bytes before the bad one decode; the "_" stands for the bad
+        # byte, so a line end just before it starts a line of its own.
+        line_no = len((data[: exc.start].decode("utf-8") + "_").splitlines())
         raise InputFormatError(line_no, f"not UTF-8: byte 0x{data[exc.start]:02x}", path) from None
     try:
         return parse(text)

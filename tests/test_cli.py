@@ -576,6 +576,30 @@ def test_malformed_vocabulary_or_encoding_exits_1_naming_line(option, data, line
     assert err.startswith(f"bibcarto: error: {named}{line}")
 
 
+# The line ends of str.splitlines other than "\n", "\r" and "\r\n" (tested above).
+SPLITLINES_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("end", SPLITLINES_ENDS, ids=lambda end: f"U+{ord(end):04X}")
+@pytest.mark.parametrize("option", ["--records", "--lexicon"])
+def test_bad_byte_is_numbered_as_the_parser_numbers_a_bad_line(option, end, toy_corpus_file,
+                                                                 tmp_path, capsys):
+    # line 3 is bad, once by its text and once by a byte that is not UTF-8
+    good, bad = ((["T  a", "T  b"], "X  c") if option == "--records"
+                 else (["Net\tnetwork", "Med\tmed"], "Pots pot"))
+    reported = []
+    for name, data in (("text", end.join([*good, bad]).encode()),
+                       ("byte", end.join([*good, ""]).encode() + b"\xff")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        argv = (["parse", "--format", "research-alert", str(path)] if option == "--records"
+                else ["tables", "--records", str(toy_corpus_file), "--lexicon", str(path)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        reported.append(re.search(rf"{re.escape(str(path))}(?::|: line )(\d+): ", err)[1])
+    assert reported == ["3", "3"]
+
+
 # Input -> (its text, argv reading it as {path} and writing under {out}).
 # The config is read through BIBCARTO_CONFIG.
 BOM_INPUTS = {
@@ -892,12 +916,12 @@ def test_search_without_query_is_usage_error(toy_corpus_file, capsys):
     with pytest.raises(SystemExit) as err:
         main(["search", "--records", str(toy_corpus_file)])
     assert err.value.code == 2
-    assert "one of the arguments query --mlt --interactive is required" in capsys.readouterr().err
+    assert "one of the arguments QUERY --mlt --interactive is required" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, named", [
-    (["network", "--mlt", "1"], "argument --mlt: not allowed with argument query"),
-    (["network", "--interactive"], "argument --interactive: not allowed with argument query"),
+    (["network", "--mlt", "1"], "argument --mlt: not allowed with argument QUERY"),
+    (["network", "--interactive"], "argument --interactive: not allowed with argument QUERY"),
     (["--mlt", "1", "--interactive"], "argument --interactive: not allowed with argument --mlt"),
     (["--interactive", "--page", "3"], "--page applies only to a QUERY, not to --interactive"),
     (["--mlt", "1", "--page", "3"], "--page applies only to a QUERY, not to --mlt"),

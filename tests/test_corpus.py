@@ -475,6 +475,44 @@ def test_contingency_table_rejects_duplicate_column_labels():
         ContingencyTable(("a",), (1, 1), np.array([[1, 2]]))
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_contingency_table_from_lists_equals_from_array(seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(0, 8, size=2))
+    array = rng.integers(0, 10**6, size=shape, dtype=np.int64)
+    rows = tuple(f"r{i}" for i in range(shape[0]))
+    cols = tuple(range(1994, 1994 + shape[1]))
+    from_lists = ContingencyTable(rows, cols, array.tolist())
+    from_array = ContingencyTable(rows, cols, array)
+    assert from_lists == from_array
+    assert np.array_equal(from_lists.counts, from_array.counts)
+    assert from_lists.counts.shape == shape
+    assert from_lists.n == from_array.n == int(array.sum())
+    assert from_lists.to_csv() == from_array.to_csv()
+    counts = from_lists.counts
+    assert counts.dtype == np.int64 and not counts.flags.writeable
+    assert from_lists.counts is counts
+
+
+def test_contingency_table_total_at_the_int64_limit():
+    limit = 2**63 - 1
+    table = ContingencyTable(("a", "b"), (1994,), [[limit - 1], [1]])
+    assert table.n == limit and table.counts.sum() == limit
+    assert ContingencyTable.from_csv(table.to_csv()).n == limit
+    for counts in ([[limit], [1]], [[2**64], [0]]):  # past int64, then past uint64
+        with pytest.raises(ValueError, match="exceeds"):
+            ContingencyTable(("a", "b"), (1994,), counts)
+    with pytest.raises(ValueError, match="negative"):
+        ContingencyTable(("a", "b"), (1994,), [[2**64], [-1]])
+
+
+def test_contingency_table_rejects_non_integer_counts():
+    with pytest.raises(ValueError, match="integers"):
+        ContingencyTable(("a",), (1, 2), [[1, 0.5]])
+    with pytest.raises(ValueError, match="integers"):
+        ContingencyTable(("a",), (1,), np.array([[1.0]]))
+
+
 def test_contingency_table_csv_round_trip():
     table = load_fixture("Table2")
     again = ContingencyTable.from_csv(table.to_csv())

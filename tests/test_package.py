@@ -37,7 +37,7 @@ def _python(code: str, stdin: str = "") -> subprocess.CompletedProcess:
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
-def test_records_and_errors_import_without_numpy():
+def test_records_and_errors_import_without_numpy(tmp_path):
     done = _python(
         "import sys, bibcarto, bibcarto.errors, bibcarto.records\n"
         "(record,) = bibcarto.parse_records(sys.stdin.read())\n"
@@ -47,6 +47,22 @@ def test_records_and_errors_import_without_numpy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1998", "False"]
+    # Only the commands that do the math load numpy: each runs in a fresh interpreter,
+    # after which numpy is loaded exactly when the command needs it.
+    alerts = tmp_path / "alerts.txt"
+    alerts.write_text(RESEARCH_ALERT_SAMPLE, encoding="utf-8")
+    out = str(tmp_path / "out.txt")
+    for argv, loads in [
+        (None, False),
+        (["parse", str(alerts), "-o", out], False),
+        (["tables", "--records", str(alerts), "--kind", "profiles", "-o", out], False),
+        (["tables", "--fixture", "Table2", "-o", out], False),
+        (["analyze", "--fixture", "Table2", "--outdir", str(tmp_path / "analysis")], True),
+    ]:
+        run = "" if argv is None else f"assert bibcarto.cli.main({argv!r}) == 0\n"
+        done = _python(f"import sys, bibcarto.cli\n{run}print('numpy' in sys.modules)\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == str(loads), argv  # after what the command printed
 
 
 def test_the_cli_imports_in_a_fresh_interpreter():
