@@ -7,8 +7,8 @@ from the standard streams; :func:`main` prints it as ``bibcarto: error:
 standard streams are named ``<stdin>`` (with the line of an undecodable
 byte) and ``<stdout>`` (for a character its encoding lacks). Input
 files, the config among them, are read through :func:`errors.read_file`,
-which names the file in their errors, and ``analyze`` prefixes an error
-from :func:`run_analysis` with the file it concerns. The environment
+which names the file in their errors, and ``analyze`` sets the path of
+an error from :func:`run_analysis` to the file it concerns. The environment
 variable BIBCARTO_CONFIG may point to a JSON object whose keys are
 RunConfig field names; it supplies defaults for ``tables`` and
 ``analyze``, and explicit flags win. :func:`run_analysis` is the
@@ -237,7 +237,9 @@ def _parse_all(paths, fmt_name=None, lenient=False):
         # through the module attribute, which perfbench's tracer wraps
         if lenient:
             recs, errors = read_file(path, lambda text: records.parse_records_lenient(text, fmt))
-            all_errors.extend((path, err) for err in errors)
+            for err in errors:
+                err.path = path
+            all_errors.extend(errors)
         else:
             recs = read_file(path, lambda text: records.parse_records(text, fmt))
         all_records.extend(recs)
@@ -251,11 +253,11 @@ def cmd_parse(args) -> int:
         Path(args.output).write_text(dump, encoding="utf-8")
     else:
         sys.stdout.write(dump)
-    for path, err in errors:
-        print(f"bibcarto: parse error: {path}: {err}", file=sys.stderr)
+    for err in errors:
+        print(f"bibcarto: parse error: {err}", file=sys.stderr)
     if errors:
         # a file in neither format yields its AmbiguousFormatError, not records
-        unread = sum(isinstance(err, records.AmbiguousFormatError) for _, err in errors)
+        unread = sum(isinstance(err, records.AmbiguousFormatError) for err in errors)
         summary = f"bibcarto: {len(errors) - unread} record(s) dropped, {len(recs)} parsed"
         if unread:
             summary += f", {unread} file(s) in no alert format"
@@ -388,10 +390,8 @@ def cmd_analyze(args) -> int:
             args.axes if args.axes is not None else config.axes,
         )
     except DataError as exc:
-        path = _file_concerned(exc, args)
-        if path is None:
-            raise
-        raise DataError(f"{path}: {exc}") from exc
+        exc.path = _file_concerned(exc, args)
+        raise
     outdir = analysis.write(args.outdir if args.outdir is not None else config.output_dir)
     print(f"bibcarto: wrote {', '.join(analysis.artifacts)} to {outdir}")
     return 0

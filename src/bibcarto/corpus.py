@@ -307,9 +307,6 @@ class ContingencyTable:
             raise EmptyTableError("table has no incidences")
         return self.counts / self.n
 
-    def row(self, label: str):
-        return self.counts[self.row_labels.index(label)]
-
     def to_csv(self) -> str:
         """The table as CSV, byte for byte what ``csv.writer`` writes: each
         row's counts go through one ``%d`` row format."""

@@ -7,11 +7,14 @@ before every line and the text is scanned whole: one search per format,
 built from the rule's pattern text, finds the bad lines, a pattern cuts
 the records and one ``findall`` reads a record's fields. A detected
 format is one whose search found no bad line, so only a format the
-caller names is searched again. A record's error is its first bad line,
-found by bisecting the search's hits and numbered by counting ``"\\n"``
-on from the previous error. Personal Alert text before the first
-``TITLE:`` also fails when its first non-blank line starts with a space
-or a tab, as that line continues no header.
+caller names is searched again. Records are cut, and the search's hits
+drawn, only as the parse reaches them, so a strict parse reads no
+further than its first error. A record's error is its first bad line,
+else, for a record with no title, its first non-blank line; it is
+numbered by counting ``"\\n"`` on from the previous error. Personal
+Alert text before the first ``TITLE:`` fails at its first non-blank
+line when that line starts with a space or a tab, as it continues no
+header.
 
 Research Alert (tag-prefixed, used through 2003): a line is one of the
 tags below at column 0, followed by whitespace or the end of the line.
@@ -53,10 +56,10 @@ import enum
 import json
 import re
 import string
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain, pairwise
 
-from .errors import DataError
+from .errors import DataError, InputFormatError
 
 
 # The years a record can carry: extract_year returns None outside them.
@@ -76,24 +79,23 @@ class AmbiguousFormatError(RecordParseError):
     """Input matches neither alert grammar."""
 
 
-class UnknownTagError(RecordParseError):
+class UnknownTagError(RecordParseError, InputFormatError):
     def __init__(self, line_no: int, tag: str):
-        super().__init__(f"line {line_no}: unknown tag {tag!r}")
-        self.line_no = line_no
+        super().__init__(line_no, f"unknown tag {tag!r}")
         self.tag = tag
 
 
-class UnknownHeaderError(RecordParseError):
+class UnknownHeaderError(RecordParseError, InputFormatError):
     def __init__(self, line_no: int, header: str):
-        super().__init__(f"line {line_no}: unknown header {header!r}")
-        self.line_no = line_no
+        super().__init__(line_no, f"unknown header {header!r}")
         self.header = header
 
 
-class MissingTitleError(RecordParseError):
-    def __init__(self, block_no: int):
-        super().__init__(f"block {block_no}: record has no title")
-        self.block_no = block_no
+class MissingTitleError(RecordParseError, InputFormatError):
+    """A record with no title; ``line_no`` is its first non-blank line."""
+
+    def __init__(self, line_no: int):
+        super().__init__(line_no, "record has no title")
 
 
 @dataclass(slots=True)
@@ -196,14 +198,14 @@ def detect_format(text: str) -> RecordFormat:
     raise AmbiguousFormatError("input matches no alert format: " + "; ".join(misses))
 
 
-def _parse_ra_record(norm: str, start: int, end: int, block_no: int) -> BibRecord:
+def _parse_ra_record(norm: str, start: int, end: int) -> BibRecord | None:
     parts: dict[str, list[str]] = {}
     for tag, value in _RA_FIELD.findall(norm, start, end):
         parts.setdefault(tag, []).append(value)
     get = parts.get
     title = _squash(" ".join(get("T", ())))
     if not title:
-        raise MissingTitleError(block_no)
+        return None
     source = _squash(" ".join(get("U", ())))
     # positional, in field order: keyword arguments cost about twice as much
     return BibRecord(
@@ -220,14 +222,14 @@ def _parse_ra_record(norm: str, start: int, end: int, block_no: int) -> BibRecor
     )
 
 
-def _parse_pa_record(norm: str, start: int, end: int, block_no: int) -> BibRecord:
+def _parse_pa_record(norm: str, start: int, end: int) -> BibRecord | None:
     values: dict[str, str] = {}
     for header, value in _PA_FIELD.findall(norm, start, end):
         values[header] = f"{values[header]} {value}" if header in values else value
     get = values.get
     title = _squash(get("TITLE", ""))
     if not title:
-        raise MissingTitleError(block_no)
+        return None
     source = _squash(get("SOURCE", ""))
     return BibRecord(
         title,
@@ -243,15 +245,15 @@ def _parse_pa_record(norm: str, start: int, end: int, block_no: int) -> BibRecor
     )
 
 
-def _record_spans(fmt: RecordFormat, norm: str) -> list[tuple[int, int]]:
-    """(start, end) of each record: a run of non-blank lines (Research Alert),
-    or a ``TITLE:`` line to the next, plus any non-blank text before the first."""
+def _record_spans(fmt: RecordFormat, norm: str):
+    """(start, end) of each record, cut as the caller draws it: a run of
+    non-blank lines (Research Alert), or a ``TITLE:`` line to the next,
+    plus any non-blank text before the first."""
     if fmt is _RA:
-        return [m.span() for m in _RA_RECORD.finditer(norm)]
-    starts = [m.start() for m in _PA_CUT.finditer(norm)]
-    if norm[:starts[0] if starts else len(norm)].strip():
-        starts.insert(0, 0)
-    return list(zip(starts, starts[1:] + [len(norm)]))
+        return (m.span() for m in _RA_RECORD.finditer(norm))
+    starts = chain((m.start() for m in _PA_CUT.finditer(norm)), (len(norm),))
+    first = next(starts)
+    return pairwise(chain((0, first) if norm[:first].strip() else (first,), starts))
 
 
 def _split_list(value: str) -> list[str]:
@@ -302,34 +304,40 @@ def _parse(
             if strict:
                 raise
             return [], [exc]
-        bad = []  # detection found no bad line for this format
+        hits = ()  # detection found no bad line for this format
     else:
-        bad = [m.start() for m in _BAD_LINE[fmt].finditer(norm)]
-    bad.append(len(norm))  # a hit past every record
+        hits = (m.start() for m in _BAD_LINE[fmt].finditer(norm))
+    hits = chain(hits, (len(norm),))  # then a hit past every record
+    hit = next(hits)  # the "\n" opening the first bad line not yet passed
     parse_one = _parse_ra_record if fmt is _RA else _parse_pa_record
     records: list[BibRecord] = []
     errors: list[RecordParseError] = []
     line_no = counted = 0  # norm[:counted] holds line_no "\n"s; counting resumes there
-    for block_no, (start, end) in enumerate(_record_spans(fmt, norm), 1):
-        hit = bad[bisect_left(bad, start)]  # the "\n" opening the record's first bad line
-        if fmt is _PA and not _PA_CUT.match(norm, start):  # text before the first TITLE:
-            first = norm.rfind("\n", start, _SPACE.match(norm, start, end).end())
-            if norm[first + 1] in " \t":
-                hit = first
-        try:
-            if hit < end:
-                line_no += norm.count("\n", counted, hit + 1)
-                counted = hit + 1
-                stop = norm.find("\n", counted, end)
-                line = norm[counted:end if stop < 0 else stop]
-                raise (UnknownTagError(line_no, line.split(None, 1)[0]) if fmt is _RA
-                       else UnknownHeaderError(line_no, line.strip() if line[0] in " \t"
-                                               else line.split(":")[0]))
-            records.append(parse_one(norm, start, end, block_no))
-        except RecordParseError as exc:
-            if strict:
-                raise
-            errors.append(exc)
+    for start, end in _record_spans(fmt, norm):
+        while hit < start:
+            hit = next(hits)
+        if hit >= end and (record := parse_one(norm, start, end)) is not None:
+            records.append(record)
+            continue
+        # The record fails at its first bad line, else, having no title, at its first
+        # non-blank line. That line is bad too when it starts with a space or a tab:
+        # Personal Alert text before the first TITLE: continues no header.
+        first = norm.rfind("\n", start, _SPACE.match(norm, start, end).end())
+        bad = first if norm[first + 1] in " \t" else hit
+        at = bad if bad < end else first
+        line_no += norm.count("\n", counted, at + 1)
+        counted = at + 1
+        if bad < end:
+            stop = norm.find("\n", counted, end)
+            line = norm[counted:end if stop < 0 else stop]
+            exc = (UnknownTagError(line_no, line.split(None, 1)[0]) if fmt is _RA
+                   else UnknownHeaderError(line_no, line.strip() if line[0] in " \t"
+                                           else line.split(":")[0]))
+        else:
+            exc = MissingTitleError(line_no)
+        if strict:
+            raise exc
+        errors.append(exc)
     return records, errors
 
 

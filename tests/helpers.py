@@ -376,33 +376,31 @@ def _naive_detect_format(text):
 
 
 def _naive_blank_separated_blocks(text):
-    block, block_no = [], 0
+    block = []
     for n, ln in enumerate(text.splitlines(), 1):
         if ln.strip():
             block.append((n, ln))
         elif block:
-            block_no += 1
-            yield block_no, block
+            yield block
             block = []
     if block:
-        yield block_no + 1, block
+        yield block
 
 
 def _naive_title_separated_blocks(text):
-    block, block_no = [], 0
+    block = []
     for n, ln in enumerate(text.splitlines(), 1):
         if not ln.strip():
             continue
         if ln.startswith("TITLE:") and block:
-            block_no += 1
-            yield block_no, block
+            yield block
             block = []
         block.append((n, ln))
     if block:
-        yield block_no + 1, block
+        yield block
 
 
-def _naive_parse_ra_block(block_no, block):
+def _naive_parse_ra_block(block):
     parts = {tag: [] for tag in _NAIVE_RA_TAGS}
     for n, ln in block:
         tag = ln.split(None, 1)[0]
@@ -412,7 +410,7 @@ def _naive_parse_ra_block(block_no, block):
         parts[tag].append(value.strip() if tag == "W." else _naive_squash(value))
     title = _naive_squash(" ".join(parts["T"]))
     if not title:
-        raise MissingTitleError(block_no)
+        raise MissingTitleError(block[0][0])  # the block's first line
     source = _naive_squash(" ".join(parts["U"]))
     return BibRecord(
         title=title,
@@ -437,7 +435,7 @@ def _naive_split_qualifier(entry):
     return head.strip(), tail
 
 
-def _naive_parse_pa_block(block_no, block):
+def _naive_parse_pa_block(block):
     values = {h: [] for h in _NAIVE_PA_HEADERS}
     current = None
     for n, ln in block:
@@ -457,7 +455,7 @@ def _naive_parse_pa_block(block_no, block):
 
     title = joined("TITLE")
     if not title:
-        raise MissingTitleError(block_no)
+        raise MissingTitleError(block[0][0])  # the block's first line
     source = joined("SOURCE")
     return BibRecord(
         title=title,
@@ -489,9 +487,9 @@ def naive_parse_records_lenient(text, fmt=None):
     else:
         chunks, parse_one = _naive_title_separated_blocks(text), _naive_parse_pa_block
     records, errors = [], []
-    for block_no, block in chunks:
+    for block in chunks:
         try:
-            records.append(parse_one(block_no, block))
+            records.append(parse_one(block))
         except RecordParseError as exc:
             errors.append(exc)
     return records, errors

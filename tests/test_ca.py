@@ -185,8 +185,8 @@ def test_profile_rows_project_far_from_year_centroids():
     )
 
     min_dist = {}
-    for label in t1.row_labels:
-        coords = project_supplementary_row(t1.row(label), result)
+    for label, counts in zip(t1.row_labels, t1.counts):
+        coords = project_supplementary_row(counts, result)
         assert np.isfinite(coords).all()
         min_dist[label] = min(
             np.linalg.norm(coords - c) / r for c, r in zip(centroids, radii)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import bibcarto
 from bibcarto import DataError, ca, cli, corpus, records, search, ward
 from bibcarto.cli import RunConfig, main
+from bibcarto.errors import read_file
 
 from conftest import PERSONAL_ALERT_SAMPLE, RESEARCH_ALERT_SAMPLE
 
@@ -64,8 +65,7 @@ def test_parse_corrupt_file_fails_naming_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text(CORRUPT_RESEARCH_ALERT, encoding="utf-8")
     assert main(["parse", "--format", "research-alert", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "line 2" in err
+    assert capsys.readouterr().err == f"bibcarto: error: {path}:2: unknown tag 'Z'\n"
 
 
 def test_parse_corrupt_autodetect_still_names_a_line(tmp_path, capsys):
@@ -95,7 +95,7 @@ def test_parse_lenient_counts_a_file_in_no_format_apart_from_records(tmp_path, c
     assert [r.title for r in records.load_records(captured.out)] == ["kept"]
     no_format, no_title, summary = captured.err.splitlines()
     assert no_format.startswith(f"bibcarto: parse error: {neither}: input matches no alert format")
-    assert no_title == f"bibcarto: parse error: {untitled}: block 2: record has no title"
+    assert no_title == f"bibcarto: parse error: {untitled}:3: record has no title"
     assert summary == "bibcarto: 1 record(s) dropped, 1 parsed, 1 file(s) in no alert format"
 
 
@@ -266,7 +266,8 @@ def test_tables_from_records(toy_corpus_file, tmp_path, capsys):
     ]) == 0
     table = corpus.ContingencyTable.from_csv(out.read_text(encoding="utf-8"))
     assert table.col_labels == tuple(range(1999, 2003))
-    assert table.row("Bio").sum() == 1      # "computational biology" keyword
+    # the "computational biology" keyword
+    assert table.counts[table.row_labels.index("Bio")].sum() == 1
 
 
 def test_tables_profiles_from_records(sample_file, tmp_path):
@@ -276,7 +277,7 @@ def test_tables_profiles_from_records(sample_file, tmp_path):
         "--kind", "profiles", "--years", "1994:2011", "-o", str(out),
     ]) == 0
     table = corpus.ContingencyTable.from_csv(out.read_text(encoding="utf-8"))
-    assert table.row("Breiman84")[table.col_labels.index(1998)] == 1
+    assert table.counts[table.row_labels.index("Breiman84")][table.col_labels.index(1998)] == 1
     assert table.n == 1
 
 
@@ -438,8 +439,9 @@ def test_config_file_supplies_every_setting(toy_corpus_file, tmp_path, monkeypat
     table = corpus.ContingencyTable.from_csv(out.read_text(encoding="utf-8"))
     assert table.row_labels == ("Net", "Pots")
     assert table.col_labels == (2000, 2001, 2002)
-    assert table.row("Net").tolist() == [1, 1, 0]   # the 1999 network record is out of range
-    assert table.row("Pots").sum() == 0             # the pottery record is excluded
+    net, pots = table.counts  # in row_labels order
+    assert net.tolist() == [1, 1, 0]  # the 1999 network record is out of range
+    assert pots.sum() == 0            # the pottery record is excluded
     assert main(["analyze", "--fixture", "Table2"]) == 0
     outdir = tmp_path / "from_config"
     assert (outdir / "coordinates.csv").read_text(encoding="utf-8").startswith(
@@ -596,8 +598,52 @@ def test_bad_byte_is_numbered_as_the_parser_numbers_a_bad_line(option, end, toy_
                 else ["tables", "--records", str(toy_corpus_file), "--lexicon", str(path)])
         assert main(argv) == 1
         err = capsys.readouterr().err
-        reported.append(re.search(rf"{re.escape(str(path))}(?::|: line )(\d+): ", err)[1])
+        reported.append(re.search(rf"{re.escape(str(path))}:(\d+): ", err)[1])
     assert reported == ["3", "3"]
+
+
+# Input -> (its text, argv reading it as {path}, the line its error names).
+# The config is read through BIBCARTO_CONFIG; argv is then given no {path}.
+LINE_ERROR_INPUTS = {
+    "research-alert-tag": ("T   a\nZ   b\n", ["parse", "--format", "research-alert", "{path}"], 2),
+    "personal-alert-header": ("TITLE: a\nFOO: b\n",
+                              ["parse", "--format", "personal-alert", "{path}"], 2),
+    "research-alert-no-title": ("T   a\n\n\nA   NOBODY J\n", ["parse", "{path}"], 4),
+    "personal-alert-continuation": ("\n  continued\nTITLE: a\n", ["parse", "{path}"], 2),
+    "catalog": ("Ward63\tWARD JH 63\nWolfe70 WOLFE JH 70\n",
+                ["tables", "--records", "{sample}", "--kind", "profiles", "--catalog", "{path}"],
+                2),
+    "lexicon": ("Net\tnetwork\nMed Medicine\n",
+                ["tables", "--records", "{sample}", "--lexicon", "{path}"], 2),
+    "table": ("label,1994\nx,1\ny,z\n", ["analyze", "--table", "{path}", "--outdir", "{out}"], 3),
+    "config-syntax": ('{\n"k": 3,\n}\n', ["tables", "--records", "{sample}"], 3),
+}
+
+
+@pytest.mark.parametrize("name", LINE_ERROR_INPUTS)
+def test_every_error_that_knows_its_line_reads_path_colon_line(name, toy_corpus_file, tmp_path,
+                                                               monkeypatch, capsys):
+    text, argv, line = LINE_ERROR_INPUTS[name]
+    path = _write(tmp_path / "input.txt", text)
+    if name == "config-syntax":
+        monkeypatch.setenv("BIBCARTO_CONFIG", str(path))
+    argv = [a.format(path=path, out=tmp_path / "out", sample=toy_corpus_file) for a in argv]
+    assert main(argv) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert re.match(rf"bibcarto: error: {re.escape(str(path))}:{line}: ", err)
+    if argv[0] == "parse":
+        assert main([*argv, "--lenient"]) == 0
+        errors = capsys.readouterr().err.splitlines()[:-1]  # then the summary
+        assert len(errors) == 1
+        assert re.match(rf"bibcarto: parse error: {re.escape(str(path))}:{line}: ", errors[0])
+
+
+def test_read_file_keeps_the_class_of_a_whole_file_error(tmp_path):
+    path = _write(tmp_path / "neither.txt", "neither format\n")
+    with pytest.raises(records.AmbiguousFormatError) as err:
+        read_file(path, records.parse_records)
+    assert err.value.path == path
+    assert str(err.value).startswith(f"{path}: input matches no alert format: ")
 
 
 # Input -> (its text, argv reading it as {path} and writing under {out}).

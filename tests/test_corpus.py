@@ -54,15 +54,15 @@ def test_table2_shape_and_total():
 def test_table2_spot_cells():
     table = load_fixture("Table2")
     assert table.counts[0, 0] == 1          # Med, 1994
-    assert table.row("Bio")[0] == 334
-    assert table.row("Soc")[-1] == 12
+    assert table.counts[table.row_labels.index("Bio")][0] == 334
+    assert table.counts[table.row_labels.index("Soc")][-1] == 12
 
 
 def test_table1_spot_cells():
     table = load_fixture("Table1")
-    assert table.row("Adams72")[0] == 8
-    assert table.row("Duda73")[-1] == 1316
-    assert table.row("Bishop95")[8] == 262   # 2002
+    assert table.counts[table.row_labels.index("Adams72")][0] == 8
+    assert table.counts[table.row_labels.index("Duda73")][-1] == 1316
+    assert table.counts[table.row_labels.index("Bishop95")][8] == 262   # 2002
 
 
 def test_fixtures_stable_across_loads():

@@ -123,11 +123,12 @@ def test_indented_tag_line_rejected():
         parse_records("T  fine\n  T  sneaky indent\n", RecordFormat.RESEARCH_ALERT)
 
 
-def test_missing_title_names_block():
-    text = "T   first\n\nA   ORPHAN AUTHOR\n"
+def test_missing_title_names_line():
+    text = "T   first\n\n\n  \nA   ORPHAN AUTHOR\n"
     with pytest.raises(MissingTitleError) as err:
         parse_records(text, RecordFormat.RESEARCH_ALERT)
-    assert err.value.block_no == 2
+    assert err.value.line_no == 5
+    assert str(err.value) == "line 5: record has no title"
 
 
 def test_unknown_header_names_line():
@@ -140,8 +141,9 @@ def test_unknown_header_names_line():
 
 def test_personal_alert_headers_before_title():
     with pytest.raises(MissingTitleError) as err:
-        parse_records("AUTHOR: Orphan, A\n\nTITLE: real record\n", RecordFormat.PERSONAL_ALERT)
-    assert err.value.block_no == 1
+        parse_records("\n \nAUTHOR: Orphan, A\n\nTITLE: real record\n",
+                      RecordFormat.PERSONAL_ALERT)
+    assert err.value.line_no == 3
 
 
 def test_personal_alert_without_keywords_plus():
@@ -347,27 +349,41 @@ def test_strict_parse_raises_the_first_lenient_error(text, fmt):
 
 
 @pytest.mark.parametrize("fmt, bad, error, assembled", [
-    (RecordFormat.RESEARCH_ALERT, "X   unknown tag", UnknownTagError, [1, 2]),
-    (None, "A   no title here", MissingTitleError, [1, 2, 3]),
+    (RecordFormat.RESEARCH_ALERT, "X   unknown tag", UnknownTagError, ["record 1", "record 2"]),
+    (None, "A   no title here", MissingTitleError, ["record 1", "record 2", None]),
 ], ids=["unknown-tag", "no-title"])
 def test_strict_parse_assembles_no_record_after_the_first_error(fmt, bad, error, assembled,
                                                                monkeypatch):
-    real = records._parse_ra_record
-    blocks = []
+    real_parse, real_record = records._parse_ra_record, records._RA_RECORD
+    titles, spans = [], []
 
-    def spy(norm, start, end, block_no):
-        blocks.append(block_no)
-        return real(norm, start, end, block_no)
+    def spy(norm, start, end):
+        record = real_parse(norm, start, end)
+        titles.append(record and record.title)
+        return record
+
+    class CountingRecordPattern:
+        """_RA_RECORD, counting the record spans a parse draws from it."""
+
+        def finditer(self, *args):
+            for match in real_record.finditer(*args):
+                spans.append(match.span())
+                yield match
 
     monkeypatch.setattr(records, "_parse_ra_record", spy)
+    monkeypatch.setattr(records, "_RA_RECORD", CountingRecordPattern())
     text = "".join(f"T   record {i}\n\n" for i in (1, 2)) + bad + "\n\n" + \
-        "".join(f"T   record {i}\n\n" for i in range(4, 50))
-    with pytest.raises(error):
+        "".join(f"T   record {i}\n\n" for i in range(4, 51))
+    with pytest.raises(error) as err:
         parse_records(text, fmt)
-    assert blocks == assembled
-    blocks.clear()
-    assert len(parse_records_lenient(text, fmt)[0]) == 48
-    assert len(blocks) == 49 - (error is UnknownTagError)
+    assert err.value.line_no == 5
+    assert titles == assembled
+    assert len(spans) <= 4  # record 3 of 50 fails; the rest are never cut
+    titles.clear()
+    spans.clear()
+    assert len(parse_records_lenient(text, fmt)[0]) == 49
+    assert len(spans) == 50
+    assert len(titles) == 50 - (error is UnknownTagError)
 
 
 def test_lenient_parse_detects_through_the_module_attribute(research_alert_text, monkeypatch):

@@ -56,8 +56,8 @@ def test_embed_table2_has_32_points_in_13_dims():
 def test_embed_with_82_supplementary_points():
     t1, t2 = load_fixture("Table1"), load_fixture("Table2")
     result = ca_fit(t2)
-    sup = [(label, project_supplementary_row(t1.row(label), result))
-           for label in t1.row_labels]
+    sup = [(label, project_supplementary_row(counts, result))
+           for label, counts in zip(t1.row_labels, t1.counts)]
     points = embed_for_clustering(result, sup)
     assert len(points) == 114
 

@@ -109,8 +109,8 @@ def test_csv_field_quotes_like_the_csv_writer(value, alone, field):
 def test_reference_artifacts_equal_the_csv_writer():
     table, sup = load_fixture("Table2"), load_fixture("Table1")
     analysis = run_analysis(table, sup, k=5, axes=None)
-    projected = [(label, ca.project_supplementary_row(sup.row(label), analysis.result))
-                 for label in sup.row_labels]
+    projected = [(label, ca.project_supplementary_row(counts, analysis.result))
+                 for label, counts in zip(sup.row_labels, sup.counts)]
     assert analysis.artifacts["coordinates.csv"] == naive_coordinates_csv(analysis.result,
                                                                           projected)
     assert analysis.artifacts["inertia.csv"] == naive_inertia_csv(analysis.result)
