@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import corpus, records
-from .errors import DataError, InputFormatError, read_file
+from .errors import DataError, InputFormatError, position, read_file
 
 if TYPE_CHECKING:  # loaded by the commands that use them, as they load numpy
     from . import ca, search, ward
@@ -88,8 +88,8 @@ def _parse_config(text: str) -> RunConfig:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputFormatError(exc.lineno, f"not a JSON file: {exc.msg} "
-                                           f"(column {exc.colno})") from None
+        line, column = position(text[: exc.pos])
+        raise InputFormatError(line, f"not a JSON file: {exc.msg} (column {column})") from None
     except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
         raise DataError(f"not a JSON file: {exc}") from None
     if not isinstance(data, dict):
@@ -456,7 +456,8 @@ def _stdin_lines():
     except UnicodeDecodeError as exc:
         # A line is handed out only once decoded, so the chunk that failed
         # begins within the first unread line.
-        line_no = lines_read + exc.object.count(b"\n", 0, exc.start) + 1
+        before = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line_no = lines_read + before.count(b"\n") + 1
         byte = exc.object[exc.start]
         raise InputFormatError(line_no, f"not {exc.encoding.upper()}: byte 0x{byte:02x}",
                                "<stdin>") from None

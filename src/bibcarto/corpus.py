@@ -84,23 +84,27 @@ class _Vocabulary:
     @classmethod
     def from_text(cls, text: str):
         """Load from lines of ``key<TAB>comma-list[<TAB>comma-list]``, skipping
-        blank lines and ``#`` comments. Errors name the line."""
-        entries, line_nos = [], []
+        blank lines and ``#`` comments. Errors name the first bad line."""
+        entries, line_nos, error = [], [], None
         for line_no, ln in enumerate(text.splitlines(), 1):
             if not ln.strip() or ln.lstrip().startswith("#"):
                 continue
             key, tab, rest = ln.partition("\t")
-            if not (tab and key.strip()):
-                raise VocabularyFormatError(
+            if not (tab and key.strip()):  # raised after a duplicate on an earlier line
+                error = VocabularyFormatError(
                     line_no, f"expected a non-empty {cls._KEY}, a tab, then terms: {ln!r}")
+                break
             lists = [tuple(t.strip() for t in part.split(",") if t.strip())
                      for part in rest.split("\t")]
             entries.append(cls._ENTRY(key.strip(), *lists[: cls._LISTS]))
             line_nos.append(line_no)
         try:
-            return cls(entries)
+            vocabulary = cls(entries)
         except DuplicateEntryError as exc:
             raise VocabularyFormatError(line_nos[exc.index], str(exc)) from None
+        if error:
+            raise error
+        return vocabulary
 
     @classmethod
     def from_file(cls, path):
@@ -321,11 +325,11 @@ class ContingencyTable:
         """Parse the CSV that :meth:`to_csv` writes: a header row (label
         column, then one column per year; integer headers become ints) and
         one row per label of nonnegative integer counts summing to at most
-        2**63 - 1. Blank lines are skipped. A row label must not be blank,
-        and no label may hold a line boundary (one ``str.splitlines`` splits
-        at). Any other shape raises :class:`TableFormatError`, naming the
-        line where the offending record starts."""
-        reader = csv.reader(io.StringIO(text))
+        2**63 - 1. Rows end at any ``str.splitlines`` line end; blank lines
+        are skipped. A row label must not be blank, and no label may hold a
+        line break. Any other shape raises :class:`TableFormatError`, naming
+        the line where the offending record starts."""
+        reader = csv.reader(io.StringIO("\n".join(text.splitlines())))
         header, header_line, rows, lines = None, 0, {}, []
         try:
             end = 0
@@ -335,7 +339,7 @@ class ContingencyTable:
                     continue
                 if header is None:
                     for c in fields[1:]:
-                        if _holds_line_break(c):
+                        if "\n" in c:
                             raise TableFormatError(
                                 line, f"column label {c!r} holds a line break")
                     try:
@@ -352,7 +356,7 @@ class ContingencyTable:
                 label = fields[0]
                 if not label.strip():
                     raise TableFormatError(line, "blank row label")
-                if _holds_line_break(label):
+                if "\n" in label:
                     raise TableFormatError(line, f"row label {label!r} holds a line break")
                 if label in rows:
                     raise TableFormatError(line, f"duplicate row label {label!r}")
@@ -381,10 +385,6 @@ class ContingencyTable:
 
 
 _MAX_TOTAL = 2**63 - 1  # largest int64
-
-
-def _holds_line_break(label: str) -> bool:
-    return label.splitlines() != label.splitlines(keepends=True)
 
 
 _CSV_SPECIAL = frozenset(',"\r\n')

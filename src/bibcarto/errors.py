@@ -4,8 +4,8 @@ Each exception class bibcarto defines subclasses :class:`DataError`, so
 a caller can tell input it should report (exit 1 on the command line)
 from a fault of the program, which it should let propagate. Errors about
 a file read through :func:`read_file` keep their class and get its
-``path``, named as ``path:line`` where the line is known. This module
-imports nothing outside the standard library.
+``path``, named as ``path:line`` where the line is known; every input
+numbers lines by :func:`position`. Only the standard library is imported.
 """
 from __future__ import annotations
 
@@ -63,8 +63,12 @@ def _decode(data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The parsers number lines by str.splitlines, so "\x0c" or U+2028 ends one
-        # too. The bytes before the bad one decode; the "_" stands for the bad
-        # byte, so a line end just before it starts a line of its own.
-        line_no = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        line_no, _ = position(data[: exc.start].decode("utf-8"))
         raise InputFormatError(line_no, f"not UTF-8: byte 0x{data[exc.start]:02x}") from None
+
+
+def position(before: str) -> tuple[int, int]:
+    """The line and column, both counted from 1, of the character after
+    ``before``, lines ending where :meth:`str.splitlines` ends them."""
+    lines = (before + "_").splitlines()
+    return len(lines), len(lines[-1])

@@ -578,25 +578,39 @@ def test_malformed_vocabulary_or_encoding_exits_1_naming_line(option, data, line
     assert err.startswith(f"bibcarto: error: {named}{line}")
 
 
-# The line ends of str.splitlines other than "\n", "\r" and "\r\n" (tested above).
-SPLITLINES_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# The line ends of str.splitlines but "\r" and "\r\n", which read_file makes "\n".
+SPLITLINES_ENDS = ["\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# Input -> (two good lines, a bad third line, argv reading it as {path}).
+# The config is read through BIBCARTO_CONFIG; its line ends sit inside a
+# JSON string, where JSON allows only U+0085, U+2028 and U+2029 of them.
+BAD_THIRD_LINE = {
+    "--records": (["T  a", "T  b"], "X  c", ["parse", "--format", "research-alert", "{path}"]),
+    "--catalog": (["Ward63\tWARD JH 63", "Wolfe70\tWOLFE JH 70"], "Sokal SOKAL RR 63",
+                  ["tables", "--records", "{sample}", "--kind", "profiles", "--catalog", "{path}"]),
+    "--lexicon": (["Net\tnetwork", "Med\tmed"], "Pots pot",
+                  ["tables", "--records", "{sample}", "--lexicon", "{path}"]),
+    "--table": (["label,1994", "x,1"], "y,z", ["analyze", "--table", "{path}", "--outdir", "{out}"]),
+    "config": (['{"k": "a', "b"], '", }', ["tables", "--records", "{sample}"]),
+}
+BAD_THIRD_LINE_CASES = [(name, end) for name in BAD_THIRD_LINE for end in SPLITLINES_ENDS
+                        if name != "config" or end in "\x85\u2028\u2029"]
 
 
-@pytest.mark.parametrize("end", SPLITLINES_ENDS, ids=lambda end: f"U+{ord(end):04X}")
-@pytest.mark.parametrize("option", ["--records", "--lexicon"])
-def test_bad_byte_is_numbered_as_the_parser_numbers_a_bad_line(option, end, toy_corpus_file,
-                                                                 tmp_path, capsys):
+@pytest.mark.parametrize("name, end", BAD_THIRD_LINE_CASES,
+                         ids=[f"{name}-U+{ord(end):04X}" for name, end in BAD_THIRD_LINE_CASES])
+def test_bad_byte_is_numbered_as_the_parser_numbers_a_bad_line(name, end, toy_corpus_file,
+                                                                 tmp_path, monkeypatch, capsys):
     # line 3 is bad, once by its text and once by a byte that is not UTF-8
-    good, bad = ((["T  a", "T  b"], "X  c") if option == "--records"
-                 else (["Net\tnetwork", "Med\tmed"], "Pots pot"))
+    good, bad, argv = BAD_THIRD_LINE[name]
     reported = []
-    for name, data in (("text", end.join([*good, bad]).encode()),
+    for case, data in (("text", end.join([*good, bad]).encode()),
                        ("byte", end.join([*good, ""]).encode() + b"\xff")):
-        path = tmp_path / name
+        path = tmp_path / case
         path.write_bytes(data)
-        argv = (["parse", "--format", "research-alert", str(path)] if option == "--records"
-                else ["tables", "--records", str(toy_corpus_file), "--lexicon", str(path)])
-        assert main(argv) == 1
+        if name == "config":
+            monkeypatch.setenv("BIBCARTO_CONFIG", str(path))
+        assert main([a.format(path=path, out=tmp_path / "out", sample=toy_corpus_file)
+                     for a in argv]) == 1
         err = capsys.readouterr().err
         reported.append(re.search(rf"{re.escape(str(path))}:(\d+): ", err)[1])
     assert reported == ["3", "3"]
@@ -1031,12 +1045,16 @@ def test_search_interactive_undecodable_stream_exits_1(stream, tmp_path, capsys,
         assert err == "bibcarto: error: <stdout>: cannot encode U+00E9 as ascii\n"
 
 
-@pytest.mark.parametrize("good_lines", [2, 3000])
-def test_search_interactive_names_the_undecodable_stdin_line(good_lines, toy_corpus_file, capsys,
-                                                             monkeypatch):
-    # 3,000 five-byte lines put the bad byte past the stream's first
-    # 8,192-byte read, which ends inside a line
-    data = b"zzzz\n" * good_lines + b"ok \xfe\n"
+STDIN_ENDS = {b"\n": "", b"\r": "-CR", b"\r\n": "-CRLF"}
+
+
+@pytest.mark.parametrize("good_lines, end", [(n, end) for end in STDIN_ENDS for n in (2, 3000)],
+                         ids=[f"{n}{STDIN_ENDS[end]}" for end in STDIN_ENDS for n in (2, 3000)])
+def test_search_interactive_names_the_undecodable_stdin_line(good_lines, end, toy_corpus_file,
+                                                             capsys, monkeypatch):
+    # 3,000 lines of five or six bytes put the bad byte past the stream's
+    # first 8,192-byte read, which ends inside a line
+    data = (b"zzzz" + end) * good_lines + b"ok \xfe" + end
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     assert main(["search", "--records", str(toy_corpus_file), "--interactive"]) == 1
     err = capsys.readouterr().err

@@ -229,6 +229,19 @@ def test_catalog_rejects_a_token_of_two_entries():
     assert ProfileCatalog.from_text("A\tX 84,X  84\n").match_citation("x 84") == "A"
 
 
+@pytest.mark.parametrize("vocabulary, text, line_no, reason", [
+    (ProfileCatalog, "A\tX 63\nA\tY 63\nB Z 63\n", 2, "duplicate id 'A'"),
+    (ProfileCatalog, "A\tX 63\nB\tx  63\nC Z 63\n", 2, "token 'X 63' already belongs to 'A'"),
+    (DisciplineLexicon, "Net\tnetwork\n# note\nNet\tnets\nMed medicine\n", 3,
+     "duplicate label 'Net'"),
+])
+def test_vocabulary_names_its_first_bad_line(vocabulary, text, line_no, reason):
+    # a duplicate before the line that has no tab is the error reported
+    with pytest.raises(VocabularyFormatError) as err:
+        vocabulary.from_text(text)
+    assert (err.value.line_no, err.value.reason) == (line_no, reason)
+
+
 def test_bundled_catalog_tokens_are_distinct():
     tokens = [" ".join(t.split()).upper()
               for e in ProfileCatalog.default().entries for t in e.match_tokens]
@@ -542,14 +555,15 @@ def test_from_csv_rejects_malformed_naming_line(text, line_no):
     ("label,1994\n,1\n", 2, "blank row label"),
     ("label,1994\na,1\n \t,2\n", 3, "blank row label"),
     ('label,1994\n"a\nb",1\n', 2, "row label 'a\\nb' holds a line break"),
-    ('label,1994\n"a\rb",1\n', 2, "row label 'a\\rb' holds a line break"),
-    ("label,1994\na\x85b,1\n", 2, "row label 'a\\x85b' holds a line break"),
-    ("label,1994\na\u2028b,1\n", 2, "row label 'a\\u2028b' holds a line break"),
+    ('label,1994\n"a\rb",1\n', 2, "row label 'a\\nb' holds a line break"),
+    ("label,1994\na\x85b,1\n", 2, "expected 1 counts, got 0"),
+    ("label,1994\na\u2028b,1\n", 2, "expected 1 counts, got 0"),
     ('\nlabel,"19\n94",1995\nx,1,2\n', 2, "column label '19\\n94' holds a line break"),
-    ("label,1994,a\x0bb\nx,1,2\n", 1, "column label 'a\\x0bb' holds a line break"),
+    ("label,1994,a\x0bb\nx,1,2\n", 2, "expected 2 counts, got 0"),
 ])
 def test_from_csv_rejects_blank_and_line_breaking_labels(text, line_no, reason):
-    # the line named is the one where the offending record starts
+    # the line named is the one where the offending record starts; a row
+    # ends at every str.splitlines line end, and a quoted one reads as "\n"
     with pytest.raises(TableFormatError) as err:
         ContingencyTable.from_csv(text)
     assert (err.value.line_no, err.value.reason) == (line_no, reason)
