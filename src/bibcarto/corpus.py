@@ -328,7 +328,7 @@ class ContingencyTable:
         2**63 - 1. Rows end at any ``str.splitlines`` line end; blank lines
         are skipped. A row label must not be blank, and no label may hold a
         line break. Any other shape raises :class:`TableFormatError`, naming
-        the line where the offending record starts."""
+        the line where the first offending record starts."""
         reader = csv.reader(io.StringIO("\n".join(text.splitlines())))
         header, header_line, rows, lines = None, 0, {}, []
         try:
@@ -365,23 +365,34 @@ class ContingencyTable:
                 except ValueError:
                     raise TableFormatError(line, "counts must be integers") from None
                 lines.append(line)
-        except csv.Error as exc:
-            raise TableFormatError(reader.line_num, str(exc)) from None
+        except (TableFormatError, csv.Error) as exc:
+            if isinstance(exc, csv.Error):
+                exc = TableFormatError(reader.line_num, str(exc))
+            raise _count_error(lines, rows.values()) or exc from None  # the earlier line wins
         if header is None:
             raise TableFormatError(1, "empty table")
         if not rows:
             raise TableFormatError(header_line, "header but no rows")
         try:
             return cls(tuple(rows), header, tuple(rows.values()))
-        except ValueError:  # a negative count or too large a total: find its line
-            total = 0
-            for line, row in zip(lines, rows.values()):
-                if min(row, default=0) < 0:
-                    raise TableFormatError(line, "negative count") from None
-                total += sum(row)
-                if total > _MAX_TOTAL:
-                    raise TableFormatError(line, "counts total exceeds 2**63 - 1") from None
-            raise
+        except ValueError as exc:  # a negative count or too large a total: find its line
+            raise _count_error(lines, rows.values()) or exc from None
+
+
+def _count_error(lines, rows) -> TableFormatError | None:
+    """The error of the first row, on its line, that holds a negative count
+    or takes the running total past 2**63 - 1; None if no row does.
+
+    :meth:`ContingencyTable.from_csv` calls this only once it has an error
+    to report, so reading a good table pays nothing for it."""
+    total = 0
+    for line, row in zip(lines, rows):
+        if min(row, default=0) < 0:
+            return TableFormatError(line, "negative count")
+        total += sum(row)
+        if total > _MAX_TOTAL:
+            return TableFormatError(line, "counts total exceeds 2**63 - 1")
+    return None
 
 
 _MAX_TOTAL = 2**63 - 1  # largest int64

@@ -11,16 +11,20 @@ and records that increase as the merge height. Leaves are numbered
 0..n-1 in input order and each merge creates cluster id n, n+1, ...
 
 The increases live in one dense symmetric n x n matrix with a fixed
-slot per leaf and infinity on the diagonal. It is filled in place: for
-each row, one reused difference buffer and an ``einsum`` of squared
-distances written straight into the row; then the whole matrix is
-scaled once by the equal-mass factor m m / (m + m), which gives the
-same bits as scaling each row. A merge gives the merged cluster the
-slot of its smaller-id part and fills that slot's row and column in one
-vector step by the Lance-Williams recurrence for Ward; the other part's
-slot dies and its column becomes infinity. Nothing is reallocated. The
-recurrence agrees with direct centroid recomputation to within 1e-9,
-not bit for bit.
+slot per leaf and infinity on the diagonal. It is filled in place, each
+pair once: row i's differences to the later points go into one reused
+buffer, at the rows those points would take in a full fill, and an
+``einsum`` of their squares is written into row i past the diagonal and
+mirrored into column i. A full fill would square c_i - c_j for cell
+(j, i), the exact negation of c_j - c_i, and ``einsum`` sums each row in
+the same order, so the mirror has the same bits. The whole matrix is
+then scaled once by the equal-mass factor m m / (m + m), which gives
+the same bits as scaling each row. A merge gives the merged cluster the
+slot of its smaller-id part and refills that slot's row in place by the
+Lance-Williams recurrence for Ward, computed in two reused buffers, then
+copies it into the column; the other part's slot dies and its column
+becomes infinity. Nothing is reallocated. The recurrence agrees with
+direct centroid recomputation to within 1e-9, not bit for bit.
 
 Each slot caches its row minimum and a column that attains it, after
 Müllner's "generic" algorithm (arXiv:1109.2378, section 3.1). After a
@@ -149,15 +153,17 @@ def ward_hac(points: PointSet) -> Dendrogram:
     mass = points.masses.copy()
     delta = np.empty((n, n))
     diff = np.empty_like(coords)
-    for i in range(n):
-        np.subtract(coords, coords[i], out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=delta[i])
+    for i in range(n - 1):
+        d = np.subtract(coords[i + 1:], coords[i], out=diff[i + 1:])
+        delta[i + 1:, i] = np.einsum("ij,ij->i", d, d, out=delta[i, i + 1:])
     delta *= mass[0] * mass[0] / (mass[0] + mass[0])  # one factor: masses are equal
     np.fill_diagonal(delta, np.inf)
     ids = np.arange(n)
     dead = np.zeros(n, dtype=bool)
+    stale, better = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    lw, scratch = np.empty(n), np.empty(n)  # the Lance-Williams terms
     nn = delta.argmin(1)
-    nnd = delta.min(1)
+    nnd = delta[ids, nn]  # the value at argmin: NaN wherever min is NaN
 
     merges = []
     for new_id in range(n, 2 * n - 1):
@@ -174,31 +180,32 @@ def ward_hac(points: PointSet) -> Dendrogram:
         sa, sb = (s, t) if ids[s] < ids[t] else (t, s)
         height = delta[sa, sb]
         m_new = mass[sa] + mass[sb]
-        merged = (
-            (mass[sa] + mass) * delta[sa]
-            + (mass[sb] + mass) * delta[sb]
-            - mass * height
-        ) / (m_new + mass)
+        # ((m_a + m) d_a + (m_b + m) d_b - m h) / (m_new + m), step by step
+        np.multiply(np.add(mass[sa], mass, out=lw), delta[sa], out=lw)
+        lw += np.multiply(np.add(mass[sb], mass, out=scratch), delta[sb], out=scratch)
+        lw -= np.multiply(mass, height, out=scratch)
+        merged = np.divide(lw, np.add(m_new, mass, out=scratch), out=delta[sa])
         dead[sb] = True
         merged[dead] = np.inf
         merged[sa] = np.inf
-        delta[sa] = delta[:, sa] = merged
+        delta[:, sa] = merged
         delta[:, sb] = np.inf
         mass[sa] = m_new
         merges.append(Merge(int(ids[sa]), int(ids[sb]), float(height), new_id))
         ids[sa] = new_id
 
         nn[sb], nnd[sb] = -1, np.inf  # a dead slot is never stale again
-        stale = (nn == sa) | (nn == sb)
+        np.equal(nn, sa, out=stale)
+        stale |= np.equal(nn, sb, out=better)  # better is refilled below
         stale[sa] = True
         # true where the new value is smaller or NaN
-        better = ~(merged >= nnd)
+        np.logical_not(np.greater_equal(merged, nnd, out=better), out=better)
         nn[better] = sa
         np.copyto(nnd, merged, where=better)
         rows = stale.nonzero()[0]
         scan = delta[rows]
-        nn[rows] = scan.argmin(1)
-        nnd[rows] = scan.min(1)
+        nn[rows] = col = scan.argmin(1)
+        nnd[rows] = scan[np.arange(len(rows)), col]
     return Dendrogram(points.labels, tuple(merges))
 
 

@@ -95,8 +95,9 @@ def dense_ward(coords: np.ndarray, masses: np.ndarray):
     The dense-matrix loop that ``ward.ward_hac`` replaced: one row and
     column per live cluster in ascending id order, merged at the first
     matrix minimum in row-major order, and compacted after each merge.
-    It shares ``ward_hac``'s initial fill and Lance-Williams expression,
-    so merges and heights must agree bit for bit. Returns merges as
+    Its full per-row fill is what ``ward_hac``'s once-per-pair fill must
+    equal, and it shares ``ward_hac``'s Lance-Williams expression, so
+    merges and heights must agree bit for bit. Returns merges as
     (a, b, height, new_id); raises ``ArithmeticError`` like ``ward_hac``.
     """
     n = len(coords)

@@ -569,6 +569,21 @@ def test_from_csv_rejects_blank_and_line_breaking_labels(text, line_no, reason):
     assert (err.value.line_no, err.value.reason) == (line_no, reason)
 
 
+@pytest.mark.parametrize("text, line_no, reason", [
+    ("label,1994\nx,-1\ny,z\n", 2, "negative count"),
+    ("label,1994\nx,-1\ny,2,3\n", 2, "negative count"),
+    ("label,1994\nx,-1\nx,2\n", 2, "negative count"),
+    ('label,1994\nx,-1\n"y,1\n', 2, "negative count"),
+    ("label,1994\nx,9223372036854775807\ny,1\nz,q\n", 3, "counts total exceeds 2**63 - 1"),
+])
+def test_from_csv_names_a_count_error_before_a_later_bad_line(text, line_no, reason):
+    # a negative count or an overflowing total is found only once a row
+    # fails or all rows are read, but its own line is the one named
+    with pytest.raises(TableFormatError) as err:
+        ContingencyTable.from_csv(text)
+    assert (err.value.line_no, err.value.reason) == (line_no, reason)
+
+
 def test_from_csv_keeps_labels_with_inner_spaces_and_an_empty_column_label():
     table = ContingencyTable.from_csv("label,1994,\n a b ,1,2\n")
     assert table.row_labels == (" a b ",)

@@ -178,6 +178,18 @@ def test_equals_the_dense_ward_bit_for_bit():
     assert 0 < errors < len(cases)
 
 
+def test_equals_the_dense_ward_bit_for_bit_at_the_map_shape_and_every_row_offset():
+    # The map workload's 300 points in 59 dimensions, and widths 1-9, so
+    # that the rows of a difference buffer start at every 8-byte offset
+    # modulo 64: the fill's sums must not depend on where a row starts.
+    rng = np.random.default_rng(2378)
+    clouds = [rng.normal(size=(300, 59))]
+    clouds += [rng.normal(size=(int(rng.integers(2, 71)), d)) for d in range(1, 10)]
+    for coords in clouds:
+        got = [tuple(m) for m in ward_hac(_points(coords)).merges]
+        assert got == dense_ward(coords, np.ones(len(coords)))
+
+
 def test_overflowing_criterion_rejected():
     with pytest.raises(ArithmeticError):
         ward_hac(_points([[0.0], [1e200], [-1e200]]))
