@@ -11,9 +11,9 @@ which names the file in their errors, and ``analyze`` sets the path of
 an error from :func:`run_analysis` to the file it concerns. The environment
 variable BIBCARTO_CONFIG may point to a JSON object whose keys are
 RunConfig field names; it supplies defaults for ``tables`` and
-``analyze``, and explicit flags win. :func:`run_analysis` is the
-analysis pipeline that ``analyze`` and ``scripts/run_reference_analysis.py``
-share.
+``analyze``, and explicit flags win. :func:`run_tables` and
+:func:`run_analysis` are their pipelines, the second shared with
+``scripts/run_reference_analysis.py``.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -103,6 +103,13 @@ def _parse_config(text: str) -> RunConfig:
     return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
+def _settings(args) -> RunConfig:
+    """The config's RunConfig, each field set from its flag (the flag's dest) if given."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return replace(load_config(), **{k: tuple(v) if isinstance(v, list) else v
+                                     for k, v in given.items() if v is not None})
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -158,17 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--records", nargs="+", help="alert files to tabulate")
     p.add_argument("--kind", choices=["profiles", "disciplines"],
                    help="what labels the rows of a --records table (default disciplines)")
-    p.add_argument("--catalog", help="profile catalog file for --kind profiles (default: bundled)")
-    p.add_argument("--lexicon",
+    p.add_argument("--catalog", dest="catalog_path", metavar="CATALOG",
+                   help="profile catalog file for --kind profiles (default: bundled)")
+    p.add_argument("--lexicon", dest="lexicon_path", metavar="LEXICON",
                    help="discipline lexicon file for --kind disciplines (default: bundled)")
     first, last = RunConfig.year_range
-    p.add_argument("--years", type=_year_range, default=None, metavar="FIRST:LAST",
+    p.add_argument("--years", dest="year_range", type=_year_range, metavar="FIRST:LAST",
                    help=f"year columns, within {records.FIRST_YEAR}..{records.LAST_YEAR} "
                         f"(default {first}:{last})")
-    p.add_argument("--exclude", action="append", type=_non_empty, default=None,
-                   metavar="PHRASE",
-                   help="title phrase to exclude (repeatable; default: "
-                        f"{', '.join(map(repr, RunConfig.exclusion_terms))})")
+    p.add_argument("--exclude", dest="exclusion_terms", action="append", type=_non_empty,
+                   metavar="PHRASE", help="title phrase to exclude (repeatable; default: "
+                                          f"{', '.join(map(repr, RunConfig.exclusion_terms))})")
     p.add_argument("-o", "--output", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_tables)
 
@@ -180,11 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     sup.add_argument("--supplementary", choices=["Table1", "Table2"],
                      help="bundled table whose rows are projected post hoc")
     sup.add_argument("--supplementary-table", help="CSV of rows to project post hoc")
-    p.add_argument("--k", type=_positive_int, default=None,
+    p.add_argument("--k", type=_positive_int,
                    help=f"number of clusters for the partition (default {RunConfig.k})")
-    p.add_argument("--axes", type=_positive_int, default=None,
+    p.add_argument("--axes", type=_positive_int,
                    help="number of axes in coordinates.csv (default: all retained)")
-    p.add_argument("--outdir", default=None,
+    p.add_argument("--outdir", dest="output_dir", metavar="OUTDIR",
                    help=f"output directory (default {RunConfig.output_dir})")
     p.set_defaults(func=cmd_analyze)
 
@@ -268,43 +275,31 @@ def cmd_parse(args) -> int:
 def cmd_tables(args) -> int:
     if args.fixture:
         # a bundled table is exported as it is; a flag that builds a table would be ignored
-        for flag in ("kind", "catalog", "lexicon", "years", "exclude"):
-            if getattr(args, flag) is not None:
+        for flag, dest in (("kind", "kind"), ("catalog", "catalog_path"),
+                           ("lexicon", "lexicon_path"), ("years", "year_range"),
+                           ("exclude", "exclusion_terms")):
+            if getattr(args, dest) is not None:
                 print(f"bibcarto: --{flag} applies only to --records", file=sys.stderr)
                 return 2
         table = corpus.load_fixture(args.fixture)
     else:
         kind = args.kind or "disciplines"
         # each kind reads one vocabulary; a flag for the other would be ignored
-        flag, value, other = (("--lexicon", args.lexicon, "disciplines") if kind == "profiles"
-                              else ("--catalog", args.catalog, "profiles"))
+        flag, value, other = (("--lexicon", args.lexicon_path, "disciplines") if kind == "profiles"
+                              else ("--catalog", args.catalog_path, "profiles"))
         if value is not None:
             print(f"bibcarto: {flag} applies only to --kind {other}", file=sys.stderr)
             return 2
-        config = load_config()
+        settings = _settings(args)
         recs, _ = _parse_all(args.records)
-        exclusions = tuple(args.exclude) if args.exclude is not None else config.exclusion_terms
-        kept, dropped = corpus.filter_records(recs, exclusions)
+        kept, dropped = corpus.filter_records(recs, settings.exclusion_terms)
         if dropped:
             print(f"bibcarto: excluded {len(dropped)} record(s) by title phrase",
                   file=sys.stderr)
-        years = args.years if args.years is not None else config.year_range
-        if kind == "profiles":
-            catalog_path = args.catalog if args.catalog is not None else config.catalog_path
-            catalog = (corpus.ProfileCatalog.from_file(catalog_path)
-                       if catalog_path else corpus.ProfileCatalog.default())
-            tagger = lambda r: corpus.match_profiles(r, catalog)
-            labels = catalog.ids
-        else:
-            lexicon_path = args.lexicon if args.lexicon is not None else config.lexicon_path
-            lexicon = (corpus.DisciplineLexicon.from_file(lexicon_path)
-                       if lexicon_path else corpus.DisciplineLexicon.default())
-            tagger = lambda r: corpus.tag_disciplines(r, lexicon)
-            labels = lexicon.labels
-        table, skipped = corpus.build_table(kept, tagger, labels, years)
+        table, skipped = run_tables(kept, kind, settings)
         if skipped:
             print(f"bibcarto: skipped {skipped} record(s) with no year or a year outside "
-                  f"{years[0]}..{years[1]}", file=sys.stderr)
+                  f"{settings.year_range[0]}..{settings.year_range[1]}", file=sys.stderr)
     text = table.to_csv()
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -339,12 +334,22 @@ class Analysis:
         return outdir
 
 
-def run_analysis(
-    table: corpus.ContingencyTable,
-    supplementary: corpus.ContingencyTable | None,
-    k: int,
-    axes: int | None,
-) -> Analysis:
+def run_tables(recs, kind: str, settings: RunConfig) -> tuple[corpus.ContingencyTable, int]:
+    """Cross-tabulate ``recs`` by year, a row per profile (``kind`` "profiles") or
+    discipline of the catalog or lexicon that ``settings`` names (default: the
+    bundled one). Returns the table and the count of records skipped for their year."""
+    # the stages are read from their modules per call, so perfbench's tracer sees them
+    if kind == "profiles":
+        cls, path, tag = corpus.ProfileCatalog, settings.catalog_path, corpus.match_profiles
+    else:
+        cls, path, tag = corpus.DisciplineLexicon, settings.lexicon_path, corpus.tag_disciplines
+    vocabulary = cls.from_file(path) if path else cls.default()
+    labels = vocabulary.ids if kind == "profiles" else vocabulary.labels
+    return corpus.build_table(recs, lambda r: tag(r, vocabulary), labels, settings.year_range)
+
+
+def run_analysis(table: corpus.ContingencyTable, supplementary: corpus.ContingencyTable | None,
+                 k: int, axes: int | None) -> Analysis:
     """Fit the CA of ``table``, project the rows of ``supplementary`` (if
     any) into it, cluster every point with Ward, cut into ``k`` clusters
     and render coordinates.csv (``axes`` axes, default all retained),
@@ -379,20 +384,15 @@ def run_analysis(
 
 
 def cmd_analyze(args) -> int:
-    config = load_config()
+    settings = _settings(args)
     table = _read_table(args.fixture, args.table)
     supplementary = _read_table(args.supplementary, args.supplementary_table)
     try:
-        analysis = run_analysis(
-            table,
-            supplementary,
-            args.k if args.k is not None else config.k,
-            args.axes if args.axes is not None else config.axes,
-        )
+        analysis = run_analysis(table, supplementary, settings.k, settings.axes)
     except DataError as exc:
         exc.path = _file_concerned(exc, args)
         raise
-    outdir = analysis.write(args.outdir if args.outdir is not None else config.output_dir)
+    outdir = analysis.write(settings.output_dir)
     print(f"bibcarto: wrote {', '.join(analysis.artifacts)} to {outdir}")
     return 0
 

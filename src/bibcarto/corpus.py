@@ -327,9 +327,11 @@ class ContingencyTable:
         one row per label of nonnegative integer counts summing to at most
         2**63 - 1. Rows end at any ``str.splitlines`` line end; blank lines
         are skipped. A row label must not be blank, and no label may hold a
-        line break. Any other shape raises :class:`TableFormatError`, naming
-        the line where the first offending record starts."""
-        reader = csv.reader(io.StringIO("\n".join(text.splitlines())))
+        line break. Quoting is strict: a quoted field ends at its closing
+        quote, then a comma or the row's end. Any other shape raises
+        :class:`TableFormatError`, naming the line where the first
+        offending record starts."""
+        reader = csv.reader(io.StringIO("\n".join(text.splitlines())), strict=True)
         header, header_line, rows, lines = None, 0, {}, []
         try:
             end = 0
@@ -366,8 +368,10 @@ class ContingencyTable:
                     raise TableFormatError(line, "counts must be integers") from None
                 lines.append(line)
         except (TableFormatError, csv.Error) as exc:
-            if isinstance(exc, csv.Error):
-                exc = TableFormatError(reader.line_num, str(exc))
+            if isinstance(exc, csv.Error):  # its record starts after the last one read
+                reason = str(exc)
+                exc = TableFormatError(
+                    end + 1, "unclosed quote" if reason == "unexpected end of data" else reason)
             raise _count_error(lines, rows.values()) or exc from None  # the earlier line wins
         if header is None:
             raise TableFormatError(1, "empty table")

@@ -156,6 +156,7 @@ def ward_hac(points: PointSet) -> Dendrogram:
     for i in range(n - 1):
         d = np.subtract(coords[i + 1:], coords[i], out=diff[i + 1:])
         delta[i + 1:, i] = np.einsum("ij,ij->i", d, d, out=delta[i, i + 1:])
+    np.fill_diagonal(delta, 0.0)  # defined before scaling: np.empty left it unset
     delta *= mass[0] * mass[0] / (mass[0] + mass[0])  # one factor: masses are equal
     np.fill_diagonal(delta, np.inf)
     ids = np.arange(n)

@@ -9,6 +9,7 @@ import pkgutil
 import re
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -200,8 +201,9 @@ def test_tables_malformed_years_is_usage_error(years, reason, toy_corpus_file, c
 
 @pytest.mark.parametrize("command, shown", [
     ("tables", [f"(default {RunConfig.year_range[0]}:{RunConfig.year_range[1]})",
-                *map(repr, RunConfig.exclusion_terms)]),
-    ("analyze", [f"(default {RunConfig.k})", f"(default {RunConfig.output_dir})"]),
+                *map(repr, RunConfig.exclusion_terms), "--catalog CATALOG", "--lexicon LEXICON"]),
+    ("analyze", [f"(default {RunConfig.k})", f"(default {RunConfig.output_dir})",
+                 "--outdir OUTDIR"]),
 ])
 def test_help_names_each_run_config_default(command, shown, capsys):
     with pytest.raises(SystemExit) as err:
@@ -451,13 +453,22 @@ def test_config_file_supplies_every_setting(toy_corpus_file, tmp_path, monkeypat
 
 
 def test_flags_win_over_config(toy_corpus_file, tmp_path, monkeypatch):
+    vocabulary = {}
+    for source in ("config", "flag"):
+        vocabulary[source] = (_write(tmp_path / f"{source}_catalog.txt", f"{source}\tX Y 99\n"),
+                              _write(tmp_path / f"{source}_lexicon.txt", f"{source}\tnetwork\n"))
+    catalog, lexicon = vocabulary["config"]
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"k": 5, "axes": 1, "exclusion_terms": [],
-                                  "year_range": [1994, 1995]}), encoding="utf-8")
+                                  "year_range": [1994, 1995], "catalog_path": str(catalog),
+                                  "lexicon_path": str(lexicon),
+                                  "output_dir": str(tmp_path / "from_config")}),
+                      encoding="utf-8")
     monkeypatch.setenv("BIBCARTO_CONFIG", str(config))
     outdir = tmp_path / "out"
     assert main(["analyze", "--fixture", "Table2", "--k", "2", "--axes", "2",
                  "--outdir", str(outdir)]) == 0
+    assert not (tmp_path / "from_config").exists()
     partition = (outdir / "partition.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert {ln.rsplit(",", 1)[1] for ln in partition} == {"1", "2"}
     header = (outdir / "coordinates.csv").read_text(encoding="utf-8").splitlines()[0]
@@ -467,6 +478,35 @@ def test_flags_win_over_config(toy_corpus_file, tmp_path, monkeypatch):
                  "--exclude", "pottery", "-o", str(out)]) == 0
     table = corpus.ContingencyTable.from_csv(out.read_text(encoding="utf-8"))
     assert table.col_labels == (1999, 2000, 2001, 2002)
+    catalog, lexicon = vocabulary["flag"]
+    for kind, flag, path in (("profiles", "--catalog", catalog),
+                             ("disciplines", "--lexicon", lexicon)):
+        assert main(["tables", "--records", str(toy_corpus_file), "--years", "1999:2002",
+                     "--kind", kind, flag, str(path), "-o", str(out)]) == 0
+        table = corpus.ContingencyTable.from_csv(out.read_text(encoding="utf-8"))
+        assert table.row_labels == ("flag",)
+
+
+@pytest.mark.parametrize("kind, flag, vocabulary", [
+    ("profiles", "--catalog", "XY99\tX Y 99\n"),
+    ("disciplines", "--lexicon", "Net\tnetwork\nBio\tbiology\n"),
+    ("disciplines", None, None),  # the bundled lexicon
+], ids=["catalog", "lexicon", "bundled-lexicon"])
+def test_run_tables_gives_the_table_that_tables_writes(kind, flag, vocabulary, toy_corpus_file,
+                                                      tmp_path, capsys):
+    argv = ["tables", "--records", str(toy_corpus_file), "--kind", kind, "--years", "2000:2002"]
+    config = RunConfig(year_range=(2000, 2002))
+    if flag:
+        path = str(_write(tmp_path / "vocabulary.txt", vocabulary))
+        argv += [flag, path]
+        config = replace(config, **{f"{flag[2:]}_path": path})
+    assert main(argv) == 0
+    written = capsys.readouterr()
+    recs = records.parse_records(toy_corpus_file.read_text(encoding="utf-8"))
+    kept, _ = corpus.filter_records(recs, config.exclusion_terms)
+    table, skipped = cli.run_tables(kept, kind, config)
+    assert table.to_csv() == written.out
+    assert f"skipped {skipped} record(s)" in written.err
 
 
 def _write(path, text):
@@ -510,6 +550,13 @@ REJECTED_INPUTS = {
     "csv-row-labelled-like-a-column": (None, "label,1994,1995\n1994,1,2\nb,2,1\n", "analyze",
                                        "'1994'"),
     "config-k-above-points": ({"k": 999}, None, "analyze", ": k must be in 1..32, got 999"),
+    # bad quoting, named at the line where its row starts
+    "csv-text-after-quote": (None, 'label,1994\nx,"1"2\n', "analyze",
+                             ":2: ',' expected after '\"'"),
+    "csv-space-after-quote": (None, 'label,1994\n"a" ,1\nb,2\n', "analyze",
+                              ":2: ',' expected after '\"'"),
+    "csv-unclosed-quote": (None, 'label,1994\nx,1\n"y,1\nz,2\n', "analyze",
+                           ":3: unclosed quote"),
 }
 
 

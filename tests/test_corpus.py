@@ -543,6 +543,11 @@ def test_contingency_table_csv_round_trip():
     ("label,1994\nx,1.5\n", 2),
     ("label,1994\nx,-1\n", 2),
     ("label,1994\nx,9223372036854775807\ny,1\n", 3),  # total overflows int64
+    ('label,1994\nx,"1"2\n', 2),                     # text after a closing quote
+    ('label,1994\n"a" ,1\n', 2),
+    ('label,1994\nx,1\n"y,1\nz,2\n', 3),             # unclosed quote
+    pytest.param(f'label,1994\n"a\n{"1" * 200_000}",1\n', 2,  # named where its record starts
+                 id="field-limit-in-a-two-line-record"),
 ])
 def test_from_csv_rejects_malformed_naming_line(text, line_no):
     with pytest.raises(TableFormatError) as err:

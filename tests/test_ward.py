@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,26 @@ def test_equals_the_dense_ward_bit_for_bit_at_the_map_shape_and_every_row_offset
     for coords in clouds:
         got = [tuple(m) for m in ward_hac(_points(coords)).merges]
         assert got == dense_ward(coords, np.ones(len(coords)))
+
+
+def test_scales_no_uninitialised_cell(monkeypatch):
+    # np.empty may hand back any bits; a signalling NaN left on the diagonal
+    # made the equal-mass scaling warn "invalid value encountered in multiply"
+    empty = np.empty
+
+    def snan_filled(shape, dtype=float, *args, **kwargs):
+        array = empty(shape, dtype, *args, **kwargs)
+        if array.dtype == np.float64:
+            array.view(np.uint64).fill(0x7FF0000000000001)
+        return array
+
+    points = _points(np.random.default_rng(3).normal(size=(40, 5)))
+    monkeypatch.setattr(np, "empty", snan_filled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [tuple(m) for m in ward_hac(points).merges]
+    monkeypatch.undo()
+    assert got == [tuple(m) for m in ward_hac(points).merges]
 
 
 def test_overflowing_criterion_rejected():
