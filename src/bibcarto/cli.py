@@ -13,11 +13,15 @@ variable BIBCARTO_CONFIG may point to a JSON object whose keys are
 RunConfig field names; it supplies defaults for ``tables`` and
 ``analyze``, and explicit flags win. :func:`run_tables` and
 :func:`run_analysis` are their pipelines, the second shared with
-``scripts/run_reference_analysis.py``.
+``scripts/run_reference_analysis.py``. ``tables`` reads the catalog or
+lexicon first, then reads, filters and tabulates one alert file at a
+time, so it holds one file's records at once; ``parse`` and ``search``
+read every file before they write anything.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -155,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "--lenient, keep the good records of a file that detection rejects")
     p.add_argument("--lenient", action="store_true",
                    help="keep going on malformed records, report them at the end")
-    p.add_argument("-o", "--output", help="write records here instead of stdout")
+    p.add_argument("-o", "--output", type=_non_empty, help="write records here instead of stdout")
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("tables", help="build or export label-by-year tables")
@@ -176,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", dest="exclusion_terms", action="append", type=_non_empty,
                    metavar="PHRASE", help="title phrase to exclude (repeatable; default: "
                                           f"{', '.join(map(repr, RunConfig.exclusion_terms))})")
-    p.add_argument("-o", "--output", help="write the CSV here instead of stdout")
+    p.add_argument("-o", "--output", type=_non_empty, help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("analyze", help="correspondence analysis plus Ward clustering")
@@ -191,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"number of clusters for the partition (default {RunConfig.k})")
     p.add_argument("--axes", type=_positive_int,
                    help="number of axes in coordinates.csv (default: all retained)")
-    p.add_argument("--outdir", dest="output_dir", metavar="OUTDIR",
+    p.add_argument("--outdir", dest="output_dir", type=_non_empty, metavar="OUTDIR",
                    help=f"output directory (default {RunConfig.output_dir})")
     p.set_defaults(func=cmd_analyze)
 
@@ -237,24 +241,26 @@ def main(argv=None) -> int:
         return 1
 
 
-def _parse_all(paths, fmt_name=None, lenient=False):
+def _read_alerts(path, fmt_name=None, lenient=False) -> tuple[list[records.BibRecord], list]:
+    """The records of the alert file at ``path``, and with ``lenient`` the
+    errors of the records dropped, each naming the file."""
     fmt = FORMAT_NAMES[fmt_name] if fmt_name else None
-    all_records, all_errors = [], []
-    for path in paths:
-        # through the module attribute, which perfbench's tracer wraps
-        if lenient:
-            recs, errors = read_file(path, lambda text: records.parse_records_lenient(text, fmt))
-            for err in errors:
-                err.path = path
-            all_errors.extend(errors)
-        else:
-            recs = read_file(path, lambda text: records.parse_records(text, fmt))
-        all_records.extend(recs)
-    return all_records, all_errors
+    # through the module attribute, which perfbench's tracer wraps
+    if not lenient:
+        return read_file(path, lambda text: records.parse_records(text, fmt)), []
+    recs, errors = read_file(path, lambda text: records.parse_records_lenient(text, fmt))
+    for err in errors:
+        err.path = path
+    return recs, errors
 
 
 def cmd_parse(args) -> int:
-    recs, errors = _parse_all(args.files, args.format, lenient=args.lenient)
+    # every file is read before anything is written, so a bad one leaves no output
+    recs, errors = [], []
+    for path in args.files:
+        file_recs, file_errors = _read_alerts(path, args.format, args.lenient)
+        recs += file_recs
+        errors += file_errors
     dump = records.dump_records(recs)
     if args.output:
         Path(args.output).write_text(dump, encoding="utf-8")
@@ -291,12 +297,8 @@ def cmd_tables(args) -> int:
             print(f"bibcarto: {flag} applies only to --kind {other}", file=sys.stderr)
             return 2
         settings = _settings(args)
-        recs, _ = _parse_all(args.records)
-        kept, dropped = corpus.filter_records(recs, settings.exclusion_terms)
-        if dropped:
-            print(f"bibcarto: excluded {len(dropped)} record(s) by title phrase",
-                  file=sys.stderr)
-        table, skipped = run_tables(kept, kind, settings)
+        table, skipped = run_tables(_kept_records(args.records, settings.exclusion_terms),
+                                    kind, settings)
         if skipped:
             print(f"bibcarto: skipped {skipped} record(s) with no year or a year outside "
                   f"{settings.year_range[0]}..{settings.year_range[1]}", file=sys.stderr)
@@ -306,6 +308,20 @@ def cmd_tables(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _kept_records(paths, exclusion_terms):
+    """The records of the alert files at ``paths`` that no exclusion term
+    excludes, one file read at a time; once the last file is read, prints
+    the count excluded."""
+    excluded = 0
+    for path in paths:
+        kept, dropped = corpus.filter_records(_read_alerts(path)[0], exclusion_terms)
+        excluded += len(dropped)
+        yield from kept
+        del kept, dropped  # this file's records go before the next file is read
+    if excluded:
+        print(f"bibcarto: excluded {excluded} record(s) by title phrase", file=sys.stderr)
 
 
 def _read_table(fixture: str | None, path: str | None) -> corpus.ContingencyTable | None:
@@ -337,7 +353,9 @@ class Analysis:
 def run_tables(recs, kind: str, settings: RunConfig) -> tuple[corpus.ContingencyTable, int]:
     """Cross-tabulate ``recs`` by year, a row per profile (``kind`` "profiles") or
     discipline of the catalog or lexicon that ``settings`` names (default: the
-    bundled one). Returns the table and the count of records skipped for their year."""
+    bundled one). ``recs`` may be any iterable of records, a generator among
+    them; it is read once, after the catalog or lexicon, and no record is
+    kept. Returns the table and the count of records skipped for their year."""
     # the stages are read from their modules per call, so perfbench's tracer sees them
     if kind == "profiles":
         cls, path, tag = corpus.ProfileCatalog, settings.catalog_path, corpus.match_profiles
@@ -445,22 +463,30 @@ def _run_query(search, index: search.Index, query_text: str, page: int) -> int:
     return 0
 
 
+_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
+
+
 def _stdin_lines():
-    """The lines of standard input; undecodable bytes raise an
-    InputFormatError that names ``<stdin>`` and the line holding them."""
-    lines_read = 0
-    try:
-        for line in sys.stdin:
-            lines_read += 1
-            yield line
-    except UnicodeDecodeError as exc:
-        # A line is handed out only once decoded, so the chunk that failed
-        # begins within the first unread line.
-        before = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        line_no = lines_read + before.count(b"\n") + 1
-        byte = exc.object[exc.start]
-        raise InputFormatError(line_no, f"not {exc.encoding.upper()}: byte 0x{byte:02x}",
-                               "<stdin>") from None
+    """The lines of standard input. A line holding bytes that are not in
+    its encoding raises an InputFormatError that names ``<stdin>`` and the
+    line; the lines before it are handed out first. A byte stream's error
+    handler is left set to "surrogateescape"; one that has already decoded
+    text keeps its handler, and a bad byte then raises UnicodeDecodeError."""
+    stdin = sys.stdin
+    if hasattr(stdin, "reconfigure") and stdin.errors != "surrogateescape":
+        try:
+            stdin.reconfigure(errors="surrogateescape")  # a bad byte reads as U+DC80..U+DCFF
+        except io.UnsupportedOperation:
+            pass
+    # a stream of str, as io.StringIO, decodes no bytes and has no escapes to find
+    escaped = getattr(stdin, "errors", None) == "surrogateescape"
+    for line_no, line in enumerate(stdin, 1):
+        bad = escaped and not line.isascii() and _ESCAPED_BYTE_RE.search(line)
+        if bad:
+            byte = ord(bad[0]) - 0xDC00
+            raise InputFormatError(line_no, f"not {stdin.encoding.upper()}: byte 0x{byte:02x}",
+                                   "<stdin>")
+        yield line
 
 
 def cmd_search(args) -> int:
@@ -470,8 +496,7 @@ def cmd_search(args) -> int:
         return 2
     from . import search
 
-    recs, _ = _parse_all(args.records)
-    index = search.build_index(recs)
+    index = search.build_index([r for path in args.records for r in _read_alerts(path)[0]])
     if args.mlt is not None:
         similar = search.more_like_this(index, args.mlt)
         print(f"records most like {args.mlt}:")

@@ -43,6 +43,8 @@ from .errors import DataError, InputFormatError, read_file
 from .records import BibRecord
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     import numpy as np
 
 DEFAULT_EXCLUSION_TERMS = ("galaxy cluster",)
@@ -427,18 +429,19 @@ def _column_label(text: str):
 
 
 def build_table(
-    records: list[BibRecord],
+    records: Iterable[BibRecord],
     tagger,
     row_labels: list[str],
     year_range: tuple[int, int],
 ) -> tuple[ContingencyTable, int]:
     """Cross-tabulate (record, label) incidences by publication year.
 
-    ``tagger`` maps a record to a set of labels; labels outside
-    ``row_labels`` are ignored. A record tagged with k labels adds k
-    incidences to its year column. Records whose year is missing or
-    outside the inclusive range are skipped; the skip count is returned
-    alongside the table.
+    ``records`` may be any iterable, a generator among them: it is read
+    once, one record at a time, and none is kept. ``tagger`` maps a
+    record to a set of labels; labels outside ``row_labels`` are ignored.
+    A record tagged with k labels adds k incidences to its year column.
+    Records whose year is missing or outside the inclusive range are
+    skipped; the skip count is returned alongside the table.
     """
     first, last = year_range
     if last < first:

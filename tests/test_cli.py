@@ -1,6 +1,7 @@
 import argparse
 import codecs
 import csv
+import gc
 import importlib.util
 import inspect
 import io
@@ -106,6 +107,26 @@ def test_parse_output_file(sample_file, tmp_path):
     assert len(records.load_records(out.read_text(encoding="utf-8"))) == 1
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["parse", "{sample}", "-o", ""], "-o/--output"),
+    (["tables", "--fixture", "Table2", "-o", ""], "-o/--output"),
+    (["analyze", "--fixture", "Table2", "--outdir", ""], "--outdir"),
+], ids=["parse", "tables", "analyze"])
+def test_an_empty_output_path_is_usage_error(argv, option, sample_file, tmp_path, capsys,
+                                             monkeypatch):
+    # "" would write to stdout or into the working directory
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(sample=sample_file) for arg in argv])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert f"argument {option}: must be a non-empty string" in err_text
+    assert out == ""
+    assert not any(work.iterdir())
+
+
 def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert main(["parse", str(tmp_path / "nope.txt")]) == 1
     assert "error" in capsys.readouterr().err
@@ -176,6 +197,50 @@ def test_tables_reports_exclusions_before_an_empty_table_error(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "excluded 1 record(s) by title phrase" in err
     assert "no (record, label) incidences" in err
+
+
+def test_tables_holds_one_files_records_at_a_time(tmp_path, monkeypatch, capsys):
+    per_file = 40
+    paths = [_write(tmp_path / f"alerts{i}.txt", "\n".join(
+        f"T   Neural network {i}-{j}\nK   computational biology\nU   J THINGS {1995 + j % 10}\n"
+        for j in range(per_file))) for i in range(5)]
+
+    def live():  # BibRecord has slots, so it takes no weakref
+        return sum(isinstance(obj, records.BibRecord) for obj in gc.get_objects())
+
+    baseline = live()
+    real = records.parse_records
+    live_at_parse = []
+
+    def spy(*args, **kwargs):
+        live_at_parse.append(live() - baseline)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(records, "parse_records", spy)
+    assert main(["tables", "--records", *map(str, paths), "-o", str(tmp_path / "t.csv")]) == 0
+    assert len(live_at_parse) == len(paths)
+    assert max(live_at_parse) <= per_file
+
+
+def test_tables_reads_the_lexicon_before_any_alert_file(tmp_path, capsys):
+    alerts = _write(tmp_path / "bad.txt", CORRUPT_RESEARCH_ALERT)
+    lexicon = _write(tmp_path / "lexicon.txt", "Net\tnetwork\nMed Medicine\n")
+    assert main(["tables", "--records", str(alerts), "--lexicon", str(lexicon)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bibcarto: error: {lexicon}:2: ")
+    assert err.count("\n") == 1
+
+
+def test_tables_reports_no_exclusions_when_a_later_file_fails(tmp_path, capsys):
+    first = _write(tmp_path / "one.txt", "T   Galaxy cluster survey\nU   J THINGS 2000\n\n"
+                   "T   Neural network training\nK   computational biology\nU   J THINGS 2000\n")
+    second = _write(tmp_path / "two.txt", CORRUPT_RESEARCH_ALERT)
+    out = tmp_path / "t.csv"
+    assert main(["tables", "--records", str(first), str(second), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bibcarto: error: {second}: input matches no alert format")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_tables_skip_message_counts_yearless_records(tmp_path, capsys):
@@ -1093,19 +1158,52 @@ def test_search_interactive_undecodable_stream_exits_1(stream, tmp_path, capsys,
 
 
 STDIN_ENDS = {b"\n": "", b"\r": "-CR", b"\r\n": "-CRLF"}
+# id -> (standard input, the line of its bad byte). 3,000 lines of five or
+# six bytes put the bad byte past the stream's first 8,192-byte read, which
+# ends inside a line; 2,048 lines of four bytes end that read at a line end.
+BAD_STDIN = {f"{n}{name}": ((b"zzzz" + end) * n + b"ok \xfe" + end, n + 1)
+             for end, name in STDIN_ENDS.items() for n in (2, 3000)}
+BAD_STDIN["2048-CR-at-the-read-end"] = (b"zzz\r" * 2048 + b"ok \xfe\r", 2049)
 
 
-@pytest.mark.parametrize("good_lines, end", [(n, end) for end in STDIN_ENDS for n in (2, 3000)],
-                         ids=[f"{n}{STDIN_ENDS[end]}" for end in STDIN_ENDS for n in (2, 3000)])
-def test_search_interactive_names_the_undecodable_stdin_line(good_lines, end, toy_corpus_file,
+@pytest.mark.parametrize("data, line", BAD_STDIN.values(), ids=BAD_STDIN)
+def test_search_interactive_names_the_undecodable_stdin_line(data, line, toy_corpus_file,
                                                              capsys, monkeypatch):
-    # 3,000 lines of five or six bytes put the bad byte past the stream's
-    # first 8,192-byte read, which ends inside a line
-    data = (b"zzzz" + end) * good_lines + b"ok \xfe" + end
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     assert main(["search", "--records", str(toy_corpus_file), "--interactive"]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"bibcarto: error: <stdin>:{line}: not UTF-8: byte 0xfe\n"
+    # the queries on the lines before the bad byte are answered first
+    assert out.count(" match(es); ") == line - 1
+
+
+def test_search_interactive_reads_a_stdin_already_read_from(toy_corpus_file, capsys,
+                                                             monkeypatch):
+    # a stream that has decoded text keeps its handler; a second session
+    # after a 'q' reads on from where the first stopped
+    stdin = io.TextIOWrapper(io.BytesIO(b"skipped\nnetwork\nq\ncluster\n"), encoding="utf-8")
+    assert stdin.readline() == "skipped\n"
+    monkeypatch.setattr("sys.stdin", stdin)
+    argv = ["search", "--records", str(toy_corpus_file), "--interactive"]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.count(" match(es); ") == 2
+
+
+def test_search_interactive_reports_a_bad_byte_on_a_stdin_already_read_from(
+        toy_corpus_file, capsys, monkeypatch):
+    # the strict handler cannot be swapped once text is decoded, so the
+    # error names no line, but it is still an error and not a traceback
+    stdin = io.TextIOWrapper(io.BytesIO(b"skipped\n" + b"z\n" * 5000 + b"ok \xfe\n"),
+                             encoding="utf-8")
+    assert stdin.readline() == "skipped\n"
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["search", "--records", str(toy_corpus_file), "--interactive"]) == 1
     err = capsys.readouterr().err
-    assert err == f"bibcarto: error: <stdin>:{good_lines + 1}: not UTF-8: byte 0xfe\n"
+    assert err.startswith("bibcarto: error: 'utf-8' codec can't decode byte 0xfe")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["parse", "tables", "search"])
@@ -1153,14 +1251,26 @@ def test_perfbench_tracer_wraps_and_restores_the_package(tmp_path, monkeypatch):
     tracing = importlib.import_module("tracing")
     owners = [cli, records, corpus, corpus.ContingencyTable, ca, ward, search]
     before = [dict(vars(owner)) for owner in owners]
+    # tables reads its files one at a time, parsing inside build_table's loop
+    paths = [_write(tmp_path / "a.txt", RESEARCH_ALERT_SAMPLE + "\n"
+                    "T   Neural network training\nK   computational biology\nU   J THINGS\n"),
+             _write(tmp_path / "b.txt", PERSONAL_ALERT_SAMPLE)]
+    recs = [r for path in paths for r in records.parse_records(path.read_text(encoding="utf-8"))]
+    table, skipped = cli.run_tables(corpus.filter_records(recs)[0], "disciplines", RunConfig())
     tracer = tracing.Tracer()
     tracer.install()
     try:
+        assert main(["tables", "--records", *map(str, paths), "-o", str(tmp_path / "t.csv")]) == 0
+        tabulated = {key: tracer.counts[key]
+                     for key in ("records.records_out", "corpus.incidences", "corpus.skipped")}
         assert main(["analyze", "--fixture", "Table2", "--outdir", str(tmp_path)]) == 0
         search.build_index(records.parse_records(RESEARCH_ALERT_SAMPLE)
                            + records.parse_records(PERSONAL_ALERT_SAMPLE))
     finally:
         tracer.uninstall()
+    assert tabulated == {"records.records_out": 3, "corpus.incidences": table.n,
+                         "corpus.skipped": skipped}
+    assert skipped == 1 and table.n > 0
     assert all(tracer.counts[key] > 0 for key in ("ca.axes", "ward.points", "search.terms"))
     for owner, attrs in zip(owners, before):
         assert all(vars(owner)[name] is value for name, value in attrs.items()), owner
