@@ -59,10 +59,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_filled(value) -> bool:
+    return isinstance(value, str) and value.strip() != ""
+
+
 # RunConfig field -> (test of the JSON value, what the test expects).
 _CONFIG_CHECKS = {
     "exclusion_terms": (
-        lambda v: isinstance(v, list) and all(isinstance(t, str) and t.strip() for t in v),
+        lambda v: isinstance(v, list) and all(map(_is_filled, v)),
         "a list of non-empty strings",
     ),
     "year_range": (
@@ -71,9 +75,9 @@ _CONFIG_CHECKS = {
         f"[FIRST, LAST] with integer years, "
         f"{records.FIRST_YEAR} <= FIRST <= LAST <= {records.LAST_YEAR}",
     ),
-    "catalog_path": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "lexicon_path": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "output_dir": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "catalog_path": (lambda v: v is None or _is_filled(v), "a non-empty string or null"),
+    "lexicon_path": (lambda v: v is None or _is_filled(v), "a non-empty string or null"),
+    "output_dir": (_is_filled, "a non-empty string"),
     "k": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
     "axes": (lambda v: v is None or (_is_int(v) and v >= 1), "a positive integer or null"),
 }
@@ -169,9 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--records", nargs="+", help="alert files to tabulate")
     p.add_argument("--kind", choices=["profiles", "disciplines"],
                    help="what labels the rows of a --records table (default disciplines)")
-    p.add_argument("--catalog", dest="catalog_path", metavar="CATALOG",
+    p.add_argument("--catalog", dest="catalog_path", type=_non_empty, metavar="CATALOG",
                    help="profile catalog file for --kind profiles (default: bundled)")
-    p.add_argument("--lexicon", dest="lexicon_path", metavar="LEXICON",
+    p.add_argument("--lexicon", dest="lexicon_path", type=_non_empty, metavar="LEXICON",
                    help="discipline lexicon file for --kind disciplines (default: bundled)")
     first, last = RunConfig.year_range
     p.add_argument("--years", dest="year_range", type=_year_range, metavar="FIRST:LAST",
@@ -361,7 +365,7 @@ def run_tables(recs, kind: str, settings: RunConfig) -> tuple[corpus.Contingency
         cls, path, tag = corpus.ProfileCatalog, settings.catalog_path, corpus.match_profiles
     else:
         cls, path, tag = corpus.DisciplineLexicon, settings.lexicon_path, corpus.tag_disciplines
-    vocabulary = cls.from_file(path) if path else cls.default()
+    vocabulary = cls.default() if path is None else cls.from_file(path)
     labels = vocabulary.ids if kind == "profiles" else vocabulary.labels
     return corpus.build_table(recs, lambda r: tag(r, vocabulary), labels, settings.year_range)
 

@@ -23,12 +23,9 @@ The index keeps its postings in compressed-sparse-row (CSR) form: each
 (term, field) key owns one span of a flat ``int32`` array of record ids,
 ascending, and the same span of a flat array of term frequencies. Both
 scorers accumulate over these spans term at a time instead of visiting
-records one by one. The arithmetic is that of a per-record
-loop: ranking adds ``weight * tf`` conjunct by conjunct and field by
-field; "more like this" first counts the shared distinct terms of each
-field as integers, then adds ``weight * count`` in ``FIELDS`` order.
-Each record's score is thus the same float, bit for bit, and ties
-fall to the smaller record id.
+records one by one. The field weights are small integers, so every
+score is an exact integer in float64 whatever the order of its terms,
+and ties fall to the smaller record id.
 
 ``build_index`` tokenizes a block of 256 records at a time in one
 pass through the token table, rather than each field on its own, and
@@ -38,12 +35,9 @@ bounded to keep peak memory down (see ``build_index``).
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 import operator
 import string
 from collections import defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -64,6 +58,7 @@ DEFAULT_FIELD_WEIGHTS = {
     "address": 1.0,
 }
 PAGE_SIZE = 10
+MLT_COUNT = 3
 
 # The token rule: ASCII 0-9 and a-z are kept, every other byte becomes a space.
 _TOKEN_TABLE = bytes(c if chr(c) in string.digits + string.ascii_lowercase else ord(" ")
@@ -85,10 +80,6 @@ class UnknownFieldError(QueryError):
 
 
 class UnknownRecordError(DataError):
-    pass
-
-
-class FieldWeightError(DataError):
     pass
 
 
@@ -119,9 +110,9 @@ class Query:
     conjuncts: tuple[Conjunct, ...]
 
 
-class Postings(Mapping):
-    """``term -> {field: ids}``, the ascending ``int32`` ids of the records
-    holding the term in each field that has it.
+class Postings:
+    """For each term and field, the ascending ``int32`` ids of the records
+    holding the term in the field, and its frequency in each of them.
 
     The postings are compressed sparse rows (CSR). The term numbered
     ``n`` in field position ``f`` has key ``k = n * len(FIELDS) + f``;
@@ -146,16 +137,8 @@ class Postings(Mapping):
         start, end = self._starts[key : key + 2].tolist()
         return self._ids[start:end], self._tf[start:end]
 
-    def __getitem__(self, term: str) -> dict[str, np.ndarray]:
-        key = self._term_numbers[term] * len(FIELDS)
-        bounds = self._starts[key : key + len(FIELDS) + 1].tolist()
-        return {name: self._ids[start:end]
-                for name, start, end in zip(FIELDS, bounds, bounds[1:]) if end > start}
-
-    def __iter__(self):
-        return iter(self._term_numbers)
-
     def __len__(self) -> int:
+        """The number of distinct terms."""
         return len(self._term_numbers)
 
 
@@ -164,20 +147,18 @@ _NO_ROW = (np.empty(0, np.int32), np.empty(0, np.int32))
 
 @dataclass
 class Index:
-    """The records, their field weights (a float for every name in
-    ``FIELDS``) and their postings.
+    """The records and their postings.
 
     Ranking unions and intersects postings rows to find the matches,
     looks up their frequencies by binary search, and adds ``weight * tf``
     per conjunct and field. More-like-this counts, per field, how many of
     the record's distinct terms each record shares with one ``bincount``
-    over their rows, then adds ``weight * count`` in ``FIELDS`` order. It
-    selects the top ``limit`` with one partition and sorts only the few
-    records scoring above the cut; ties at the cut go to the smallest ids.
+    over their rows, then adds ``weight * count`` per field. It selects the
+    top ``MLT_COUNT`` with one partition and sorts only the few records
+    scoring above the cut; ties at the cut go to the smallest ids.
     """
 
     records: tuple[BibRecord, ...]
-    field_weights: dict[str, float]
     postings: Postings = field(repr=False)
 
     @property
@@ -185,27 +166,8 @@ class Index:
         return len(self.records)
 
 
-def _checked_weights(field_weights: dict[str, float] | None) -> dict[str, float]:
-    weights = DEFAULT_FIELD_WEIGHTS if field_weights is None else field_weights
-    for name in weights:
-        if name not in FIELDS:
-            raise FieldWeightError(f"unknown field {name!r} in field weights")
-    for name in FIELDS:
-        if name not in weights:
-            raise FieldWeightError(f"no weight for field {name!r}")
-        value = weights[name]
-        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-            raise FieldWeightError(
-                f"weight of field {name!r} must be finite and positive, got {value!r}"
-            )
-    return {name: float(weights[name]) for name in FIELDS}
-
-
-def build_index(
-    records: list[BibRecord], field_weights: dict[str, float] | None = None
-) -> Index:
-    """Index ``records`` (ids are their positions) under ``field_weights``,
-    by default ``DEFAULT_FIELD_WEIGHTS``.
+def build_index(records: list[BibRecord]) -> Index:
+    """Index ``records``; their ids are their positions.
 
     A block of records is tokenized in one pass. The lowercased texts of
     its (record, field) slots are joined with spaces, translated through
@@ -221,7 +183,6 @@ def build_index(
     61.8 MB with 1,024-record blocks, 57.5 MB with 256-record blocks and
     59.7 MB when each field was tokenized on its own.
     """
-    weights = _checked_weights(field_weights)
     doc_count = max(len(records), 1)
     # Number each distinct term in order of first occurrence, and each
     # (record, field) slot of a block as its record's place in the block
@@ -255,7 +216,7 @@ def build_index(
     starts = np.searchsorted(pairs, np.arange(len(term_number) * len(FIELDS) + 1) * doc_count)
     pairs %= doc_count
     postings = Postings(dict(term_number), starts, pairs.astype(np.int32), tf.astype(np.int32))
-    return Index(tuple(records), weights, postings)
+    return Index(tuple(records), postings)
 
 
 def parse_query(text: str) -> Query:
@@ -310,7 +271,7 @@ def ranked_matches(index: Index, query: Query) -> list[int]:
             ids, tf = index.postings.row(conjunct.term, name)
             if ids.size:
                 at = np.minimum(np.searchsorted(ids, candidates), len(ids) - 1)
-                total += index.field_weights[name] * np.where(ids[at] == candidates, tf[at], 0)
+                total += DEFAULT_FIELD_WEIGHTS[name] * np.where(ids[at] == candidates, tf[at], 0)
     # a stable sort of ascending ids breaks score ties by id
     return candidates[np.argsort(-total, kind="stable")].tolist()
 
@@ -327,19 +288,17 @@ def search(index: Index, query: Query, page: int = 1) -> list[int]:
     return ranked[start : start + PAGE_SIZE]
 
 
-def more_like_this(index: Index, doc_id: int, limit: int = 3) -> list[int]:
-    """The ``limit`` records sharing the most field-weighted terms with
-    the given one, best first and ties to the smaller id; the record
-    itself is excluded.
+def more_like_this(index: Index, doc_id: int) -> list[int]:
+    """The ``MLT_COUNT`` records (fewer in a smaller index) sharing the most
+    field-weighted terms with the given one, best first and ties to the
+    smaller id; the record itself is excluded.
 
-    The top ``limit`` are selected, not sorted: one partition finds the
-    cut, and only the records scoring above it are sorted.
+    They are selected, not sorted: one partition finds the cut, and only
+    the records scoring above it are sorted.
     """
     if not 0 <= doc_id < index.doc_count:
         raise UnknownRecordError(f"no record with id {doc_id}")
-    if limit < 0:
-        raise ValueError(f"limit must not be negative, got {limit}")
-    limit = min(limit, index.doc_count - 1)
+    limit = min(MLT_COUNT, index.doc_count - 1)
     if not limit:
         return []
     record = index.records[doc_id]
@@ -349,7 +308,7 @@ def more_like_this(index: Index, doc_id: int, limit: int = 3) -> list[int]:
         if terms:
             rows = [index.postings.row(term, name)[0] for term in terms]
             shared = np.bincount(np.concatenate(rows), minlength=index.doc_count)
-            total += index.field_weights[name] * shared
+            total += DEFAULT_FIELD_WEIGHTS[name] * shared
     total[doc_id] = -np.inf
     # Select, don't sort: the cut is the limit-th largest score. Fewer than
     # limit ids score above it; a stable sort of those (ascending) ids ranks

@@ -15,9 +15,8 @@ from bibcarto import ca, corpus, records, search, ward
 from bibcarto.cli import main
 
 from conftest import PERSONAL_ALERT_SAMPLE, RESEARCH_ALERT_SAMPLE
-from helpers import linear_scan_search, naive_ward, random_table
+from helpers import _doc_terms, linear_scan_search, naive_ward, random_table
 from test_ca import assert_ca_properties
-from test_search import _tokenized
 
 pytestmark = pytest.mark.acceptance
 
@@ -127,7 +126,7 @@ def test_c7_search_semantics_against_linear_scan():
     rng = np.random.default_rng(85020)
     corpus_records = _synthetic_corpus(rng)
     index = search.build_index(corpus_records)
-    fields = _tokenized(corpus_records)
+    fields = _doc_terms(corpus_records)
     vocab = sorted({t for f in fields for c in f.values() for t in c})
 
     field_bound_queries = 0

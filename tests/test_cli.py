@@ -111,10 +111,13 @@ def test_parse_output_file(sample_file, tmp_path):
     (["parse", "{sample}", "-o", ""], "-o/--output"),
     (["tables", "--fixture", "Table2", "-o", ""], "-o/--output"),
     (["analyze", "--fixture", "Table2", "--outdir", ""], "--outdir"),
-], ids=["parse", "tables", "analyze"])
+    (["tables", "--records", "{sample}", "--kind", "profiles", "--catalog", ""], "--catalog"),
+    (["tables", "--records", "{sample}", "--lexicon", ""], "--lexicon"),
+], ids=["parse", "tables", "analyze", "catalog", "lexicon"])
 def test_an_empty_output_path_is_usage_error(argv, option, sample_file, tmp_path, capsys,
                                              monkeypatch):
-    # "" would write to stdout or into the working directory
+    # "" would write to stdout or into the working directory, or read the
+    # bundled catalog or lexicon
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
@@ -598,6 +601,12 @@ REJECTED_INPUTS = {
     "config-exclusion-terms-blank": ({"exclusion_terms": ["galaxy", " "]}, None, "tables",
                                      "exclusion_terms"),
     "config-unknown-key": ({"kk": 3}, None, "analyze", "kk"),
+    "config-catalog-path-empty": ({"catalog_path": ""}, None, "tables",
+                                  "catalog_path must be a non-empty string or null"),
+    "config-lexicon-path-empty": ({"lexicon_path": ""}, None, "tables",
+                                  "lexicon_path must be a non-empty string or null"),
+    "config-output-dir-blank": ({"output_dir": "   "}, None, "analyze",
+                                "output_dir must be a non-empty string"),
     "config-not-an-object": ([1], None, "analyze", ": config must be a JSON object"),
     "csv-empty": (None, "", "analyze", ":1:"),
     "csv-overflow": (None, "label,1994,1995\nx,99999999999999999999,1\n", "analyze", ":2:"),
