@@ -43,31 +43,8 @@ EIGENVALUE_TOL = 1e-12
 SIGN_TIE_RTOL = 1e-9
 
 
-class CaError(DataError):
-    pass
-
-
-class ZeroMassError(CaError):
-    def __init__(self, kind: str, label):
-        super().__init__(f"{kind} {label!r} has zero mass")
-        self.kind = kind
-        self.label = label
-
-
-class DegenerateTableError(CaError):
-    pass
-
-
-class SupplementaryError(CaError):
+class SupplementaryError(DataError):
     """A supplementary row or column that cannot be projected."""
-
-
-class EmptySupplementaryError(SupplementaryError):
-    pass
-
-
-class ShapeMismatchError(SupplementaryError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -104,16 +81,14 @@ def ca_fit(table: ContingencyTable) -> CaResult:
     which is a valid (empty) result, not an error.
     """
     if len(table.row_labels) < 2 or len(table.col_labels) < 2:
-        raise DegenerateTableError("need at least a 2x2 table")
+        raise DataError("need at least a 2x2 table")
     f = table.frequencies
     fi = f.sum(axis=1)
     fj = f.sum(axis=0)
-    for label, mass in zip(table.row_labels, fi):
-        if mass == 0.0:
-            raise ZeroMassError("row", label)
-    for label, mass in zip(table.col_labels, fj):
-        if mass == 0.0:
-            raise ZeroMassError("column", label)
+    for kind, labels, masses in (("row", table.row_labels, fi), ("column", table.col_labels, fj)):
+        for label, mass in zip(labels, masses):
+            if mass == 0.0:
+                raise DataError(f"{kind} {label!r} has zero mass")
 
     expected = np.outer(fi, fj)
     residuals = (f - expected) / np.sqrt(expected)
@@ -172,10 +147,10 @@ def _project(counts, coords: np.ndarray, eigenvalues: np.ndarray, kind: str,
     fitted ``over`` points, whose principal coordinates are ``coords``."""
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (len(coords),):
-        raise ShapeMismatchError(f"expected {len(coords)} {over} counts, got {counts.shape}")
+        raise SupplementaryError(f"expected {len(coords)} {over} counts, got {counts.shape}")
     total = counts.sum()
     if total <= 0.0:
-        raise EmptySupplementaryError(f"supplementary {kind} has no incidences")
+        raise SupplementaryError(f"supplementary {kind} has no incidences")
     profile = counts / total
     return (profile @ coords) / np.sqrt(eigenvalues)
 

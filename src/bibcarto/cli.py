@@ -119,7 +119,10 @@ def _settings(args) -> RunConfig:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # not an integer, or one longer than int() converts
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
@@ -138,14 +141,18 @@ def _year_range(text: str) -> tuple[int, int]:
     m = _YEAR_RANGE_RE.fullmatch(text)
     if not m:
         raise argparse.ArgumentTypeError(f"expected FIRST:LAST, got {text!r}")
-    lo, hi = int(m[1]), int(m[2])
+    outside = argparse.ArgumentTypeError(
+        f"years must lie in {records.FIRST_YEAR}..{records.LAST_YEAR}, got {text!r}")
+    try:
+        lo, hi = int(m[1]), int(m[2])
+    except ValueError:  # a digit run longer than int() converts
+        raise outside from None
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty year range {text!r}")
     # A wider range than the years a record can carry counts no more
     # records, it only adds empty columns.
     if lo < records.FIRST_YEAR or hi > records.LAST_YEAR:
-        raise argparse.ArgumentTypeError(
-            f"years must lie in {records.FIRST_YEAR}..{records.LAST_YEAR}, got {text!r}")
+        raise outside
     return lo, hi
 
 
@@ -382,7 +389,7 @@ def run_analysis(table: corpus.ContingencyTable, supplementary: corpus.Contingen
     projected = []
     if supplementary is not None:
         if supplementary.col_labels != table.col_labels:
-            raise ca.ShapeMismatchError(
+            raise ca.SupplementaryError(
                 "supplementary table columns differ from the fitted table's"
             )
         fitted = {*table.row_labels, *map(str, table.col_labels)}
@@ -390,7 +397,7 @@ def run_analysis(table: corpus.ContingencyTable, supplementary: corpus.Contingen
             if label in fitted:
                 raise ca.SupplementaryError(f"supplementary row {label!r} repeats a fitted label")
             if not counts.any():
-                raise ca.EmptySupplementaryError(f"supplementary row {label!r} has no incidences")
+                raise ca.SupplementaryError(f"supplementary row {label!r} has no incidences")
             projected.append((label, ca.project_supplementary_row(counts, result)))
 
     points = ward.embed_for_clustering(result, projected)
@@ -511,9 +518,10 @@ def cmd_search(args) -> int:
     if args.interactive:
         for line in _stdin_lines():
             line = line.strip()
-            if not line or line == "q":
+            if line == "q":
                 break
-            _run_query(search, index, line, 1)
+            if line:  # a blank line asks nothing and ends nothing
+                _run_query(search, index, line, 1)
         return 0
     return _run_query(search, index, args.query, args.page or 1)
 

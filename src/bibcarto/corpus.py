@@ -53,18 +53,6 @@ DEFAULT_EXCLUSION_TERMS = ("galaxy cluster",)
 _TOKEN_YEAR_RE = re.compile(r"(?<=\S)\s+\d{2}$")
 
 
-class EmptyTableError(DataError):
-    """Cross-tabulation produced no incidences at all."""
-
-
-class TableFormatError(InputFormatError):
-    """Malformed contingency-table CSV."""
-
-
-class VocabularyFormatError(InputFormatError):
-    """Malformed profile-catalog or discipline-lexicon text."""
-
-
 class DuplicateEntryError(DataError):
     """Entry ``index`` repeats the id, label or match token of an earlier one."""
 
@@ -93,7 +81,7 @@ class _Vocabulary:
                 continue
             key, tab, rest = ln.partition("\t")
             if not (tab and key.strip()):  # raised after a duplicate on an earlier line
-                error = VocabularyFormatError(
+                error = InputFormatError(
                     line_no, f"expected a non-empty {cls._KEY}, a tab, then terms: {ln!r}")
                 break
             lists = [tuple(t.strip() for t in part.split(",") if t.strip())
@@ -103,7 +91,7 @@ class _Vocabulary:
         try:
             vocabulary = cls(entries)
         except DuplicateEntryError as exc:
-            raise VocabularyFormatError(line_nos[exc.index], str(exc)) from None
+            raise InputFormatError(line_nos[exc.index], str(exc)) from None
         if error:
             raise error
         return vocabulary
@@ -310,7 +298,7 @@ class ContingencyTable:
     @property
     def frequencies(self) -> np.ndarray:
         if self.n == 0:
-            raise EmptyTableError("table has no incidences")
+            raise DataError("table has no incidences")
         return self.counts / self.n
 
     def to_csv(self) -> str:
@@ -331,7 +319,7 @@ class ContingencyTable:
         are skipped. A row label must not be blank, and no label may hold a
         line break. Quoting is strict: a quoted field ends at its closing
         quote, then a comma or the row's end. Any other shape raises
-        :class:`TableFormatError`, naming the line where the first
+        :class:`InputFormatError`, naming the line where the first
         offending record starts."""
         reader = csv.reader(io.StringIO("\n".join(text.splitlines())), strict=True)
         header, header_line, rows, lines = None, 0, {}, []
@@ -344,48 +332,48 @@ class ContingencyTable:
                 if header is None:
                     for c in fields[1:]:
                         if "\n" in c:
-                            raise TableFormatError(
+                            raise InputFormatError(
                                 line, f"column label {c!r} holds a line break")
                     try:
                         header = tuple(_column_label(c) for c in fields[1:])
                     except ValueError:  # a digit run longer than int() converts
-                        raise TableFormatError(line, "column label too long for a year") from None
+                        raise InputFormatError(line, "column label too long for a year") from None
                     header_line = line
                     if len(set(header)) != len(header):
-                        raise TableFormatError(line, "duplicate column labels")
+                        raise InputFormatError(line, "duplicate column labels")
                     continue
                 if len(fields) != len(header) + 1:
-                    raise TableFormatError(
+                    raise InputFormatError(
                         line, f"expected {len(header)} counts, got {len(fields) - 1}")
                 label = fields[0]
                 if not label.strip():
-                    raise TableFormatError(line, "blank row label")
+                    raise InputFormatError(line, "blank row label")
                 if "\n" in label:
-                    raise TableFormatError(line, f"row label {label!r} holds a line break")
+                    raise InputFormatError(line, f"row label {label!r} holds a line break")
                 if label in rows:
-                    raise TableFormatError(line, f"duplicate row label {label!r}")
+                    raise InputFormatError(line, f"duplicate row label {label!r}")
                 try:
                     rows[label] = tuple(map(int, fields[1:]))
                 except ValueError:
-                    raise TableFormatError(line, "counts must be integers") from None
+                    raise InputFormatError(line, "counts must be integers") from None
                 lines.append(line)
-        except (TableFormatError, csv.Error) as exc:
+        except (InputFormatError, csv.Error) as exc:
             if isinstance(exc, csv.Error):  # its record starts after the last one read
                 reason = str(exc)
-                exc = TableFormatError(
+                exc = InputFormatError(
                     end + 1, "unclosed quote" if reason == "unexpected end of data" else reason)
             raise _count_error(lines, rows.values()) or exc from None  # the earlier line wins
         if header is None:
-            raise TableFormatError(1, "empty table")
+            raise InputFormatError(1, "empty table")
         if not rows:
-            raise TableFormatError(header_line, "header but no rows")
+            raise InputFormatError(header_line, "header but no rows")
         try:
             return cls(tuple(rows), header, tuple(rows.values()))
         except ValueError as exc:  # a negative count or too large a total: find its line
             raise _count_error(lines, rows.values()) or exc from None
 
 
-def _count_error(lines, rows) -> TableFormatError | None:
+def _count_error(lines, rows) -> InputFormatError | None:
     """The error of the first row, on its line, that holds a negative count
     or takes the running total past 2**63 - 1; None if no row does.
 
@@ -394,10 +382,10 @@ def _count_error(lines, rows) -> TableFormatError | None:
     total = 0
     for line, row in zip(lines, rows):
         if min(row, default=0) < 0:
-            return TableFormatError(line, "negative count")
+            return InputFormatError(line, "negative count")
         total += sum(row)
         if total > _MAX_TOTAL:
-            return TableFormatError(line, "counts total exceeds 2**63 - 1")
+            return InputFormatError(line, "counts total exceeds 2**63 - 1")
     return None
 
 
@@ -445,7 +433,7 @@ def build_table(
     """
     first, last = year_range
     if last < first:
-        raise EmptyTableError("empty year range")
+        raise DataError("empty year range")
     cols = tuple(range(first, last + 1))
     row_index = {label: i for i, label in enumerate(row_labels)}
     counts = [[0] * len(cols) for _ in row_labels]
@@ -460,7 +448,7 @@ def build_table(
             if i is not None:
                 counts[i][j] += 1
     if not any(map(any, counts)):
-        raise EmptyTableError("no (record, label) incidences in the year range")
+        raise DataError("no (record, label) incidences in the year range")
     return ContingencyTable(tuple(row_labels), cols, counts), skipped
 
 

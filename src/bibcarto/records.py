@@ -79,23 +79,9 @@ class AmbiguousFormatError(RecordParseError):
     """Input matches neither alert grammar."""
 
 
-class UnknownTagError(RecordParseError, InputFormatError):
-    def __init__(self, line_no: int, tag: str):
-        super().__init__(line_no, f"unknown tag {tag!r}")
-        self.tag = tag
-
-
-class UnknownHeaderError(RecordParseError, InputFormatError):
-    def __init__(self, line_no: int, header: str):
-        super().__init__(line_no, f"unknown header {header!r}")
-        self.header = header
-
-
-class MissingTitleError(RecordParseError, InputFormatError):
-    """A record with no title; ``line_no`` is its first non-blank line."""
-
-    def __init__(self, line_no: int):
-        super().__init__(line_no, "record has no title")
+class RecordLineError(RecordParseError, InputFormatError):
+    """A record's bad line (an unknown tag or header), else, for a record
+    with no title, its first non-blank line."""
 
 
 @dataclass(slots=True)
@@ -274,8 +260,12 @@ def _split_qualifier(entry: str) -> tuple[str, str]:
 
 
 def parse_records(text: str, fmt: RecordFormat | None = None) -> list[BibRecord]:
-    """Parse alert text in the given (or auto-detected) format, raising
-    the first RecordParseError as soon as it is found."""
+    """Parse alert text in the given (or auto-detected) format. Raises, as
+    soon as it is found, the first error: AmbiguousFormatError when no
+    format is given and the text is in neither grammar, else the
+    RecordLineError of the first record that fails, whose ``line_no`` is
+    the record's first bad line, or its first non-blank line when the
+    record has no title; its ``reason`` names the unknown tag or header."""
     return _parse(text, fmt, strict=True)[0]
 
 
@@ -330,11 +320,12 @@ def _parse(
         if bad < end:
             stop = norm.find("\n", counted, end)
             line = norm[counted:end if stop < 0 else stop]
-            exc = (UnknownTagError(line_no, line.split(None, 1)[0]) if fmt is _RA
-                   else UnknownHeaderError(line_no, line.strip() if line[0] in " \t"
-                                           else line.split(":")[0]))
+            word = (line.split(None, 1)[0] if fmt is _RA
+                    else line.strip() if line[0] in " \t" else line.split(":")[0])
+            reason = f"unknown {'tag' if fmt is _RA else 'header'} {word!r}"
         else:
-            exc = MissingTitleError(line_no)
+            reason = "record has no title"
+        exc = RecordLineError(line_no, reason)
         if strict:
             raise exc
         errors.append(exc)

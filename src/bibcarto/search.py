@@ -68,19 +68,7 @@ _BLOCK = 256
 
 
 class QueryError(DataError):
-    pass
-
-
-class EmptyQueryError(QueryError):
-    pass
-
-
-class UnknownFieldError(QueryError):
-    pass
-
-
-class UnknownRecordError(DataError):
-    pass
+    """A query string with no search term, an empty term or an unknown field."""
 
 
 def _token_bytes(lowered: str) -> bytes:
@@ -234,14 +222,14 @@ def parse_query(text: str) -> Query:
             name, term = token.split(":", 1)
             name = _FIELD_ALIASES.get(name.lower(), name.lower())
             if name not in FIELDS:
-                raise UnknownFieldError(f"unknown field {name!r}")
+                raise QueryError(f"unknown field {name!r}")
             if not term:
-                raise EmptyQueryError(f"empty term in conjunct {token!r}")
+                raise QueryError(f"empty term in conjunct {token!r}")
             conjuncts.append(Conjunct(name, term.lower()))
         else:
             conjuncts.append(Conjunct(None, token.lower()))
     if not conjuncts:
-        raise EmptyQueryError("query has no search terms")
+        raise QueryError("query has no search terms")
     return Query(tuple(conjuncts))
 
 
@@ -297,7 +285,7 @@ def more_like_this(index: Index, doc_id: int) -> list[int]:
     the records scoring above it are sorted.
     """
     if not 0 <= doc_id < index.doc_count:
-        raise UnknownRecordError(f"no record with id {doc_id}")
+        raise DataError(f"no record with id {doc_id}")
     limit = min(MLT_COUNT, index.doc_count - 1)
     if not limit:
         return []

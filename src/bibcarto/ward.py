@@ -60,18 +60,6 @@ from .corpus import csv_field
 from .errors import DataError
 
 
-class TooFewPointsError(DataError):
-    pass
-
-
-class DimensionMismatchError(DataError):
-    pass
-
-
-class DuplicateLabelError(DataError):
-    """Two points share a label, e.g. a table row labelled like a year column."""
-
-
 class ClusterCountError(DataError):
     """A cut into fewer than one cluster or more clusters than leaves."""
 
@@ -93,7 +81,7 @@ class PointSet:
             raise ValueError("non-finite coordinates")
         repeated = [label for label, count in Counter(self.labels).items() if count > 1]
         if repeated:
-            raise DuplicateLabelError(f"duplicate point label {repeated[0]!r}")
+            raise DataError(f"duplicate point label {repeated[0]!r}")
         if masses.size and not (masses == masses[0]).all():
             raise ValueError("points must be equiweighted")
         object.__setattr__(self, "coords", coords)
@@ -134,7 +122,7 @@ def embed_for_clustering(
     for label, coords in supplementary:
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (d,):
-            raise DimensionMismatchError(
+            raise DataError(
                 f"supplementary point {label!r} has {coords.shape} coordinates, "
                 f"expected ({d},)"
             )
@@ -147,7 +135,7 @@ def ward_hac(points: PointSet) -> Dendrogram:
     """Agglomerate all points into a dendrogram of n-1 recorded merges."""
     n = len(points)
     if n < 2:
-        raise TooFewPointsError(f"need at least 2 points, got {n}")
+        raise DataError(f"need at least 2 points, got {n}")
 
     coords = points.coords
     mass = points.masses.copy()

@@ -14,11 +14,9 @@ from bibcarto.corpus import ContingencyTable
 from bibcarto.records import (
     AmbiguousFormatError,
     BibRecord,
-    MissingTitleError,
     RecordFormat,
+    RecordLineError,
     RecordParseError,
-    UnknownHeaderError,
-    UnknownTagError,
 )
 from bibcarto.search import FIELDS, Postings, tokenize
 
@@ -406,12 +404,12 @@ def _naive_parse_ra_block(block):
     for n, ln in block:
         tag = ln.split(None, 1)[0]
         if tag not in _NAIVE_RA_TAGS or not ln.startswith(tag):
-            raise UnknownTagError(n, tag)
+            raise RecordLineError(n, f"unknown tag {tag!r}")
         value = ln[len(tag):]
         parts[tag].append(value.strip() if tag == "W." else _naive_squash(value))
     title = _naive_squash(" ".join(parts["T"]))
     if not title:
-        raise MissingTitleError(block[0][0])  # the block's first line
+        raise RecordLineError(block[0][0], "record has no title")  # the block's first line
     source = _naive_squash(" ".join(parts["U"]))
     return BibRecord(
         title=title,
@@ -442,12 +440,12 @@ def _naive_parse_pa_block(block):
     for n, ln in block:
         if ln[:1] in (" ", "\t"):
             if current is None:
-                raise UnknownHeaderError(n, ln.strip())
+                raise RecordLineError(n, f"unknown header {ln.strip()!r}")
             values[current].append(ln.strip())
             continue
         m = _NAIVE_PA_HEADER_RE.match(ln)
         if not m or m.group(1) not in _NAIVE_PA_HEADERS:
-            raise UnknownHeaderError(n, ln.split(":")[0])
+            raise RecordLineError(n, f"unknown header {ln.split(':')[0]!r}")
         current = m.group(1)
         values[current].append(m.group(2).strip())
 
@@ -456,7 +454,7 @@ def _naive_parse_pa_block(block):
 
     title = joined("TITLE")
     if not title:
-        raise MissingTitleError(block[0][0])  # the block's first line
+        raise RecordLineError(block[0][0], "record has no title")  # the block's first line
     source = joined("SOURCE")
     return BibRecord(
         title=title,

@@ -164,7 +164,32 @@ def test_analyze_k_zero_is_usage_error(capsys):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("years", ["0:4000000000", "1899:2000", "2000:2101", "-5:2000"])
+_HUGE = "1" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--fixture", "Table2", "--k", "abc"],
+     "argument --k: must be a positive integer, got abc"),
+    (["analyze", "--fixture", "Table2", "--axes", "1.5"],
+     "argument --axes: must be a positive integer, got 1.5"),
+    (["analyze", "--fixture", "Table2", "--k", _HUGE],
+     f"argument --k: must be a positive integer, got {_HUGE}"),
+    (["search", "q", "--records", "unread.txt", "--page", "x"],
+     "argument --page: must be a positive integer, got x"),
+], ids=["k-text", "axes-fraction", "k-too-long", "page-text"])
+def test_a_bad_positive_integer_is_a_usage_error_in_its_own_words(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"bibcarto {argv[0]}: error: {message}"
+
+
+@pytest.mark.parametrize("years", [
+    "0:4000000000", "1899:2000", "2000:2101", "-5:2000",
+    pytest.param(f"{_HUGE}:2000", id="first-too-long"),
+    pytest.param(f"1994:-{_HUGE}", id="last-too-long"),
+])
 def test_tables_years_outside_1900_2100_is_usage_error(years, toy_corpus_file, capsys):
     # a range as wide as the first one once asked for tens of GB of table
     with pytest.raises(SystemExit) as err:
@@ -907,7 +932,11 @@ def test_every_exception_class_is_a_data_error():
                for m in pkgutil.iter_modules(bibcarto.__path__)]
     classes = {obj for module in modules for _, obj in inspect.getmembers(module, inspect.isclass)
                if issubclass(obj, BaseException) and obj.__module__.startswith("bibcarto")}
-    assert len(classes) > 20
+    # one class per distinction some caller in the program makes
+    assert sorted(c.__qualname__ for c in classes) == [
+        "AmbiguousFormatError", "ClusterCountError", "DataError", "DuplicateEntryError",
+        "InputFormatError", "QueryError", "RecordLineError", "RecordParseError",
+        "SupplementaryError"]
     assert sorted(c.__qualname__ for c in classes if not issubclass(c, DataError)) == []
 
 
@@ -1147,6 +1176,15 @@ def test_search_interactive_loop(toy_corpus_file, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("network\nq\n"))
     assert main(["search", "--records", str(toy_corpus_file), "--interactive"]) == 0
     assert "match(es)" in capsys.readouterr().out
+
+
+def test_search_interactive_skips_blank_lines(toy_corpus_file, capsys, monkeypatch):
+    # only EOF or 'q' ends the session, as --help says
+    monkeypatch.setattr("sys.stdin", io.StringIO("network\n\n \t\nclustering\nq\nnetwork\n"))
+    assert main(["search", "--records", str(toy_corpus_file), "--interactive"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count(" match(es); ") == 2
+    assert err == ""
 
 
 @pytest.mark.parametrize("stream", ["stdin", "stdout"])

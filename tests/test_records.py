@@ -10,10 +10,8 @@ from bibcarto import records
 from bibcarto.records import (
     AmbiguousFormatError,
     BibRecord,
-    MissingTitleError,
     RecordFormat,
-    UnknownHeaderError,
-    UnknownTagError,
+    RecordLineError,
     _squash,
     detect_format,
     dump_records,
@@ -112,20 +110,20 @@ def test_multiple_cited_profile_lines():
 
 def test_unknown_tag_names_line():
     text = "T   ok title\nX   mystery\n"
-    with pytest.raises(UnknownTagError) as err:
+    with pytest.raises(RecordLineError) as err:
         parse_records(text, RecordFormat.RESEARCH_ALERT)
     assert err.value.line_no == 2
-    assert err.value.tag == "X"
+    assert err.value.reason == "unknown tag 'X'"
 
 
 def test_indented_tag_line_rejected():
-    with pytest.raises(UnknownTagError):
+    with pytest.raises(RecordLineError, match="unknown tag 'T'"):
         parse_records("T  fine\n  T  sneaky indent\n", RecordFormat.RESEARCH_ALERT)
 
 
 def test_missing_title_names_line():
     text = "T   first\n\n\n  \nA   ORPHAN AUTHOR\n"
-    with pytest.raises(MissingTitleError) as err:
+    with pytest.raises(RecordLineError) as err:
         parse_records(text, RecordFormat.RESEARCH_ALERT)
     assert err.value.line_no == 5
     assert str(err.value) == "line 5: record has no title"
@@ -133,17 +131,18 @@ def test_missing_title_names_line():
 
 def test_unknown_header_names_line():
     text = "TITLE:  ok\nFOO: mystery\n"
-    with pytest.raises(UnknownHeaderError) as err:
+    with pytest.raises(RecordLineError) as err:
         parse_records(text, RecordFormat.PERSONAL_ALERT)
     assert err.value.line_no == 2
-    assert err.value.header == "FOO"
+    assert err.value.reason == "unknown header 'FOO'"
 
 
 def test_personal_alert_headers_before_title():
-    with pytest.raises(MissingTitleError) as err:
+    with pytest.raises(RecordLineError) as err:
         parse_records("\n \nAUTHOR: Orphan, A\n\nTITLE: real record\n",
                       RecordFormat.PERSONAL_ALERT)
     assert err.value.line_no == 3
+    assert err.value.reason == "record has no title"
 
 
 def test_personal_alert_without_keywords_plus():
@@ -209,7 +208,8 @@ def test_lenient_collects_errors():
     records, errors = parse_records_lenient(text, RecordFormat.RESEARCH_ALERT)
     assert [r.title for r in records] == ["good record", "another good"]
     assert len(errors) == 1
-    assert isinstance(errors[0], UnknownTagError)
+    assert isinstance(errors[0], RecordLineError)
+    assert str(errors[0]) == "line 3: unknown tag 'X'"
 
 
 @pytest.mark.parametrize("fmt, text, titles", [
@@ -229,8 +229,8 @@ def test_a_forced_format_still_finds_the_bad_lines(fmt, text, titles):
     want, want_errors = naive_parse_records_lenient(text, fmt)
     assert [to_json_line(r) for r in got] == [to_json_line(r) for r in want]
     assert [r.title for r in got] == titles
-    assert [(type(e), e.line_no) for e in got_errors] == \
-        [(type(e), e.line_no) for e in want_errors]
+    assert [(type(e), e.line_no, e.reason) for e in got_errors] == \
+        [(type(e), e.line_no, e.reason) for e in want_errors]
     assert len(got_errors) == 2
 
 
@@ -348,11 +348,11 @@ def test_strict_parse_raises_the_first_lenient_error(text, fmt):
             [to_json_line(r) for r in want]
 
 
-@pytest.mark.parametrize("fmt, bad, error, assembled", [
-    (RecordFormat.RESEARCH_ALERT, "X   unknown tag", UnknownTagError, ["record 1", "record 2"]),
-    (None, "A   no title here", MissingTitleError, ["record 1", "record 2", None]),
+@pytest.mark.parametrize("fmt, bad, reason, assembled", [
+    (RecordFormat.RESEARCH_ALERT, "X   unknown tag", "unknown tag 'X'", ["record 1", "record 2"]),
+    (None, "A   no title here", "record has no title", ["record 1", "record 2", None]),
 ], ids=["unknown-tag", "no-title"])
-def test_strict_parse_assembles_no_record_after_the_first_error(fmt, bad, error, assembled,
+def test_strict_parse_assembles_no_record_after_the_first_error(fmt, bad, reason, assembled,
                                                                monkeypatch):
     real_parse, real_record = records._parse_ra_record, records._RA_RECORD
     titles, spans = [], []
@@ -374,16 +374,16 @@ def test_strict_parse_assembles_no_record_after_the_first_error(fmt, bad, error,
     monkeypatch.setattr(records, "_RA_RECORD", CountingRecordPattern())
     text = "".join(f"T   record {i}\n\n" for i in (1, 2)) + bad + "\n\n" + \
         "".join(f"T   record {i}\n\n" for i in range(4, 51))
-    with pytest.raises(error) as err:
+    with pytest.raises(RecordLineError) as err:
         parse_records(text, fmt)
-    assert err.value.line_no == 5
+    assert (err.value.line_no, err.value.reason) == (5, reason)
     assert titles == assembled
     assert len(spans) <= 4  # record 3 of 50 fails; the rest are never cut
     titles.clear()
     spans.clear()
     assert len(parse_records_lenient(text, fmt)[0]) == 49
     assert len(spans) == 50
-    assert len(titles) == 50 - (error is UnknownTagError)
+    assert len(titles) == 50 - (reason != "record has no title")
 
 
 def test_lenient_parse_detects_through_the_module_attribute(research_alert_text, monkeypatch):

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bibcarto.errors import DataError
 from bibcarto.records import BibRecord, RecordFormat
 from bibcarto.search import (
     DEFAULT_FIELD_WEIGHTS,
     FIELDS,
     PAGE_SIZE,
-    EmptyQueryError,
     QueryError,
-    UnknownFieldError,
-    UnknownRecordError,
     _BLOCK,
     build_index,
     more_like_this,
@@ -95,13 +93,13 @@ def test_parse_query_lowercase_and_is_a_term():
 
 
 def test_parse_query_errors():
-    with pytest.raises(EmptyQueryError):
+    with pytest.raises(QueryError, match="^query has no search terms$"):
         parse_query("")
-    with pytest.raises(EmptyQueryError):
+    with pytest.raises(QueryError, match="^query has no search terms$"):
         parse_query("AND")
-    with pytest.raises(QueryError):
+    with pytest.raises(QueryError, match="^empty term in conjunct 'title:'$"):
         parse_query("title:")
-    with pytest.raises(UnknownFieldError):
+    with pytest.raises(QueryError, match="^unknown field 'venue'$"):
         parse_query("venue:nature")
 
 
@@ -193,7 +191,7 @@ def test_more_like_this_never_self_never_more_than_three():
 
 def test_more_like_this_unknown_record():
     index = build_index(TOY)
-    with pytest.raises(UnknownRecordError):
+    with pytest.raises(DataError, match="^no record with id 99$"):
         more_like_this(index, 99)
 
 

@@ -5,12 +5,11 @@ import pytest
 
 from bibcarto.ca import ca_fit, project_supplementary_row
 from bibcarto.corpus import load_fixture
+from bibcarto.errors import DataError
 from bibcarto.ward import (
     Dendrogram,
-    DimensionMismatchError,
     Merge,
     PointSet,
-    TooFewPointsError,
     cut,
     embed_for_clustering,
     export_dendrogram,
@@ -66,7 +65,8 @@ def test_embed_with_82_supplementary_points():
 
 def test_embed_dimension_mismatch():
     result = ca_fit(load_fixture("Table2"))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DataError, match=r"^supplementary point 'bad' has \(2,\) coordinates, "
+                                         r"expected \(13,\)$"):
         embed_for_clustering(result, [("bad", np.zeros(2))])
 
 
@@ -87,7 +87,7 @@ def test_three_collinear_points():
 
 
 def test_single_point_rejected():
-    with pytest.raises(TooFewPointsError):
+    with pytest.raises(DataError, match="^need at least 2 points, got 1$"):
         ward_hac(_points([[1.0]]))
 
 
