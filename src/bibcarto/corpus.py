@@ -53,12 +53,27 @@ DEFAULT_EXCLUSION_TERMS = ("galaxy cluster",)
 _TOKEN_YEAR_RE = re.compile(r"(?<=\S)\s+\d{2}$")
 
 
-class DuplicateEntryError(DataError):
-    """Entry ``index`` repeats the id, label or match token of an earlier one."""
+class EntryError(DataError):
+    """Entry ``index`` of a catalog, lexicon or table breaks a rule."""
 
     def __init__(self, index: int, reason: str):
         super().__init__(reason)
         self.index = index
+
+
+def _build(make, line_nos, error=None, header_line=None):
+    """``make()``, or the error of the first bad line: an EntryError on its
+    entry's line in ``line_nos``, another DataError on ``header_line``,
+    then ``error``, the text error that stopped the reading."""
+    try:
+        built = make()
+    except EntryError as exc:
+        raise InputFormatError(line_nos[exc.index], str(exc)) from None
+    except DataError as exc:  # a table's column labels
+        raise InputFormatError(header_line, str(exc)) from None
+    if error:
+        raise error
+    return built
 
 
 def _normalize_token(token: str) -> str:
@@ -80,7 +95,7 @@ class _Vocabulary:
             if not ln.strip() or ln.lstrip().startswith("#"):
                 continue
             key, tab, rest = ln.partition("\t")
-            if not (tab and key.strip()):  # raised after a duplicate on an earlier line
+            if not (tab and key.strip()):
                 error = InputFormatError(
                     line_no, f"expected a non-empty {cls._KEY}, a tab, then terms: {ln!r}")
                 break
@@ -88,13 +103,7 @@ class _Vocabulary:
                      for part in rest.split("\t")]
             entries.append(cls._ENTRY(key.strip(), *lists[: cls._LISTS]))
             line_nos.append(line_no)
-        try:
-            vocabulary = cls(entries)
-        except DuplicateEntryError as exc:
-            raise InputFormatError(line_nos[exc.index], str(exc)) from None
-        if error:
-            raise error
-        return vocabulary
+        return _build(lambda: cls(entries), line_nos, error)
 
     @classmethod
     def from_file(cls, path):
@@ -108,7 +117,7 @@ class _Vocabulary:
         first = {}
         for i, key in enumerate(keys):
             if first.setdefault(key, i) != i:
-                raise DuplicateEntryError(i, f"duplicate {self._KEY} {key!r}")
+                raise EntryError(i, f"duplicate {self._KEY} {key!r}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +141,7 @@ class ProfileCatalog(_Vocabulary):
             for token in map(_normalize_token, entry.match_tokens):
                 owner = self._by_token.setdefault(token, entry.id)
                 if owner != entry.id:
-                    raise DuplicateEntryError(i, f"token {token!r} already belongs to {owner!r}")
+                    raise EntryError(i, f"token {token!r} already belongs to {owner!r}")
                 author = _TOKEN_YEAR_RE.sub("", token)
                 self._by_author.setdefault(author, set()).add(entry.id)
         self._authors = sorted(self._by_author)  # the parts a prefix starts form a run
@@ -250,7 +259,8 @@ class ContingencyTable:
     in ``rows``, a tuple of int tuples, so that building, reading and
     writing a table needs no numpy. ``counts`` is the same matrix as a
     read-only int64 array, made (and numpy loaded) on first use over the
-    packed bytes that the constructor checks the counts with."""
+    packed bytes that the constructor checks the counts with. Only the
+    constructor decides a table's rules; the first bad row is an EntryError."""
 
     row_labels: tuple[str, ...]
     col_labels: tuple
@@ -262,25 +272,21 @@ class ContingencyTable:
         rows = self.rows.tolist() if hasattr(self.rows, "tolist") else self.rows
         rows = tuple(map(tuple, rows))
         if len(rows) != len(self.row_labels) or {*map(len, rows)} - {len(self.col_labels)}:
-            raise ValueError("counts shape does not match labels")
-        if len(set(self.row_labels)) != len(self.row_labels):
-            raise ValueError("duplicate row labels")
+            raise DataError("counts shape does not match labels")
         if len(set(self.col_labels)) != len(self.col_labels):
-            raise ValueError("duplicate column labels")
+            raise DataError("duplicate column labels")
         # exact on Python ints; a float or numpy scalar anywhere makes the total one too
         total = sum(map(sum, rows))
         if type(total) is not int:
-            raise ValueError("counts must be integers")
+            raise DataError("counts must be integers")
         try:
             # Packed as unsigned 64-bit ints, which no negative count fits. The
             # total caps every count at 2**63 - 1, so the bytes also read as int64.
             cells = array("Q", chain.from_iterable(rows)).tobytes()
         except OverflowError:
             cells = None
-        if cells is None and min(map(min, rows)) < 0:
-            raise ValueError("negative counts")
-        if total > _MAX_TOTAL:
-            raise ValueError("counts total exceeds 2**63 - 1")
+        if cells is None or total > _MAX_TOTAL or len(set(self.row_labels)) != len(rows):
+            raise _row_error(self.row_labels, rows)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
         object.__setattr__(self, "rows", rows)
@@ -314,15 +320,19 @@ class ContingencyTable:
     def from_csv(cls, text: str) -> "ContingencyTable":
         """Parse the CSV that :meth:`to_csv` writes: a header row (label
         column, then one column per year; integer headers become ints) and
-        one row per label of nonnegative integer counts summing to at most
-        2**63 - 1. Rows end at any ``str.splitlines`` line end; blank lines
-        are skipped. A row label must not be blank, and no label may hold a
-        line break. Quoting is strict: a quoted field ends at its closing
-        quote, then a comma or the row's end. Any other shape raises
-        :class:`InputFormatError`, naming the line where the first
-        offending record starts."""
+        one row per label of counts that the constructor accepts, each,
+        like a year header, an optionally negative ASCII digit run. Rows end
+        at any ``str.splitlines`` line end; blank lines are skipped. A row
+        label must not be blank, and no label may hold a line break.
+        Quoting is strict: a quoted field ends at its closing quote, then a
+        comma or the row's end. Any other shape, and any table the
+        constructor rejects, raises :class:`InputFormatError`, naming the
+        line where the first offending record starts."""
         reader = csv.reader(io.StringIO("\n".join(text.splitlines())), strict=True)
-        header, header_line, rows, lines = None, 0, {}, []
+        header, header_line, labels, rows, lines, error = None, 0, [], [], [], None
+        # int() reads more than digit runs only in text holding "_", "+" or a
+        # non-ASCII character, so only such text has its counts checked one by one
+        checked = not text.isascii() or "_" in text or "+" in text
         try:
             end = 0
             for fields in reader:
@@ -335,12 +345,10 @@ class ContingencyTable:
                             raise InputFormatError(
                                 line, f"column label {c!r} holds a line break")
                     try:
-                        header = tuple(_column_label(c) for c in fields[1:])
+                        header = tuple(int(c) if _is_integer(c) else c for c in fields[1:])
                     except ValueError:  # a digit run longer than int() converts
                         raise InputFormatError(line, "column label too long for a year") from None
                     header_line = line
-                    if len(set(header)) != len(header):
-                        raise InputFormatError(line, "duplicate column labels")
                     continue
                 if len(fields) != len(header) + 1:
                     raise InputFormatError(
@@ -350,43 +358,40 @@ class ContingencyTable:
                     raise InputFormatError(line, "blank row label")
                 if "\n" in label:
                     raise InputFormatError(line, f"row label {label!r} holds a line break")
-                if label in rows:
-                    raise InputFormatError(line, f"duplicate row label {label!r}")
+                if checked and not all(map(_is_integer, fields[1:])):
+                    raise InputFormatError(line, "counts must be integers")
                 try:
-                    rows[label] = tuple(map(int, fields[1:]))
-                except ValueError:
+                    rows.append(tuple(map(int, fields[1:])))
+                except ValueError:  # not a digit run, or one longer than int() converts
                     raise InputFormatError(line, "counts must be integers") from None
+                labels.append(label)
                 lines.append(line)
-        except (InputFormatError, csv.Error) as exc:
-            if isinstance(exc, csv.Error):  # its record starts after the last one read
-                reason = str(exc)
-                exc = InputFormatError(
-                    end + 1, "unclosed quote" if reason == "unexpected end of data" else reason)
-            raise _count_error(lines, rows.values()) or exc from None  # the earlier line wins
+        except InputFormatError as exc:
+            error = exc
+        except csv.Error as exc:  # its record starts after the last one read
+            reason = str(exc)
+            error = InputFormatError(
+                end + 1, "unclosed quote" if reason == "unexpected end of data" else reason)
         if header is None:
-            raise InputFormatError(1, "empty table")
-        if not rows:
-            raise InputFormatError(header_line, "header but no rows")
-        try:
-            return cls(tuple(rows), header, tuple(rows.values()))
-        except ValueError as exc:  # a negative count or too large a total: find its line
-            raise _count_error(lines, rows.values()) or exc from None
+            raise error or InputFormatError(1, "empty table")
+        if not (rows or error):
+            error = InputFormatError(header_line, "header but no rows")
+        return _build(lambda: cls(labels, header, rows), lines, error, header_line)
 
 
-def _count_error(lines, rows) -> InputFormatError | None:
-    """The error of the first row, on its line, that holds a negative count
-    or takes the running total past 2**63 - 1; None if no row does.
-
-    :meth:`ContingencyTable.from_csv` calls this only once it has an error
-    to report, so reading a good table pays nothing for it."""
-    total = 0
-    for line, row in zip(lines, rows):
+def _row_error(labels, rows) -> EntryError:
+    """The first row that repeats a label, holds a negative count or takes the
+    running total past 2**63 - 1; sought only once a whole-table check fails."""
+    seen, total = set(), 0
+    for i, (label, row) in enumerate(zip(labels, rows)):
+        if label in seen:
+            return EntryError(i, f"duplicate row label {label!r}")
+        seen.add(label)
         if min(row, default=0) < 0:
-            return InputFormatError(line, "negative count")
+            return EntryError(i, "negative count")
         total += sum(row)
         if total > _MAX_TOTAL:
-            return InputFormatError(line, "counts total exceeds 2**63 - 1")
-    return None
+            return EntryError(i, "counts total exceeds 2**63 - 1")
 
 
 _MAX_TOTAL = 2**63 - 1  # largest int64
@@ -409,11 +414,11 @@ def csv_field(value, alone: bool = False) -> str:
     return buf.getvalue()[: -1 if alone else -2]
 
 
-def _column_label(text: str):
-    """Header cell as a year (int) when it is an optionally negative
-    ASCII digit run, else the text itself."""
+def _is_integer(text: str) -> bool:
+    """Whether a table cell reads as a year or a count: an optionally
+    negative ASCII digit run, blanks around it allowed."""
     digits = text.strip().removeprefix("-")
-    return int(text) if digits.isascii() and digits.isdigit() else text
+    return digits.isascii() and digits.isdigit()
 
 
 def build_table(
@@ -473,5 +478,5 @@ def load_fixture(name: str) -> ContingencyTable:
         "Table2": fixtures.DISCIPLINE_YEAR_TABLE,
     }
     if name not in texts:
-        raise KeyError(f"unknown fixture {name!r}; expected one of {sorted(texts)}")
+        raise DataError(f"unknown fixture {name!r}; expected one of {sorted(texts)}")
     return _parse_fixture_table(texts[name])

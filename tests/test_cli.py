@@ -934,7 +934,7 @@ def test_every_exception_class_is_a_data_error():
                if issubclass(obj, BaseException) and obj.__module__.startswith("bibcarto")}
     # one class per distinction some caller in the program makes
     assert sorted(c.__qualname__ for c in classes) == [
-        "AmbiguousFormatError", "ClusterCountError", "DataError", "DuplicateEntryError",
+        "AmbiguousFormatError", "ClusterCountError", "DataError", "EntryError",
         "InputFormatError", "QueryError", "RecordLineError", "RecordParseError",
         "SupplementaryError"]
     assert sorted(c.__qualname__ for c in classes if not issubclass(c, DataError)) == []

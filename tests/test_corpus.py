@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bibcarto.corpus import (
     ContingencyTable,
     DisciplineLexicon,
-    DuplicateEntryError,
+    EntryError,
     LexiconEntry,
     ProfileCatalog,
     ProfileEntry,
@@ -71,7 +71,7 @@ def test_fixtures_stable_across_loads():
 
 
 def test_unknown_fixture():
-    with pytest.raises(KeyError):
+    with pytest.raises(DataError):
         load_fixture("Table9")
 
 
@@ -220,7 +220,7 @@ def test_catalog_rejects_a_token_of_two_entries():
         ProfileCatalog.from_text(text)
     assert err.value.line_no == 3
     assert "'WARD JH 63' already belongs to 'Ward63'" in str(err.value)
-    with pytest.raises(DuplicateEntryError) as err:
+    with pytest.raises(EntryError) as err:
         ProfileCatalog([ProfileEntry("A", ("X 84",)), ProfileEntry("B", ("x  84",))])
     assert err.value.index == 1
     # the same token twice in one entry is one token
@@ -515,7 +515,7 @@ def test_contingency_table_total_at_the_int64_limit():
     for counts in ([[limit], [1]], [[2**64], [0]]):  # past int64, then past uint64
         with pytest.raises(ValueError, match="exceeds"):
             ContingencyTable(("a", "b"), (1994,), counts)
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match="exceeds"):  # the first row's fault wins
         ContingencyTable(("a", "b"), (1994,), [[2**64], [-1]])
 
 
@@ -580,13 +580,68 @@ def test_from_csv_rejects_blank_and_line_breaking_labels(text, line_no, reason):
     ("label,1994\nx,-1\nx,2\n", 2, "negative count"),
     ('label,1994\nx,-1\n"y,1\n', 2, "negative count"),
     ("label,1994\nx,9223372036854775807\ny,1\nz,q\n", 3, "counts total exceeds 2**63 - 1"),
+    ("label,1994\nx,18446744073709551616\ny,-1\n", 2, "counts total exceeds 2**63 - 1"),
+    ("label,1994\nx,1\ny,-1\nx,2\n", 3, "negative count"),
+    ("label,1994\nx,1\nx,2\ny,-1\n", 3, "duplicate row label 'x'"),
+    ("label,1994\nx,1\nx,2\ny,q\n", 3, "duplicate row label 'x'"),
+    ("label,1994\nx,-1\n,2\n", 2, "negative count"),
+    ("label,1994,1994\nx,1\n", 1, "duplicate column labels"),
+    ("label,1994,1994\n", 1, "duplicate column labels"),
 ])
 def test_from_csv_names_a_count_error_before_a_later_bad_line(text, line_no, reason):
-    # a negative count or an overflowing total is found only once a row
-    # fails or all rows are read, but its own line is the one named
+    # a row the constructor rejects (a repeated label, a negative count or
+    # an overflowing total) is found only once a row fails or all rows are
+    # read, but its own line is the one named, and the first bad row wins;
+    # repeated column labels are named on the header
     with pytest.raises(InputFormatError) as err:
         ContingencyTable.from_csv(text)
     assert (err.value.line_no, err.value.reason) == (line_no, reason)
+
+
+@pytest.mark.parametrize("make, message, index", [
+    (lambda: ContingencyTable(("a", "b", "a"), (1994,), [[1], [2], [3]]),
+     "duplicate row label 'a'", 2),
+    (lambda: ContingencyTable(("a",), (1994, 1994), [[1, 2]]), "duplicate column labels", None),
+    (lambda: ContingencyTable(("a",), (1994, 1995), [[1, 0.5]]), "counts must be integers", None),
+    (lambda: ContingencyTable(("a", "b"), (1994,), [[1], [-1]]), "negative count", 1),
+    (lambda: ContingencyTable(("a", "b"), (1994,), [[2**63 - 1], [1]]),
+     "counts total exceeds 2**63 - 1", 1),
+    (lambda: ContingencyTable(("a", "b"), (1994,), [[2**64], [-1]]),
+     "counts total exceeds 2**63 - 1", 0),
+    (lambda: ContingencyTable(("a", "b"), (1994,), [[-1], [1]]), "negative count", 0),
+    (lambda: ContingencyTable(("a", "a"), (1994,), [[1], [-1]]), "duplicate row label 'a'", 1),
+    (lambda: ContingencyTable(("a",), (1994,), [[1], [2]]),
+     "counts shape does not match labels", None),
+    (lambda: load_fixture("Table9"), "unknown fixture 'Table9'; expected one of "
+     "['Table1', 'Table2']", None),
+], ids=["repeated-row-label", "repeated-column-label", "non-integer", "negative",
+        "total-past-int64", "first-row-wins", "negative-first", "repeat-before-negative",
+        "shape", "unknown-fixture"])
+def test_bad_tables_raise_a_data_error(make, message, index):
+    # the constructor alone decides a table's rules; a row's fault names the row
+    with pytest.raises(DataError) as err:
+        make()
+    assert str(err.value) == message
+    assert isinstance(err.value, EntryError) == (index is not None)
+    assert getattr(err.value, "index", None) == index
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "+3", "\uff17", "- 3", "0x1", ""])
+def test_from_csv_counts_follow_the_year_header_rule(cell):
+    # int() alone reads "1_000", "+3" and non-ASCII digits; a count, like a
+    # year header, is an optionally negative ASCII digit run
+    with pytest.raises(InputFormatError) as err:
+        ContingencyTable.from_csv(f"label,1994,1995\na,1,2\nb,4,{cell}\n")
+    assert (err.value.line_no, err.value.reason) == (3, "counts must be integers")
+
+
+@pytest.mark.parametrize("text", ["label,1994\na,1\n", "label,1994\n\u00e9,1\n",
+                                  "label,1994\na_b,1\n", "label,1994\na+b,1\n"])
+def test_from_csv_counts_keep_blanks_around_digits(text):
+    # the cells are checked one by one only in text int() could misread
+    table = ContingencyTable.from_csv(text.replace(",1", ", 7 "))
+    assert table.rows == ((7,),)
+    assert ContingencyTable.from_csv(text.replace(",1", ",\u00a0-0\t")).rows == ((0,),)
 
 
 def test_from_csv_keeps_labels_with_inner_spaces_and_an_empty_column_label():
