@@ -44,7 +44,8 @@ SIGN_TIE_RTOL = 1e-9
 
 
 class SupplementaryError(DataError):
-    """A supplementary row or column that cannot be projected."""
+    """A supplementary row or column that cannot be projected: misshapen,
+    negative, not finite or all zero."""
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,9 @@ def _project(counts, coords: np.ndarray, eigenvalues: np.ndarray, kind: str,
     if counts.shape != (len(coords),):
         raise SupplementaryError(f"expected {len(coords)} {over} counts, got {counts.shape}")
     total = counts.sum()
+    # a NaN fails both tests; with none negative, a finite total leaves none infinite
+    if not (counts.min() >= 0.0 and total < np.inf):
+        raise SupplementaryError(f"supplementary {kind} counts must be finite and not negative")
     if total <= 0.0:
         raise SupplementaryError(f"supplementary {kind} has no incidences")
     profile = counts / total
@@ -175,7 +179,7 @@ def write_coordinates_csv(
     """Coordinates as CSV rows (label, kind, axis1..axisK) covering the
     fitted rows, the fitted columns, and any supplementary projections."""
     if axes is not None and axes < 0:
-        raise ValueError(f"axes must not be negative, got {axes}")
+        raise DataError(f"axes must not be negative, got {axes}")
     k = result.n_axes if axes is None else min(axes, result.n_axes)
     axis = ",%.12g" * k
     lines = ["label,kind" + "".join(f",axis{i}" for i in range(1, k + 1))]

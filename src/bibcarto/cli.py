@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import corpus, records
-from .errors import DataError, InputFormatError, position, read_file
+from .errors import DataError, InputFormatError, is_int, position, read_file
 
 if TYPE_CHECKING:  # loaded by the commands that use them, as they load numpy
     from . import ca, search, ward
@@ -55,10 +55,6 @@ class RunConfig:
     axes: int | None = None
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_filled(value) -> bool:
     return isinstance(value, str) and value.strip() != ""
 
@@ -70,7 +66,7 @@ _CONFIG_CHECKS = {
         "a list of non-empty strings",
     ),
     "year_range": (
-        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_int, v))
         and records.FIRST_YEAR <= v[0] <= v[1] <= records.LAST_YEAR,
         f"[FIRST, LAST] with integer years, "
         f"{records.FIRST_YEAR} <= FIRST <= LAST <= {records.LAST_YEAR}",
@@ -78,8 +74,8 @@ _CONFIG_CHECKS = {
     "catalog_path": (lambda v: v is None or _is_filled(v), "a non-empty string or null"),
     "lexicon_path": (lambda v: v is None or _is_filled(v), "a non-empty string or null"),
     "output_dir": (_is_filled, "a non-empty string"),
-    "k": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    "axes": (lambda v: v is None or (_is_int(v) and v >= 1), "a positive integer or null"),
+    "k": (lambda v: is_int(v) and v >= 1, "a positive integer"),
+    "axes": (lambda v: v is None or (is_int(v) and v >= 1), "a positive integer or null"),
 }
 
 
@@ -118,17 +114,28 @@ def _settings(args) -> RunConfig:
                                      for k, v in given.items() if v is not None})
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int | None:
+    """``text`` as an int if it follows a table cell's rule
+    (:func:`corpus._is_integer`, which refuses ``+3``, ``1_0`` and ``٥``)
+    and int() converts it, else None."""
     try:
-        value = int(text)
-    except ValueError:  # not an integer, or one longer than int() converts
-        value = 0
-    if value < 1:
+        return int(text) if corpus._is_integer(text) else None
+    except ValueError:
+        return None
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
+    if value is None or value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
 
 
-_YEAR_RANGE_RE = re.compile(r"\s*([-+]?\d+)\s*:\s*([-+]?\d+)\s*")
+def _record_id(text: str) -> int:
+    value = _integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _non_empty(text: str) -> str:
@@ -138,13 +145,13 @@ def _non_empty(text: str) -> str:
 
 
 def _year_range(text: str) -> tuple[int, int]:
-    m = _YEAR_RANGE_RE.fullmatch(text)
-    if not m:
+    first, colon, last = text.partition(":")
+    if not (colon and corpus._is_integer(first) and corpus._is_integer(last)):
         raise argparse.ArgumentTypeError(f"expected FIRST:LAST, got {text!r}")
     outside = argparse.ArgumentTypeError(
         f"years must lie in {records.FIRST_YEAR}..{records.LAST_YEAR}, got {text!r}")
     try:
-        lo, hi = int(m[1]), int(m[2])
+        lo, hi = int(first), int(last)
     except ValueError:  # a digit run longer than int() converts
         raise outside from None
     if hi < lo:
@@ -221,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(give the query before --records)")
     p.add_argument("--records", nargs="+", required=True, metavar="FILE",
                    help="alert files to index")
-    mode.add_argument("--mlt", type=int, metavar="ID",
+    mode.add_argument("--mlt", type=_record_id, metavar="ID",
                       help="show the three records most like this record id")
     p.add_argument("--page", type=_positive_int, help="page of QUERY's results (default 1)")
     mode.add_argument("--interactive", action="store_true",

@@ -260,7 +260,9 @@ class ContingencyTable:
     writing a table needs no numpy. ``counts`` is the same matrix as a
     read-only int64 array, made (and numpy loaded) on first use over the
     packed bytes that the constructor checks the counts with. Only the
-    constructor decides a table's rules; the first bad row is an EntryError."""
+    constructor decides a table's rules: no label may hold a line end, as
+    :meth:`str.splitlines` counts them, and no row label may be blank. The
+    first bad row is an EntryError."""
 
     row_labels: tuple[str, ...]
     col_labels: tuple
@@ -273,6 +275,9 @@ class ContingencyTable:
         rows = tuple(map(tuple, rows))
         if len(rows) != len(self.row_labels) or {*map(len, rows)} - {len(self.col_labels)}:
             raise DataError("counts shape does not match labels")
+        for label in self.col_labels:
+            if isinstance(label, str) and _breaks_line(label):
+                raise DataError(f"column label {label!r} holds a line break")
         if len(set(self.col_labels)) != len(self.col_labels):
             raise DataError("duplicate column labels")
         # exact on Python ints; a float or numpy scalar anywhere makes the total one too
@@ -285,7 +290,8 @@ class ContingencyTable:
             cells = array("Q", chain.from_iterable(rows)).tobytes()
         except OverflowError:
             cells = None
-        if cells is None or total > _MAX_TOTAL or len(set(self.row_labels)) != len(rows):
+        if (cells is None or total > _MAX_TOTAL or len(set(self.row_labels)) != len(rows)
+                or not _plain_labels(self.row_labels)):
             raise _row_error(self.row_labels, rows)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
@@ -322,14 +328,15 @@ class ContingencyTable:
         column, then one column per year; integer headers become ints) and
         one row per label of counts that the constructor accepts, each,
         like a year header, an optionally negative ASCII digit run. Rows end
-        at any ``str.splitlines`` line end; blank lines are skipped. A row
-        label must not be blank, and no label may hold a line break.
+        at any ``str.splitlines`` line end; blank lines are skipped.
         Quoting is strict: a quoted field ends at its closing quote, then a
         comma or the row's end. Any other shape, and any table the
-        constructor rejects, raises :class:`InputFormatError`, naming the
-        line where the first offending record starts."""
+        constructor rejects (its labels among them), raises
+        :class:`InputFormatError`, naming the line where the first
+        offending record starts."""
         reader = csv.reader(io.StringIO("\n".join(text.splitlines())), strict=True)
         header, header_line, labels, rows, lines, error = None, 0, [], [], [], None
+        unparsed = None  # the label and line of the row whose counts did not parse
         # int() reads more than digit runs only in text holding "_", "+" or a
         # non-ASCII character, so only such text has its counts checked one by one
         checked = not text.isascii() or "_" in text or "+" in text
@@ -340,10 +347,6 @@ class ContingencyTable:
                 if not fields:
                     continue
                 if header is None:
-                    for c in fields[1:]:
-                        if "\n" in c:
-                            raise InputFormatError(
-                                line, f"column label {c!r} holds a line break")
                     try:
                         header = tuple(int(c) if _is_integer(c) else c for c in fields[1:])
                     except ValueError:  # a digit run longer than int() converts
@@ -353,18 +356,14 @@ class ContingencyTable:
                 if len(fields) != len(header) + 1:
                     raise InputFormatError(
                         line, f"expected {len(header)} counts, got {len(fields) - 1}")
-                label = fields[0]
-                if not label.strip():
-                    raise InputFormatError(line, "blank row label")
-                if "\n" in label:
-                    raise InputFormatError(line, f"row label {label!r} holds a line break")
-                if checked and not all(map(_is_integer, fields[1:])):
-                    raise InputFormatError(line, "counts must be integers")
                 try:
+                    if checked and not all(map(_is_integer, fields[1:])):
+                        raise ValueError
                     rows.append(tuple(map(int, fields[1:])))
                 except ValueError:  # not a digit run, or one longer than int() converts
+                    unparsed = fields[0], line
                     raise InputFormatError(line, "counts must be integers") from None
-                labels.append(label)
+                labels.append(fields[0])
                 lines.append(line)
         except InputFormatError as exc:
             error = exc
@@ -376,14 +375,23 @@ class ContingencyTable:
             raise error or InputFormatError(1, "empty table")
         if not (rows or error):
             error = InputFormatError(header_line, "header but no rows")
-        return _build(lambda: cls(labels, header, rows), lines, error, header_line)
+        table = _build(lambda: cls(labels, header, rows), lines, None if unparsed else error,
+                       header_line)
+        if unparsed:  # the row's label precedes its counts, so it is judged first
+            label, line = unparsed
+            _build(lambda: cls((label,), header, [(0,) * len(header)]), [line], error)
+        return table
 
 
 def _row_error(labels, rows) -> EntryError:
-    """The first row that repeats a label, holds a negative count or takes the
-    running total past 2**63 - 1; sought only once a whole-table check fails."""
+    """The first row whose label is refused or repeated, or that holds a
+    negative count or takes the running total past 2**63 - 1; sought only
+    once a whole-table check fails."""
     seen, total = set(), 0
     for i, (label, row) in enumerate(zip(labels, rows)):
+        fault = _label_fault(label)
+        if fault:
+            return EntryError(i, fault)
         if label in seen:
             return EntryError(i, f"duplicate row label {label!r}")
         seen.add(label)
@@ -395,6 +403,34 @@ def _row_error(labels, rows) -> EntryError:
 
 
 _MAX_TOTAL = 2**63 - 1  # largest int64
+
+
+def _label_fault(label) -> str | None:
+    """Why ``label`` cannot name a row (it is blank or holds a line end),
+    or None when it can."""
+    text = str(label)
+    if not text.strip():
+        return "blank row label"
+    if _breaks_line(text):
+        return f"row label {label!r} holds a line break"
+    return None
+
+
+def _plain_labels(labels) -> bool:
+    """Whether no label has a :func:`_label_fault`. Labels that are strings,
+    none blank and all printable, which no line end is, pass with no Python
+    call per label; any others are judged one by one."""
+    try:
+        if all(map(str.strip, labels)) and "".join(labels).isprintable():
+            return True
+    except TypeError:  # a label that is not a string
+        pass
+    return not any(map(_label_fault, labels))
+
+
+def _breaks_line(text: str) -> bool:
+    """Whether ``text`` holds a line end, as :meth:`str.splitlines` counts them."""
+    return "".join(text.splitlines()) != text
 
 
 _CSV_SPECIAL = frozenset(',"\r\n')

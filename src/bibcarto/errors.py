@@ -1,4 +1,5 @@
-"""The type of every error caused by bad input, and the reader of input files.
+"""The type of every error caused by bad input, the reader of input files
+and the rule for an integer argument.
 
 Each exception class bibcarto defines subclasses :class:`DataError`, so
 a caller can tell input it should report (exit 1 on the command line)
@@ -38,6 +39,12 @@ class InputFormatError(DataError):
     def __str__(self) -> str:
         where = f"{self.path}:{self.line_no}" if self.path else f"line {self.line_no}"
         return f"{where}: {self.reason}"
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an ``int`` and not a ``bool``, as every integer
+    argument of a public entry must be: a cluster count, a page, a record id."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def read_file(path, parse):

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, is_int
 from .records import BibRecord
 
 FIELDS = ("title", "authors", "source", "keywords", "keywords_plus", "address")
@@ -269,8 +269,8 @@ def search(index: Index, query: Query, page: int = 1) -> list[int]:
 
     Pages beyond the last are empty, not an error.
     """
-    if page < 1:
-        raise ValueError(f"page must be positive, got {page}")
+    if not (is_int(page) and page >= 1):
+        raise DataError(f"page must be positive, got {page!r}")
     ranked = ranked_matches(index, query)
     start = PAGE_SIZE * (page - 1)
     return ranked[start : start + PAGE_SIZE]
@@ -279,13 +279,14 @@ def search(index: Index, query: Query, page: int = 1) -> list[int]:
 def more_like_this(index: Index, doc_id: int) -> list[int]:
     """The ``MLT_COUNT`` records (fewer in a smaller index) sharing the most
     field-weighted terms with the given one, best first and ties to the
-    smaller id; the record itself is excluded.
+    smaller id; the record itself is excluded. ``doc_id`` is an ``int``,
+    not a ``bool``, which numpy would read as a mask.
 
     They are selected, not sorted: one partition finds the cut, and only
     the records scoring above it are sorted.
     """
-    if not 0 <= doc_id < index.doc_count:
-        raise DataError(f"no record with id {doc_id}")
+    if not (is_int(doc_id) and 0 <= doc_id < index.doc_count):
+        raise DataError(f"no record with id {doc_id!r}")
     limit = min(MLT_COUNT, index.doc_count - 1)
     if not limit:
         return []

@@ -57,7 +57,7 @@ import numpy as np
 
 from .ca import CaResult
 from .corpus import csv_field
-from .errors import DataError
+from .errors import DataError, is_int
 
 
 class ClusterCountError(DataError):
@@ -74,16 +74,16 @@ class PointSet:
         coords = np.ascontiguousarray(self.coords, dtype=float)
         masses = np.ascontiguousarray(self.masses, dtype=float)
         if coords.ndim != 2 or coords.shape[0] != len(self.labels):
-            raise ValueError("coords must be one row per label")
+            raise DataError("coords must be one row per label")
         if masses.shape != (len(self.labels),):
-            raise ValueError("one mass per label required")
+            raise DataError("one mass per label required")
         if not np.isfinite(coords).all():
-            raise ValueError("non-finite coordinates")
+            raise DataError("non-finite coordinates")
         repeated = [label for label, count in Counter(self.labels).items() if count > 1]
         if repeated:
             raise DataError(f"duplicate point label {repeated[0]!r}")
         if masses.size and not (masses == masses[0]).all():
-            raise ValueError("points must be equiweighted")
+            raise DataError("points must be equiweighted")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -204,8 +204,8 @@ def cut(dendrogram: Dendrogram, k: int) -> Partition:
     Cluster indices run 1..k in order of first leaf appearance.
     """
     n = len(dendrogram.leaf_labels)
-    if not 1 <= k <= n:
-        raise ClusterCountError(f"k must be in 1..{n}, got {k}")
+    if not (is_int(k) and 1 <= k <= n):
+        raise ClusterCountError(f"k must be in 1..{n}, got {k!r}")
     parent = {}
     for merge in dendrogram.merges[: n - k]:
         parent[merge.a] = merge.new_id

@@ -176,7 +176,22 @@ _HUGE = "1" * 5000  # more digits than int() converts
      f"argument --k: must be a positive integer, got {_HUGE}"),
     (["search", "q", "--records", "unread.txt", "--page", "x"],
      "argument --page: must be a positive integer, got x"),
-], ids=["k-text", "axes-fraction", "k-too-long", "page-text"])
+    # int() reads these; a flag's integer, like a table cell, is an ASCII digit run
+    (["analyze", "--fixture", "Table2", "--k", "\u0665"],
+     "argument --k: must be a positive integer, got \u0665"),
+    (["analyze", "--fixture", "Table2", "--k", "1_0"],
+     "argument --k: must be a positive integer, got 1_0"),
+    (["analyze", "--fixture", "Table2", "--k", "+3"],
+     "argument --k: must be a positive integer, got +3"),
+    (["analyze", "--fixture", "Table2", "--axes", "\uff12"],
+     "argument --axes: must be a positive integer, got \uff12"),
+    (["search", "q", "--records", "unread.txt", "--page", "+1"],
+     "argument --page: must be a positive integer, got +1"),
+    (["search", "--mlt", "\u0661", "--records", "unread.txt"],
+     "argument --mlt: invalid int value: '\u0661'"),
+    (["search", "--mlt", "x", "--records", "unread.txt"], "argument --mlt: invalid int value: 'x'"),
+], ids=["k-text", "axes-fraction", "k-too-long", "page-text", "k-arabic-indic", "k-underscore",
+        "k-plus", "axes-fullwidth", "page-plus", "mlt-arabic-indic", "mlt-text"])
 def test_a_bad_positive_integer_is_a_usage_error_in_its_own_words(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
@@ -283,8 +298,15 @@ def test_tables_skip_message_counts_yearless_records(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("years, reason", [("1999-2000", "expected FIRST:LAST, got"),
-                                           ("2000:1999", "empty year range")])
+@pytest.mark.parametrize("years, reason", [
+    ("1999-2000", "expected FIRST:LAST, got"),
+    ("2000:1999", "empty year range"),
+    # a year, like a table cell, is an optionally negative ASCII digit run
+    ("\u0661\u0669\u0669\u0664:\u0662\u0660\u0661\u0661", "expected FIRST:LAST, got"),
+    ("+1994:2000", "expected FIRST:LAST, got"),
+    ("1994:20_00", "expected FIRST:LAST, got"),
+    ("1994:2000:2001", "expected FIRST:LAST, got"),
+])
 def test_tables_malformed_years_is_usage_error(years, reason, toy_corpus_file, capsys):
     with pytest.raises(SystemExit) as err:
         main(["tables", "--records", str(toy_corpus_file), "--years", years])

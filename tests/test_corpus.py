@@ -565,6 +565,12 @@ def test_from_csv_rejects_malformed_naming_line(text, line_no):
     ("label,1994\na\u2028b,1\n", 2, "expected 1 counts, got 0"),
     ('\nlabel,"19\n94",1995\nx,1,2\n', 2, "column label '19\\n94' holds a line break"),
     ("label,1994,a\x0bb\nx,1,2\n", 2, "expected 2 counts, got 0"),
+    # a label precedes its row's counts, so its fault is named first
+    ("label,1994\n,q\n", 2, "blank row label"),
+    ("label,1994\n,+1\n", 2, "blank row label"),
+    ('label,1994\n"a\nb",q\n', 2, "row label 'a\\nb' holds a line break"),
+    ("label,1994\nx,-1\n,q\n", 2, "negative count"),
+    ("label,1994\nx,1\nx,q\n", 3, "counts must be integers"),
 ])
 def test_from_csv_rejects_blank_and_line_breaking_labels(text, line_no, reason):
     # the line named is the one where the offending record starts; a row

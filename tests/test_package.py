@@ -91,3 +91,135 @@ def test_public_surface():
 
 def test_dir_lists_every_public_name_and_submodule():
     assert {*bibcarto.__all__, *SUBMODULES} <= set(dir(bibcarto))
+
+
+# ----------------------------------------------------------- bad input refused
+
+def _fit():
+    return bibcarto.ca_fit(bibcarto.load_fixture("Table2"))  # 14 rows, 18 years, 13 axes
+
+
+def _dendrogram():
+    return bibcarto.ward_hac(bibcarto.PointSet(("a", "b", "c"), [[0.0], [1.0], [10.0]],
+                                               [1.0, 1.0, 1.0]))
+
+
+def _index():
+    return bibcarto.build_index([
+        bibcarto.BibRecord(title, bibcarto.RecordFormat.RESEARCH_ALERT)
+        for title in ("network one", "network two", "network three", "other")])
+
+
+def _one_record():
+    return [bibcarto.BibRecord("t", bibcarto.RecordFormat.RESEARCH_ALERT, year=1994)]
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+# (public callable, a call with bad input, the class and message it raises):
+# the library refuses each call itself, with the DataError subclass of its module.
+REFUSED = [
+    pytest.param("ContingencyTable",
+                 lambda: bibcarto.ContingencyTable(("a", " \t"), (1994,), [[1], [2]]),
+                 "EntryError", "blank row label", id="blank-row-label"),
+    pytest.param("ContingencyTable",
+                 lambda: bibcarto.ContingencyTable(("a\nb",), (1994,), [[1]]),
+                 "EntryError", "row label 'a\\nb' holds a line break", id="line-break-row-label"),
+    pytest.param("ContingencyTable",
+                 lambda: bibcarto.ContingencyTable(("a", "b\u2028c"), (1994,), [[1], [2]]),
+                 "EntryError", "row label 'b\\u2028c' holds a line break",
+                 id="splitlines-break-row-label"),
+    pytest.param("ContingencyTable",
+                 lambda: bibcarto.ContingencyTable(("a",), ("19\n94", 1995), [[1, 2]]),
+                 "DataError", "column label '19\\n94' holds a line break",
+                 id="line-break-column-label"),
+    pytest.param("build_table",
+                 lambda: bibcarto.build_table(_one_record(), lambda r: {"a"}, ["a", ""],
+                                              (1994, 1994)),
+                 "EntryError", "blank row label", id="build-table-blank-label"),
+    pytest.param("project_supplementary_row",
+                 lambda: bibcarto.project_supplementary_row([-1] + [1] * 17, _fit()),
+                 "SupplementaryError", "supplementary row counts must be finite and not negative",
+                 id="negative-supplementary-row"),
+    pytest.param("project_supplementary_row",
+                 lambda: bibcarto.project_supplementary_row([_NAN] + [1] * 17, _fit()),
+                 "SupplementaryError", "supplementary row counts must be finite and not negative",
+                 id="nan-supplementary-row"),
+    pytest.param("project_supplementary_row",
+                 lambda: bibcarto.project_supplementary_row([_INF] + [1] * 17, _fit()),
+                 "SupplementaryError", "supplementary row counts must be finite and not negative",
+                 id="infinite-supplementary-row"),
+    pytest.param("project_supplementary_col",
+                 lambda: bibcarto.project_supplementary_col([1] * 13 + [-2], _fit()),
+                 "SupplementaryError",
+                 "supplementary column counts must be finite and not negative",
+                 id="negative-supplementary-column"),
+    pytest.param("cut", lambda: bibcarto.cut(_dendrogram(), 2.5),
+                 "ClusterCountError", "k must be in 1..3, got 2.5", id="cut-fraction"),
+    pytest.param("cut", lambda: bibcarto.cut(_dendrogram(), True),
+                 "ClusterCountError", "k must be in 1..3, got True", id="cut-bool"),
+    pytest.param("search.search",
+                 lambda: bibcarto.search.search(_index(), bibcarto.parse_query("network"), 0),
+                 "DataError", "page must be positive, got 0", id="page-zero"),
+    pytest.param("search.search",
+                 lambda: bibcarto.search.search(_index(), bibcarto.parse_query("network"), True),
+                 "DataError", "page must be positive, got True", id="page-bool"),
+    pytest.param("more_like_this", lambda: bibcarto.more_like_this(_index(), True),
+                 "DataError", "no record with id True", id="mlt-bool"),
+    pytest.param("more_like_this", lambda: bibcarto.more_like_this(_index(), 1.0),
+                 "DataError", "no record with id 1.0", id="mlt-float"),
+    pytest.param("PointSet",
+                 lambda: bibcarto.PointSet(("a", "b"), [0.0, 1.0], [1.0, 1.0]),
+                 "DataError", "coords must be one row per label", id="pointset-misshapen-coords"),
+    pytest.param("PointSet",
+                 lambda: bibcarto.PointSet(("a", "b"), [[0.0], [1.0]], [1.0, 1.0, 1.0]),
+                 "DataError", "one mass per label required", id="pointset-misshapen-masses"),
+    pytest.param("PointSet",
+                 lambda: bibcarto.PointSet(("a", "b"), [[0.0], [_NAN]], [1.0, 1.0]),
+                 "DataError", "non-finite coordinates", id="pointset-non-finite"),
+    pytest.param("PointSet",
+                 lambda: bibcarto.PointSet(("a", "b"), [[0.0], [1.0]], [1.0, 2.0]),
+                 "DataError", "points must be equiweighted", id="pointset-unequal-masses"),
+    pytest.param("embed_for_clustering",
+                 lambda: bibcarto.embed_for_clustering(_fit(), [("s", [_INF] * 13)]),
+                 "DataError", "non-finite coordinates", id="embed-non-finite-supplementary"),
+    pytest.param("ca.write_coordinates_csv",
+                 lambda: bibcarto.ca.write_coordinates_csv(_fit(), (), -1),
+                 "DataError", "axes must not be negative, got -1", id="negative-axes"),
+]
+
+
+@pytest.mark.parametrize("name, call, cls, message", REFUSED)
+def test_bad_input_is_refused_with_its_data_error(name, call, cls, message):
+    with pytest.raises(bibcarto.DataError) as err:
+        call()
+    assert type(err.value).__name__ == cls
+    assert str(err.value) == message
+
+
+# Public names that take no input data of their own: types, exceptions, and
+# functions whose arguments are objects the package built and checked.
+TAKES_NO_INPUT = {"BibRecord", "CaResult", "DataError", "Dendrogram", "Index", "Partition",
+                  "Query", "RecordFormat", "RecordParseError", "build_index",
+                  "export_dendrogram", "filter_records", "inertia_report", "match_profiles",
+                  "tag_disciplines"}
+# Public names whose bad input was refused with its DataError already, each
+# with a test (module, function) that pins it.
+REFUSED_ALREADY = {
+    "DisciplineLexicon": ("test_corpus", "test_vocabulary_names_its_first_bad_line"),
+    "ProfileCatalog": ("test_corpus", "test_catalog_rejects_a_token_of_two_entries"),
+    "ca_fit": ("test_ca", "test_too_small_table_rejected"),
+    "detect_format": ("test_records", "test_detect_empty_is_ambiguous"),
+    "load_fixture": ("test_corpus", "test_bad_tables_raise_a_data_error"),
+    "parse_query": ("test_search", "test_parse_query_errors"),
+    "parse_records": ("test_records", "test_unknown_tag_names_line"),
+    "ward_hac": ("test_ward", "test_single_point_rejected"),
+}
+
+
+def test_every_public_name_has_its_bad_input_pinned():
+    refused = {param.values[0] for param in REFUSED}
+    groups = [refused & set(bibcarto.__all__), TAKES_NO_INPUT, set(REFUSED_ALREADY)]
+    assert sorted(name for group in groups for name in group) == sorted(bibcarto.__all__)
+    for module, test in REFUSED_ALREADY.values():
+        assert callable(getattr(importlib.import_module(module), test))

@@ -24,12 +24,15 @@ _labels = (
             max_size=5)
     | st.text(max_size=6)
 )
-_col_labels = st.integers(-5, 2100) | _labels
+# A table's labels hold no line end, and its row labels are not blank.
+_unbroken_labels = _labels.filter(lambda s: s.splitlines() in ([], [s]))
+_col_labels = st.integers(-5, 2100) | _unbroken_labels
 
 
 @st.composite
 def _tables(draw, min_side=0):
-    rows = draw(st.lists(_labels, min_size=min_side, max_size=6, unique=True))
+    rows = draw(st.lists(_unbroken_labels.filter(str.strip), min_size=min_side, max_size=6,
+                         unique=True))
     cols = draw(st.lists(_col_labels, min_size=min_side, max_size=6, unique=True))
     weights = st.integers(1, 9)
     if draw(st.booleans()):  # at independence: a CA of it keeps zero axes
