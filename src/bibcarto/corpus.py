@@ -291,7 +291,7 @@ class ContingencyTable:
         except OverflowError:
             cells = None
         if (cells is None or total > _MAX_TOTAL or len(set(self.row_labels)) != len(rows)
-                or not _plain_labels(self.row_labels)):
+                or any(map(_label_fault, self.row_labels))):
             raise _row_error(self.row_labels, rows)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
@@ -336,7 +336,6 @@ class ContingencyTable:
         offending record starts."""
         reader = csv.reader(io.StringIO("\n".join(text.splitlines())), strict=True)
         header, header_line, labels, rows, lines, error = None, 0, [], [], [], None
-        unparsed = None  # the label and line of the row whose counts did not parse
         # int() reads more than digit runs only in text holding "_", "+" or a
         # non-ASCII character, so only such text has its counts checked one by one
         checked = not text.isascii() or "_" in text or "+" in text
@@ -347,11 +346,14 @@ class ContingencyTable:
                 if not fields:
                     continue
                 if header is None:
+                    header_line = line
                     try:
                         header = tuple(int(c) if _is_integer(c) else c for c in fields[1:])
                     except ValueError:  # a digit run longer than int() converts
+                        # each label once: the constructor may name a line break,
+                        # but not a repeat, before this error
+                        header = tuple(dict.fromkeys(fields[1:]))
                         raise InputFormatError(line, "column label too long for a year") from None
-                    header_line = line
                     continue
                 if len(fields) != len(header) + 1:
                     raise InputFormatError(
@@ -361,8 +363,9 @@ class ContingencyTable:
                         raise ValueError
                     rows.append(tuple(map(int, fields[1:])))
                 except ValueError:  # not a digit run, or one longer than int() converts
-                    unparsed = fields[0], line
-                    raise InputFormatError(line, "counts must be integers") from None
+                    # the row's label precedes its counts, so it is judged first
+                    raise InputFormatError(
+                        line, _label_fault(fields[0]) or "counts must be integers") from None
                 labels.append(fields[0])
                 lines.append(line)
         except InputFormatError as exc:
@@ -375,12 +378,7 @@ class ContingencyTable:
             raise error or InputFormatError(1, "empty table")
         if not (rows or error):
             error = InputFormatError(header_line, "header but no rows")
-        table = _build(lambda: cls(labels, header, rows), lines, None if unparsed else error,
-                       header_line)
-        if unparsed:  # the row's label precedes its counts, so it is judged first
-            label, line = unparsed
-            _build(lambda: cls((label,), header, [(0,) * len(header)]), [line], error)
-        return table
+        return _build(lambda: cls(labels, header, rows), lines, error, header_line)
 
 
 def _row_error(labels, rows) -> EntryError:
@@ -414,18 +412,6 @@ def _label_fault(label) -> str | None:
     if _breaks_line(text):
         return f"row label {label!r} holds a line break"
     return None
-
-
-def _plain_labels(labels) -> bool:
-    """Whether no label has a :func:`_label_fault`. Labels that are strings,
-    none blank and all printable, which no line end is, pass with no Python
-    call per label; any others are judged one by one."""
-    try:
-        if all(map(str.strip, labels)) and "".join(labels).isprintable():
-            return True
-    except TypeError:  # a label that is not a string
-        pass
-    return not any(map(_label_fault, labels))
 
 
 def _breaks_line(text: str) -> bool:

@@ -11,6 +11,7 @@ numbers lines by :func:`position`. Only the standard library is imported.
 from __future__ import annotations
 
 import codecs
+import numbers
 from pathlib import Path
 
 
@@ -42,9 +43,10 @@ class InputFormatError(DataError):
 
 
 def is_int(value) -> bool:
-    """Whether ``value`` is an ``int`` and not a ``bool``, as every integer
-    argument of a public entry must be: a cluster count, a page, a record id."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether ``value`` is an integer (a numpy one too) and not a ``bool``,
+    as every integer argument of a public entry must be: a cluster count, a
+    page, a record id. numpy's ``bool_`` is no :class:`numbers.Integral`."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def read_file(path, parse):

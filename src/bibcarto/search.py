@@ -279,7 +279,7 @@ def search(index: Index, query: Query, page: int = 1) -> list[int]:
 def more_like_this(index: Index, doc_id: int) -> list[int]:
     """The ``MLT_COUNT`` records (fewer in a smaller index) sharing the most
     field-weighted terms with the given one, best first and ties to the
-    smaller id; the record itself is excluded. ``doc_id`` is an ``int``,
+    smaller id; the record itself is excluded. ``doc_id`` is an integer,
     not a ``bool``, which numpy would read as a mask.
 
     They are selected, not sorted: one partition finds the cut, and only

@@ -571,6 +571,13 @@ def test_from_csv_rejects_malformed_naming_line(text, line_no):
     ('label,1994\n"a\nb",q\n', 2, "row label 'a\\nb' holds a line break"),
     ("label,1994\nx,-1\n,q\n", 2, "negative count"),
     ("label,1994\nx,1\nx,q\n", 3, "counts must be integers"),
+    # a header's line breaks are named before a year too long for int()
+    pytest.param(f'label,"a\nb",{"9" * 5000}\nx,1,2\n', 1,
+                 "column label 'a\\nb' holds a line break", id="header-break-then-long-year"),
+    pytest.param(f'label,{"9" * 5000},"a\nb"\nx,1,2\n', 1,
+                 "column label 'a\\nb' holds a line break", id="header-long-year-then-break"),
+    pytest.param(f"label,a,a,{'9' * 5000}\nx,1,2,3\n", 1,
+                 "column label too long for a year", id="header-long-year-and-repeat"),
 ])
 def test_from_csv_rejects_blank_and_line_breaking_labels(text, line_no, reason):
     # the line named is the one where the offending record starts; a row

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bibcarto
@@ -168,6 +169,8 @@ REFUSED = [
                  "DataError", "no record with id True", id="mlt-bool"),
     pytest.param("more_like_this", lambda: bibcarto.more_like_this(_index(), 1.0),
                  "DataError", "no record with id 1.0", id="mlt-float"),
+    pytest.param("more_like_this", lambda: bibcarto.more_like_this(_index(), np.True_),
+                 "DataError", "no record with id np.True_", id="mlt-numpy-bool"),
     pytest.param("PointSet",
                  lambda: bibcarto.PointSet(("a", "b"), [0.0, 1.0], [1.0, 1.0]),
                  "DataError", "coords must be one row per label", id="pointset-misshapen-coords"),
@@ -195,6 +198,17 @@ def test_bad_input_is_refused_with_its_data_error(name, call, cls, message):
         call()
     assert type(err.value).__name__ == cls
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: bibcarto.cut(_dendrogram(), k),
+    lambda page: bibcarto.search.search(_index(), bibcarto.parse_query("network"), page),
+    lambda doc_id: bibcarto.more_like_this(_index(), doc_id),
+], ids=["cut", "search.search", "more_like_this"])
+@pytest.mark.parametrize("numpy_int", [np.int64, np.int32, np.uint8])
+def test_a_numpy_integer_argument_reads_as_its_int(call, numpy_int):
+    # ids from np.flatnonzero or argsort, or a k from np.argmax(...) + 1
+    assert call(numpy_int(2)) == call(2)
 
 
 # Public names that take no input data of their own: types, exceptions, and
