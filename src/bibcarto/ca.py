@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ContingencyTable, csv_field
-from .errors import DataError
+from .errors import DataError, is_int
 
 EIGENVALUE_TOL = 1e-12
 SIGN_TIE_RTOL = 1e-9
@@ -178,6 +178,8 @@ def write_coordinates_csv(
 ) -> str:
     """Coordinates as CSV rows (label, kind, axis1..axisK) covering the
     fitted rows, the fitted columns, and any supplementary projections."""
+    if axes is not None and not is_int(axes):
+        raise DataError(f"axes must be an integer, got {axes!r}")
     if axes is not None and axes < 0:
         raise DataError(f"axes must not be negative, got {axes}")
     k = result.n_axes if axes is None else min(axes, result.n_axes)

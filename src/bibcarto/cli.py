@@ -14,9 +14,11 @@ RunConfig field names; it supplies defaults for ``tables`` and
 ``analyze``, and explicit flags win. :func:`run_tables` and
 :func:`run_analysis` are their pipelines, the second shared with
 ``scripts/run_reference_analysis.py``. ``tables`` reads the catalog or
-lexicon first, then reads, filters and tabulates one alert file at a
-time, so it holds one file's records at once; ``parse`` and ``search``
-read every file before they write anything.
+lexicon first, then reads, filters and tallies each alert file in one
+step that keeps no record: in up to min(files, usable CPUs) forked worker
+processes, which send back only counts, or here, one file at a time, when
+either number is 1. ``parse`` and ``search`` read every file before they
+write anything.
 """
 from __future__ import annotations
 
@@ -315,8 +317,20 @@ def cmd_tables(args) -> int:
             print(f"bibcarto: {flag} applies only to --kind {other}", file=sys.stderr)
             return 2
         settings = _settings(args)
-        table, skipped = run_tables(_kept_records(args.records, settings.exclusion_terms),
-                                    kind, settings)
+        tagger, labels = _vocabulary(kind, settings)
+
+        def tally_file(path):
+            """The tally of one alert file's records that no exclusion term
+            excludes, and the count it excludes; the records go on return."""
+            kept, dropped = corpus.filter_records(_read_alerts(path)[0], settings.exclusion_terms)
+            return (*corpus.tally(kept, tagger, labels, settings.year_range), len(dropped))
+
+        tallies = _map_files(tally_file, args.records)
+        excluded = sum(dropped for _, _, dropped in tallies)
+        if excluded:
+            print(f"bibcarto: excluded {excluded} record(s) by title phrase", file=sys.stderr)
+        table, skipped = corpus.build_table((), tagger, labels, settings.year_range,
+                                            [tally[:2] for tally in tallies])
         if skipped:
             print(f"bibcarto: skipped {skipped} record(s) with no year or a year outside "
                   f"{settings.year_range[0]}..{settings.year_range[1]}", file=sys.stderr)
@@ -328,18 +342,40 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _kept_records(paths, exclusion_terms):
-    """The records of the alert files at ``paths`` that no exclusion term
-    excludes, one file read at a time; once the last file is read, prints
-    the count excluded."""
-    excluded = 0
-    for path in paths:
-        kept, dropped = corpus.filter_records(_read_alerts(path)[0], exclusion_terms)
-        excluded += len(dropped)
-        yield from kept
-        del kept, dropped  # this file's records go before the next file is read
-    if excluded:
-        print(f"bibcarto: excluded {excluded} record(s) by title phrase", file=sys.stderr)
+def _map_files(step, paths: list[str]) -> list:
+    """``step`` of each path, in order. With two or more files and usable
+    CPUs, min(files, CPUs) worker processes forked from this one share the
+    files; they inherit ``step`` and send back only its results. Otherwise
+    the files are stepped through here, one at a time. The first path whose
+    step raises, in order, has its exception raised here, and no worker
+    outlives the call."""
+    try:
+        workers = min(len(paths), len(os.sched_getaffinity(0)))
+    except AttributeError:  # a platform without the call
+        workers = 1
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # a worker that exits flushes the streams it inherited, so none may hold text
+            sys.stdout.flush()
+            sys.stderr.flush()
+            # leaving the block terminates the pool, on success as on an error
+            with multiprocessing.get_context("fork").Pool(workers, _set_step, (step,)) as pool:
+                return list(pool.imap(_call_step, paths, chunksize=1))
+    return list(map(step, paths))
+
+
+_step = None  # in a pool worker, the step that _set_step gave it
+
+
+def _set_step(step) -> None:
+    global _step
+    _step = step
+
+
+def _call_step(path):
+    return _step(path)
 
 
 def _read_table(fixture: str | None, path: str | None) -> corpus.ContingencyTable | None:
@@ -368,12 +404,10 @@ class Analysis:
         return outdir
 
 
-def run_tables(recs, kind: str, settings: RunConfig) -> tuple[corpus.ContingencyTable, int]:
-    """Cross-tabulate ``recs`` by year, a row per profile (``kind`` "profiles") or
-    discipline of the catalog or lexicon that ``settings`` names (default: the
-    bundled one). ``recs`` may be any iterable of records, a generator among
-    them; it is read once, after the catalog or lexicon, and no record is
-    kept. Returns the table and the count of records skipped for their year."""
+def _vocabulary(kind: str, settings: RunConfig):
+    """The tagger and the row labels of the catalog (``kind`` "profiles") or
+    lexicon (``kind`` "disciplines") that ``settings`` names, else of the
+    bundled one."""
     # the stages are read from their modules per call, so perfbench's tracer sees them
     if kind == "profiles":
         cls, path, tag = corpus.ProfileCatalog, settings.catalog_path, corpus.match_profiles
@@ -381,7 +415,17 @@ def run_tables(recs, kind: str, settings: RunConfig) -> tuple[corpus.Contingency
         cls, path, tag = corpus.DisciplineLexicon, settings.lexicon_path, corpus.tag_disciplines
     vocabulary = cls.default() if path is None else cls.from_file(path)
     labels = vocabulary.ids if kind == "profiles" else vocabulary.labels
-    return corpus.build_table(recs, lambda r: tag(r, vocabulary), labels, settings.year_range)
+    return (lambda record: tag(record, vocabulary)), labels
+
+
+def run_tables(recs, kind: str, settings: RunConfig) -> tuple[corpus.ContingencyTable, int]:
+    """Cross-tabulate ``recs`` by year, a row per profile (``kind`` "profiles") or
+    discipline of the catalog or lexicon that ``settings`` names (default: the
+    bundled one). ``recs`` may be any iterable of records, a generator among
+    them; it is read once, after the catalog or lexicon, and no record is
+    kept. Returns the table and the count of records skipped for their year."""
+    tagger, labels = _vocabulary(kind, settings)
+    return corpus.build_table(recs, tagger, labels, settings.year_range)
 
 
 def run_analysis(table: corpus.ContingencyTable, supplementary: corpus.ContingencyTable | None,

@@ -36,6 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import add
 from typing import TYPE_CHECKING
 
 from . import fixtures
@@ -113,9 +114,15 @@ class _Vocabulary:
     def default(cls):
         return cls.from_text(cls._DEFAULT)
 
-    def _check_unique(self, keys: list[str]) -> None:
+    def _check_keys(self, keys: list[str]) -> None:
+        """Refuse, as an EntryError naming the entry, the first key that is
+        blank, holds a line end (neither of which :meth:`from_text` reads)
+        or repeats an earlier one."""
         first = {}
         for i, key in enumerate(keys):
+            fault = _label_fault(key, self._KEY)
+            if fault:
+                raise EntryError(i, fault)
             if first.setdefault(key, i) != i:
                 raise EntryError(i, f"duplicate {self._KEY} {key!r}")
 
@@ -134,7 +141,7 @@ class ProfileCatalog(_Vocabulary):
     _ENTRY, _KEY, _LISTS, _DEFAULT = ProfileEntry, "id", 2, fixtures.PROFILE_CATALOG
 
     def __post_init__(self):
-        self._check_unique(self.ids)
+        self._check_keys(self.ids)
         self._by_token = {}   # normalized token -> profile id
         self._by_author = {}  # author part of a normalized token -> profile ids
         for i, entry in enumerate(self.entries):
@@ -184,7 +191,7 @@ class DisciplineLexicon(_Vocabulary):
     _ENTRY, _KEY, _LISTS, _DEFAULT = LexiconEntry, "label", 1, fixtures.DISCIPLINE_LEXICON
 
     def __post_init__(self):
-        self._check_unique(self.labels)
+        self._check_keys(self.labels)
         labels_of = {}  # lowercased term -> labels that list it
         for entry in self.entries:
             for term in entry.match_terms:
@@ -403,14 +410,14 @@ def _row_error(labels, rows) -> EntryError:
 _MAX_TOTAL = 2**63 - 1  # largest int64
 
 
-def _label_fault(label) -> str | None:
-    """Why ``label`` cannot name a row (it is blank or holds a line end),
-    or None when it can."""
+def _label_fault(label, what: str = "row label") -> str | None:
+    """Why ``label`` cannot name a row, or the ``what`` of a catalog or
+    lexicon entry (it is blank or holds a line end), or None when it can."""
     text = str(label)
     if not text.strip():
-        return "blank row label"
+        return f"blank {what}"
     if _breaks_line(text):
-        return f"row label {label!r} holds a line break"
+        return f"{what} {label!r} holds a line break"
     return None
 
 
@@ -443,27 +450,27 @@ def _is_integer(text: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
-def build_table(
+def tally(
     records: Iterable[BibRecord],
     tagger,
     row_labels: list[str],
     year_range: tuple[int, int],
-) -> tuple[ContingencyTable, int]:
-    """Cross-tabulate (record, label) incidences by publication year.
+) -> tuple[list[list[int]], int]:
+    """Count (record, label) incidences by publication year.
 
+    Returns a row of counts per label of ``row_labels``, a column per year
+    of the inclusive ``year_range``, and the count of records skipped for a
+    year that is missing or outside the range. The counts may all be 0.
     ``records`` may be any iterable, a generator among them: it is read
-    once, one record at a time, and none is kept. ``tagger`` maps a
-    record to a set of labels; labels outside ``row_labels`` are ignored.
-    A record tagged with k labels adds k incidences to its year column.
-    Records whose year is missing or outside the inclusive range are
-    skipped; the skip count is returned alongside the table.
+    once, one record at a time, and none is kept. ``tagger`` maps a record
+    to a set of labels; labels outside ``row_labels`` are ignored. A record
+    tagged with k labels adds k incidences to its year column.
     """
     first, last = year_range
     if last < first:
         raise DataError("empty year range")
-    cols = tuple(range(first, last + 1))
     row_index = {label: i for i, label in enumerate(row_labels)}
-    counts = [[0] * len(cols) for _ in row_labels]
+    counts = [[0] * (last - first + 1) for _ in row_labels]
     skipped = 0
     for record in records:
         if record.year is None or not first <= record.year <= last:
@@ -474,9 +481,32 @@ def build_table(
             i = row_index.get(label)
             if i is not None:
                 counts[i][j] += 1
+    return counts, skipped
+
+
+def build_table(
+    records: Iterable[BibRecord],
+    tagger,
+    row_labels: list[str],
+    year_range: tuple[int, int],
+    tallies: Iterable[tuple[list[list[int]], int]] = (),
+) -> tuple[ContingencyTable, int]:
+    """Cross-tabulate (record, label) incidences by publication year.
+
+    The table holds the :func:`tally` of ``records`` plus ``tallies``, more
+    ``(counts, skipped)`` pairs that :func:`tally` returned for the same
+    labels and years, in other processes say. A table with no incidence
+    raises a DataError. Returns the table and the count of records skipped
+    for their year.
+    """
+    counts, skipped = tally(records, tagger, row_labels, year_range)
+    for more, more_skipped in tallies:
+        counts = [list(map(add, row, more_row)) for row, more_row in zip(counts, more)]
+        skipped += more_skipped
     if not any(map(any, counts)):
         raise DataError("no (record, label) incidences in the year range")
-    return ContingencyTable(tuple(row_labels), cols, counts), skipped
+    first, last = year_range
+    return ContingencyTable(tuple(row_labels), tuple(range(first, last + 1)), counts), skipped
 
 
 def _parse_fixture_table(text: str) -> ContingencyTable:

@@ -11,6 +11,7 @@ numbers lines by :func:`position`. Only the standard library is imported.
 from __future__ import annotations
 
 import codecs
+import copyreg
 import numbers
 from pathlib import Path
 
@@ -25,6 +26,12 @@ class DataError(ValueError):
     def __str__(self) -> str:
         reason = super().__str__()
         return f"{self.path}: {reason}" if self.path else reason
+
+    def __reduce__(self):
+        # Pickled, as a worker process sends it, without a call to __init__:
+        # a subclass's __init__ takes more than the message ``args`` keeps,
+        # and its attributes (``line_no``, ``index``, ``path``) come back as state.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InputFormatError(DataError):

@@ -82,6 +82,8 @@ class PointSet:
         repeated = [label for label, count in Counter(self.labels).items() if count > 1]
         if repeated:
             raise DataError(f"duplicate point label {repeated[0]!r}")
+        if not (np.isfinite(masses) & (masses > 0)).all():
+            raise DataError("masses must be positive and finite")
         if masses.size and not (masses == masses[0]).all():
             raise DataError("points must be equiweighted")
         object.__setattr__(self, "coords", coords)

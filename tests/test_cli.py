@@ -6,8 +6,13 @@ import importlib.util
 import inspect
 import io
 import json
+import multiprocessing
+import os
+import pickle
 import pkgutil
+import random
 import re
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -45,6 +50,15 @@ def toy_corpus_file(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("\n".join(blocks), encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the count of CPUs that ``tables`` finds it may use."""
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+    return use
 
 
 def test_parse_golden_file(sample_file, capsys):
@@ -242,27 +256,184 @@ def test_tables_reports_exclusions_before_an_empty_table_error(tmp_path, capsys)
     assert "no (record, label) incidences" in err
 
 
-def test_tables_holds_one_files_records_at_a_time(tmp_path, monkeypatch, capsys):
-    per_file = 40
-    paths = [_write(tmp_path / f"alerts{i}.txt", "\n".join(
+def _live_records():  # BibRecord has slots, so it takes no weakref
+    return sum(isinstance(obj, records.BibRecord) for obj in gc.get_objects())
+
+
+def _five_alert_files(tmp_path, per_file):
+    return [_write(tmp_path / f"alerts{i}.txt", "\n".join(
         f"T   Neural network {i}-{j}\nK   computational biology\nU   J THINGS {1995 + j % 10}\n"
         for j in range(per_file))) for i in range(5)]
 
-    def live():  # BibRecord has slots, so it takes no weakref
-        return sum(isinstance(obj, records.BibRecord) for obj in gc.get_objects())
 
-    baseline = live()
+def test_tables_holds_one_files_records_at_a_time(tmp_path, monkeypatch, capsys, cpus):
+    cpus(1)  # one process reads every file
+    per_file = 40
+    paths = _five_alert_files(tmp_path, per_file)
+    baseline = _live_records()
     real = records.parse_records
     live_at_parse = []
 
     def spy(*args, **kwargs):
-        live_at_parse.append(live() - baseline)
+        live_at_parse.append(_live_records() - baseline)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(records, "parse_records", spy)
     assert main(["tables", "--records", *map(str, paths), "-o", str(tmp_path / "t.csv")]) == 0
     assert len(live_at_parse) == len(paths)
     assert max(live_at_parse) <= per_file
+
+
+def test_pooled_tables_builds_no_record_in_this_process(tmp_path, monkeypatch, capsys, cpus):
+    cpus(2)
+    paths = _five_alert_files(tmp_path, 40)
+    expected = cli.run_tables((r for path in paths
+                               for r in records.parse_records(path.read_text(encoding="utf-8"))),
+                              "disciplines", RunConfig())[0].to_csv()
+    parsed_in = tmp_path / "parsed_in.txt"
+    real = records.parse_records
+
+    def spy(*args, **kwargs):  # a forked worker inherits it; it notes its process id
+        with open(parsed_in, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    baseline = _live_records()
+    monkeypatch.setattr(records, "parse_records", spy)
+    out = tmp_path / "t.csv"
+    assert main(["tables", "--records", *map(str, paths), "-o", str(out)]) == 0
+    pids = parsed_in.read_text(encoding="utf-8").split()
+    assert len(pids) == len(paths) and str(os.getpid()) not in pids
+    assert _live_records() == baseline
+    assert multiprocessing.active_children() == []
+    assert out.read_text(encoding="utf-8") == expected
+
+
+def _mixed_corpus(tmp_path, files=6, per_file=30, seed=33):
+    """Alert files in both formats, alternating, whose records cite bundled
+    profiles, use bundled discipline terms, and now and then mention a
+    galaxy cluster or carry no year or one outside 1994..2011."""
+    rng = random.Random(seed)
+    tokens = [t for e in corpus.ProfileCatalog.default().entries for t in e.match_tokens]
+    terms = [t for e in corpus.DisciplineLexicon.default().entries for t in e.match_terms]
+
+    def year():
+        return "" if rng.random() < 0.1 else str(rng.randint(1990, 2014))
+
+    def title(j):
+        extra = " of a galaxy cluster" if rng.random() < 0.05 else ""
+        return f"Study {j} in {rng.choice(terms)} and {rng.choice(terms).lower()}{extra}"
+
+    paths = []
+    for i in range(files):
+        blocks = []
+        for j in range(per_file):
+            if i % 2 == 0:
+                cited = "".join(f"W.  {rng.choice(tokens)}\n" for _ in range(rng.randint(0, 2)))
+                blocks.append(f"T   {title(j)}\nA   AUTHOR {j}\nK   {rng.choice(terms)}\n"
+                              f"U   J THINGS {j}: 1-9, {year()}\n{cited}")
+            else:
+                author = rng.choice(tokens).rsplit(" ", 1)[0]
+                blocks.append(f"TITLE:  {title(j)}\nSOURCE: JOURNAL {j} (2). {year()}.\n"
+                              f"SEARCH TERM(S): {author} rauth; {author[:3]}*  rauth\n"
+                              f"KEYWORDS: {rng.choice(terms)}; x\n")
+        paths.append(_write(tmp_path / f"mixed{i}.txt", "\n".join(blocks)))
+    return paths
+
+
+def _tables_run(argv, capsys):
+    """(exit code, stdout, stderr) of ``main(argv)``, with no worker left after it."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert multiprocessing.active_children() == []
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("kind", ["profiles", "disciplines"])
+def test_tables_gives_the_same_results_in_one_process_and_in_a_pool(kind, tmp_path, capsys,
+                                                                     cpus):
+    paths = list(map(str, _mixed_corpus(tmp_path)))
+    argv = ["tables", "--records", *paths, "--kind", kind]
+    runs = {}
+    for count in (1, 2):
+        cpus(count)
+        out = tmp_path / f"{count}.csv"
+        runs[count, "-o"] = (*_tables_run(argv + ["-o", str(out)], capsys), out.read_bytes())
+        runs[count, "stdout"] = _tables_run(argv, capsys)
+    assert runs[1, "-o"] == runs[2, "-o"]
+    assert runs[1, "stdout"] == runs[2, "stdout"]
+    code, out, err, written = runs[1, "-o"]
+    assert (code, out) == (0, "") and written.decode("utf-8") == runs[1, "stdout"][1]
+    excluded, skipped = err.splitlines()
+    assert excluded.startswith("bibcarto: excluded ") and skipped.startswith("bibcarto: skipped ")
+    assert corpus.ContingencyTable.from_csv(runs[1, "stdout"][1]).n > 0
+
+
+@pytest.mark.parametrize("kind", ["profiles", "disciplines"])
+def test_tables_piped_stdout_is_the_same_in_one_process_and_in_a_pool(kind, tmp_path):
+    # a fresh interpreter, whose standard output is a pipe and block-buffered;
+    # text it holds when the workers fork is written once
+    paths = list(map(str, _mixed_corpus(tmp_path, files=3)))
+    argv = ["tables", "--records", *paths, "--kind", kind]
+    runs = []
+    for count in (1, 2):
+        code = ("import os, sys\n"
+                f"os.sched_getaffinity = lambda pid: set(range({count}))\n"
+                "from bibcarto.cli import main\n"
+                "sys.stdout.write('before\\n')\n"
+                f"code = main({argv!r})\n"
+                "import multiprocessing\n"
+                "assert multiprocessing.active_children() == []\n"
+                "sys.exit(code)\n")
+        src = str(Path(bibcarto.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                              timeout=120)
+        runs.append((done.returncode, done.stdout, done.stderr))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 0 and out.startswith(b"before\nlabel,1994,")
+    assert out.count(b"before") == 1 and err.count(b"\n") == 2
+
+
+_BAD_FILES = {
+    "missing": None,
+    "not-utf-8": b"T   Neural network training\nU   J THINGS \xff 2000\n",
+    "ambiguous": CORRUPT_RESEARCH_ALERT.encode("utf-8"),
+    "no-title": b"T   Neural network training\nU   J THINGS 2000\n\nA   NOBODY J\n",
+}
+_BAD_FILE_ERRORS = {
+    "missing": "{path}: No such file or directory",
+    "not-utf-8": "{path}:2: not UTF-8: byte 0xff",
+    "ambiguous": "{path}: input matches no alert format: ",
+    "no-title": "{path}:4: record has no title",
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_FILES))
+@pytest.mark.parametrize("third", ["good", "also-bad"])
+def test_tables_reports_the_first_bad_file_in_one_process_and_in_a_pool(bad, third, tmp_path,
+                                                                          capsys, cpus):
+    first, third_path = _mixed_corpus(tmp_path, files=2)
+    if third == "also-bad":  # read, perhaps first, by a worker; the earlier file is reported
+        third_path.write_bytes(_BAD_FILES["no-title"] if bad != "no-title"
+                               else _BAD_FILES["not-utf-8"])
+    path = tmp_path / f"{bad}.txt"
+    if _BAD_FILES[bad] is not None:
+        path.write_bytes(_BAD_FILES[bad])
+    runs = []
+    for count in (1, 2):
+        cpus(count)
+        out = tmp_path / f"{count}.csv"
+        runs.append(_tables_run(["tables", "--records", str(first), str(path), str(third_path),
+                                 "-o", str(out)], capsys))
+        assert not out.exists()
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, out) == (1, "")
+    assert err.startswith("bibcarto: error: " + _BAD_FILE_ERRORS[bad].format(path=path))
+    assert err.count("\n") == 1
 
 
 def test_tables_reads_the_lexicon_before_any_alert_file(tmp_path, capsys):
@@ -949,17 +1120,46 @@ def test_bad_supplementary_table_names_file_and_row(text, detail, tmp_path, caps
     assert err.startswith(f"bibcarto: error: {sup}: {detail}")
 
 
-def test_every_exception_class_is_a_data_error():
+def _exception_classes():
     modules = [importlib.import_module(f"bibcarto.{m.name}")
                for m in pkgutil.iter_modules(bibcarto.__path__)]
-    classes = {obj for module in modules for _, obj in inspect.getmembers(module, inspect.isclass)
-               if issubclass(obj, BaseException) and obj.__module__.startswith("bibcarto")}
+    return {obj for module in modules for _, obj in inspect.getmembers(module, inspect.isclass)
+            if issubclass(obj, BaseException) and obj.__module__.startswith("bibcarto")}
+
+
+def test_every_exception_class_is_a_data_error():
+    classes = _exception_classes()
     # one class per distinction some caller in the program makes
     assert sorted(c.__qualname__ for c in classes) == [
         "AmbiguousFormatError", "ClusterCountError", "DataError", "EntryError",
         "InputFormatError", "QueryError", "RecordLineError", "RecordParseError",
         "SupplementaryError"]
     assert sorted(c.__qualname__ for c in classes if not issubclass(c, DataError)) == []
+
+
+def _sample_error(cls):
+    if issubclass(cls, bibcarto.errors.InputFormatError):
+        return cls(4, "record has no title")
+    if cls is corpus.EntryError:
+        return cls(2, "duplicate id 'x'")
+    return cls("input matches no alert format")
+
+
+@pytest.mark.parametrize("path", [None, "alerts.txt"])
+def test_every_exception_class_survives_pickling(path):
+    # a pool worker's error reaches the parent pickled
+    classes = _exception_classes()
+    assert len(classes) == 9
+    for cls in classes:
+        exc = _sample_error(cls)
+        if path:
+            exc.path = path
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(exc, protocol))
+            assert type(again) is cls
+            assert str(again) == str(exc) and again.args == exc.args
+            for name in ("line_no", "index", "reason", "path"):
+                assert getattr(again, name, None) == getattr(exc, name, None), (cls, name)
 
 
 _json_values = st.recursive(
@@ -1313,14 +1513,16 @@ def test_search_command_calls_search_functions_as_module_attributes(name, toy_co
     assert calls == [name]
 
 
-def test_perfbench_tracer_wraps_and_restores_the_package(tmp_path, monkeypatch):
+def test_perfbench_tracer_wraps_and_restores_the_package(tmp_path, monkeypatch, cpus):
     # --trace 1 wraps functions by name and counts through their results, so a
-    # renamed function or a dropped `len(index.postings)` breaks it here first
+    # renamed function or a dropped `len(index.postings)` breaks it here first.
+    # It sees only this process: tables must read its files here.
+    cpus(1)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     tracing = importlib.import_module("tracing")
     owners = [cli, records, corpus, corpus.ContingencyTable, ca, ward, search]
     before = [dict(vars(owner)) for owner in owners]
-    # tables reads its files one at a time, parsing inside build_table's loop
+    # tables tallies each file, then adds the tallies up in build_table
     paths = [_write(tmp_path / "a.txt", RESEARCH_ALERT_SAMPLE + "\n"
                     "T   Neural network training\nK   computational biology\nU   J THINGS\n"),
              _write(tmp_path / "b.txt", PERSONAL_ALERT_SAMPLE)]

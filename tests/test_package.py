@@ -48,22 +48,31 @@ def test_records_and_errors_import_without_numpy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1998", "False"]
-    # Only the commands that do the math load numpy: each runs in a fresh interpreter,
-    # after which numpy is loaded exactly when the command needs it.
+    # Only the commands that do the math load numpy, and only tables over two or
+    # more files on two or more CPUs loads multiprocessing: each runs in a fresh
+    # interpreter that finds ``cpus`` CPUs, after which each module is loaded
+    # exactly when the command needs it.
     alerts = tmp_path / "alerts.txt"
     alerts.write_text(RESEARCH_ALERT_SAMPLE, encoding="utf-8")
     out = str(tmp_path / "out.txt")
-    for argv, loads in [
-        (None, False),
-        (["parse", str(alerts), "-o", out], False),
-        (["tables", "--records", str(alerts), "--kind", "profiles", "-o", out], False),
-        (["tables", "--fixture", "Table2", "-o", out], False),
-        (["analyze", "--fixture", "Table2", "--outdir", str(tmp_path / "analysis")], True),
+    tables = ["tables", "--kind", "profiles", "-o", out, "--records"]
+    for argv, cpus, loads in [
+        (None, 2, (False, False)),
+        (["parse", str(alerts), str(alerts), "-o", out], 2, (False, False)),
+        (tables + [str(alerts)], 2, (False, False)),
+        (tables + [str(alerts)] * 2, 1, (False, False)),
+        (tables + [str(alerts)] * 2, 2, (False, True)),
+        (["tables", "--fixture", "Table2", "-o", out], 2, (False, False)),
+        (["analyze", "--fixture", "Table2", "--outdir", str(tmp_path / "analysis")], 2,
+         (True, False)),
     ]:
         run = "" if argv is None else f"assert bibcarto.cli.main({argv!r}) == 0\n"
-        done = _python(f"import sys, bibcarto.cli\n{run}print('numpy' in sys.modules)\n")
+        done = _python(f"import os\nos.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+                       f"import sys, bibcarto.cli\n{run}"
+                       "print('numpy' in sys.modules, 'multiprocessing' in sys.modules)\n")
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == str(loads), argv  # after what the command printed
+        # after what the command printed
+        assert done.stdout.splitlines()[-1] == " ".join(map(str, loads)), (argv, cpus)
 
 
 def test_the_cli_imports_in_a_fresh_interpreter():
@@ -109,6 +118,14 @@ def _index():
     return bibcarto.build_index([
         bibcarto.BibRecord(title, bibcarto.RecordFormat.RESEARCH_ALERT)
         for title in ("network one", "network two", "network three", "other")])
+
+
+def _profile(profile_id):
+    return bibcarto.corpus.ProfileEntry(profile_id, (f"{profile_id.upper()} X 99",))
+
+
+def _discipline(label):
+    return bibcarto.corpus.LexiconEntry(label, (f"{label} studies",))
 
 
 def _one_record():
@@ -183,12 +200,35 @@ REFUSED = [
     pytest.param("PointSet",
                  lambda: bibcarto.PointSet(("a", "b"), [[0.0], [1.0]], [1.0, 2.0]),
                  "DataError", "points must be equiweighted", id="pointset-unequal-masses"),
+    *(pytest.param("PointSet",
+                   lambda mass=mass: bibcarto.PointSet(("a", "b"), [[0.0], [1.0]], [mass, mass]),
+                   "DataError", "masses must be positive and finite", id=f"pointset-mass-{mass}")
+      for mass in (0.0, -1.0, _INF, -_INF, _NAN)),
     pytest.param("embed_for_clustering",
                  lambda: bibcarto.embed_for_clustering(_fit(), [("s", [_INF] * 13)]),
                  "DataError", "non-finite coordinates", id="embed-non-finite-supplementary"),
     pytest.param("ca.write_coordinates_csv",
                  lambda: bibcarto.ca.write_coordinates_csv(_fit(), (), -1),
                  "DataError", "axes must not be negative, got -1", id="negative-axes"),
+    pytest.param("ca.write_coordinates_csv",
+                 lambda: bibcarto.ca.write_coordinates_csv(_fit(), (), True),
+                 "DataError", "axes must be an integer, got True", id="bool-axes"),
+    pytest.param("ca.write_coordinates_csv",
+                 lambda: bibcarto.ca.write_coordinates_csv(_fit(), (), 2.5),
+                 "DataError", "axes must be an integer, got 2.5", id="fraction-axes"),
+    pytest.param("ProfileCatalog",
+                 lambda: bibcarto.ProfileCatalog([_profile("Arabie87"), _profile(" ")]),
+                 "EntryError", "blank id", id="catalog-blank-id"),
+    pytest.param("ProfileCatalog",
+                 lambda: bibcarto.ProfileCatalog([_profile("a\nb")]),
+                 "EntryError", "id 'a\\nb' holds a line break", id="catalog-line-break-id"),
+    pytest.param("DisciplineLexicon",
+                 lambda: bibcarto.DisciplineLexicon([_discipline("Net"), _discipline("")]),
+                 "EntryError", "blank label", id="lexicon-blank-label"),
+    pytest.param("DisciplineLexicon",
+                 lambda: bibcarto.DisciplineLexicon([_discipline("Net\u2028Bio")]),
+                 "EntryError", "label 'Net\\u2028Bio' holds a line break",
+                 id="lexicon-line-break-label"),
 ]
 
 
@@ -198,6 +238,8 @@ def test_bad_input_is_refused_with_its_data_error(name, call, cls, message):
         call()
     assert type(err.value).__name__ == cls
     assert str(err.value) == message
+    if name in ("ProfileCatalog", "DisciplineLexicon"):  # the entry, not a table row
+        assert err.value.index == (1 if message.startswith("blank") else 0)
 
 
 @pytest.mark.parametrize("call", [
@@ -220,8 +262,6 @@ TAKES_NO_INPUT = {"BibRecord", "CaResult", "DataError", "Dendrogram", "Index", "
 # Public names whose bad input was refused with its DataError already, each
 # with a test (module, function) that pins it.
 REFUSED_ALREADY = {
-    "DisciplineLexicon": ("test_corpus", "test_vocabulary_names_its_first_bad_line"),
-    "ProfileCatalog": ("test_corpus", "test_catalog_rejects_a_token_of_two_entries"),
     "ca_fit": ("test_ca", "test_too_small_table_rejected"),
     "detect_format": ("test_records", "test_detect_empty_is_ambiguous"),
     "load_fixture": ("test_corpus", "test_bad_tables_raise_a_data_error"),

@@ -162,7 +162,7 @@ def test_equals_the_dense_ward_bit_for_bit():
         cases.append((np.round(coords * 2) if t % 3 == 0 else coords, 1.0))
     cases.append((rng.normal(size=(400, 20)), 1.0))
     lattice = np.array([[x, y] for x in range(3) for y in range(3)], dtype=float)
-    for mass in (1.0, 2.5, 0.0, -1.0):
+    for mass in (1.0, 2.5):  # PointSet refuses a mass that is not positive and finite
         cases += [
             (np.zeros((7, 2)), mass),
             (lattice[rng.integers(0, 9, size=24)], mass),
@@ -173,9 +173,8 @@ def test_equals_the_dense_ward_bit_for_bit():
     for coords, mass in cases:
         points = PointSet(tuple(f"p{i}" for i in range(len(coords))), coords,
                           np.full(len(coords), mass))
-        with np.errstate(invalid="ignore"):  # masses of 0 fill in 0/0
-            got = _outcome(lambda: ward_hac(points).merges)
-            assert got == _outcome(lambda: dense_ward(points.coords, points.masses))
+        got = _outcome(lambda: ward_hac(points).merges)
+        assert got == _outcome(lambda: dense_ward(points.coords, points.masses))
         errors += isinstance(got, str)
     assert 0 < errors < len(cases)
 
