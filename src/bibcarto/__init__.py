@@ -16,7 +16,7 @@ _EXPORTS = {
                 "parse_records"),
     "fixtures": (),
     "corpus": ("ContingencyTable", "DisciplineLexicon", "ProfileCatalog", "build_table",
-               "filter_records", "load_fixture", "match_profiles", "tag_disciplines"),
+               "filter_records", "load_fixture", "match_profiles", "tag_disciplines", "tally"),
     "ca": ("CaResult", "ca_fit", "inertia_report", "project_supplementary_col",
            "project_supplementary_row"),
     "ward": ("Dendrogram", "Partition", "PointSet", "cut", "embed_for_clustering",

@@ -15,10 +15,10 @@ RunConfig field names; it supplies defaults for ``tables`` and
 :func:`run_analysis` are their pipelines, the second shared with
 ``scripts/run_reference_analysis.py``. ``tables`` reads the catalog or
 lexicon first, then reads, filters and tallies each alert file in one
-step that keeps no record: in up to min(files, usable CPUs) forked worker
-processes, which send back only counts, or here, one file at a time, when
-either number is 1. ``parse`` and ``search`` read every file before they
-write anything.
+step that keeps no record: here, one file at a time, or, when there is
+enough input to pay for them, in forked worker processes that send back
+only counts (:mod:`bibcarto._workers`). ``parse`` and ``search`` read every
+file before they write anything.
 """
 from __future__ import annotations
 
@@ -325,12 +325,14 @@ def cmd_tables(args) -> int:
             kept, dropped = corpus.filter_records(_read_alerts(path)[0], settings.exclusion_terms)
             return (*corpus.tally(kept, tagger, labels, settings.year_range), len(dropped))
 
-        tallies = _map_files(tally_file, args.records)
+        from ._workers import map_files  # here, so that `import bibcarto.cli` compiles none of it
+
+        tallies = map_files(tally_file, args.records)
         excluded = sum(dropped for _, _, dropped in tallies)
         if excluded:
             print(f"bibcarto: excluded {excluded} record(s) by title phrase", file=sys.stderr)
-        table, skipped = corpus.build_table((), tagger, labels, settings.year_range,
-                                            [tally[:2] for tally in tallies])
+        table, skipped = corpus.build_table([tally[:2] for tally in tallies], labels,
+                                            settings.year_range)
         if skipped:
             print(f"bibcarto: skipped {skipped} record(s) with no year or a year outside "
                   f"{settings.year_range[0]}..{settings.year_range[1]}", file=sys.stderr)
@@ -340,42 +342,6 @@ def cmd_tables(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _map_files(step, paths: list[str]) -> list:
-    """``step`` of each path, in order. With two or more files and usable
-    CPUs, min(files, CPUs) worker processes forked from this one share the
-    files; they inherit ``step`` and send back only its results. Otherwise
-    the files are stepped through here, one at a time. The first path whose
-    step raises, in order, has its exception raised here, and no worker
-    outlives the call."""
-    try:
-        workers = min(len(paths), len(os.sched_getaffinity(0)))
-    except AttributeError:  # a platform without the call
-        workers = 1
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            # a worker that exits flushes the streams it inherited, so none may hold text
-            sys.stdout.flush()
-            sys.stderr.flush()
-            # leaving the block terminates the pool, on success as on an error
-            with multiprocessing.get_context("fork").Pool(workers, _set_step, (step,)) as pool:
-                return list(pool.imap(_call_step, paths, chunksize=1))
-    return list(map(step, paths))
-
-
-_step = None  # in a pool worker, the step that _set_step gave it
-
-
-def _set_step(step) -> None:
-    global _step
-    _step = step
-
-
-def _call_step(path):
-    return _step(path)
 
 
 def _read_table(fixture: str | None, path: str | None) -> corpus.ContingencyTable | None:
@@ -425,7 +391,8 @@ def run_tables(recs, kind: str, settings: RunConfig) -> tuple[corpus.Contingency
     them; it is read once, after the catalog or lexicon, and no record is
     kept. Returns the table and the count of records skipped for their year."""
     tagger, labels = _vocabulary(kind, settings)
-    return corpus.build_table(recs, tagger, labels, settings.year_range)
+    return corpus.build_table([corpus.tally(recs, tagger, labels, settings.year_range)], labels,
+                              settings.year_range)
 
 
 def run_analysis(table: corpus.ContingencyTable, supplementary: corpus.ContingencyTable | None,

@@ -450,6 +450,14 @@ def _is_integer(text: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
+def _year_columns(year_range: tuple[int, int]) -> range:
+    """The years of the inclusive ``year_range``; an empty one raises."""
+    first, last = year_range
+    if last < first:
+        raise DataError("empty year range")
+    return range(first, last + 1)
+
+
 def tally(
     records: Iterable[BibRecord],
     tagger,
@@ -466,11 +474,10 @@ def tally(
     to a set of labels; labels outside ``row_labels`` are ignored. A record
     tagged with k labels adds k incidences to its year column.
     """
-    first, last = year_range
-    if last < first:
-        raise DataError("empty year range")
+    years = _year_columns(year_range)
+    first, last = years[0], years[-1]
     row_index = {label: i for i, label in enumerate(row_labels)}
-    counts = [[0] * (last - first + 1) for _ in row_labels]
+    counts = [[0] * len(years) for _ in row_labels]
     skipped = 0
     for record in records:
         if record.year is None or not first <= record.year <= last:
@@ -485,28 +492,30 @@ def tally(
 
 
 def build_table(
-    records: Iterable[BibRecord],
-    tagger,
+    tallies: Iterable[tuple[list[list[int]], int]],
     row_labels: list[str],
     year_range: tuple[int, int],
-    tallies: Iterable[tuple[list[list[int]], int]] = (),
 ) -> tuple[ContingencyTable, int]:
     """Cross-tabulate (record, label) incidences by publication year.
 
-    The table holds the :func:`tally` of ``records`` plus ``tallies``, more
-    ``(counts, skipped)`` pairs that :func:`tally` returned for the same
-    labels and years, in other processes say. A table with no incidence
-    raises a DataError. Returns the table and the count of records skipped
-    for their year.
+    The table is the sum of ``tallies``, the ``(counts, skipped)`` pairs
+    that :func:`tally` returned for ``row_labels`` and ``year_range``, one
+    per batch of records: an alert file, say, tallied in another process.
+    A tally of another shape, or a sum with no incidence, raises a
+    DataError. Returns the table and the count of records skipped for
+    their year.
     """
-    counts, skipped = tally(records, tagger, row_labels, year_range)
+    years = _year_columns(year_range)
+    counts = [[0] * len(years) for _ in row_labels]
+    skipped = 0
     for more, more_skipped in tallies:
+        if len(more) != len(counts) or any(len(row) != len(years) for row in more):
+            raise DataError(f"a tally must hold {len(counts)} row(s) of {len(years)} count(s)")
         counts = [list(map(add, row, more_row)) for row, more_row in zip(counts, more)]
         skipped += more_skipped
     if not any(map(any, counts)):
         raise DataError("no (record, label) incidences in the year range")
-    first, last = year_range
-    return ContingencyTable(tuple(row_labels), tuple(range(first, last + 1)), counts), skipped
+    return ContingencyTable(tuple(row_labels), tuple(years), counts), skipped
 
 
 def _parse_fixture_table(text: str) -> ContingencyTable:

@@ -6,7 +6,6 @@ import importlib.util
 import inspect
 import io
 import json
-import multiprocessing
 import os
 import pickle
 import pkgutil
@@ -284,28 +283,55 @@ def test_tables_holds_one_files_records_at_a_time(tmp_path, monkeypatch, capsys,
     assert max(live_at_parse) <= per_file
 
 
-def test_pooled_tables_builds_no_record_in_this_process(tmp_path, monkeypatch, capsys, cpus):
-    cpus(2)
+def _fresh_main(argv, cpus, before="", after=""):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in a fresh
+    interpreter that finds ``cpus`` CPUs and pools files of any size, with
+    the code ``before`` and ``after`` run around the call. Like the command,
+    it has not loaded numpy, so it forks with one thread: from Python 3.12
+    on, a fork in a process that runs numpy's threads is deprecated, which
+    this suite makes an error. After the call, no worker may be left."""
+    code = (f"import os, sys\nos.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+            "from bibcarto import _workers, cli\n_workers.BYTES_PER_WORKER = 1\n"
+            f"{before}\ncode = cli.main({argv!r})\n{after}\n"
+            "import multiprocessing\n"
+            "assert multiprocessing.active_children() == [] and 'numpy' not in sys.modules\n"
+            "sys.exit(code)\n")
+    done = _fresh_python(code)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _fresh_python(code, timeout=120) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(bibcarto.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          timeout=timeout)
+
+
+def test_pooled_tables_builds_no_record_in_this_process(tmp_path):
     paths = _five_alert_files(tmp_path, 40)
     expected = cli.run_tables((r for path in paths
                                for r in records.parse_records(path.read_text(encoding="utf-8"))),
                               "disciplines", RunConfig())[0].to_csv()
     parsed_in = tmp_path / "parsed_in.txt"
-    real = records.parse_records
-
-    def spy(*args, **kwargs):  # a forked worker inherits it; it notes its process id
-        with open(parsed_in, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(*args, **kwargs)
-
-    baseline = _live_records()
-    monkeypatch.setattr(records, "parse_records", spy)
+    # a forked worker inherits the spy; it notes the process id that parses
+    spy = ("import gc\nfrom bibcarto import records\nreal = records.parse_records\n"
+           "def spy(*args, **kwargs):\n"
+           f"    with open({str(parsed_in)!r}, 'a', encoding='utf-8') as fh:\n"
+           "        fh.write(f'{os.getpid()}\\n')\n"
+           "    return real(*args, **kwargs)\n"
+           "records.parse_records = spy\n")
+    live = ("print(os.getpid(), sum(isinstance(obj, records.BibRecord) "
+            "for obj in gc.get_objects()))\n")
     out = tmp_path / "t.csv"
-    assert main(["tables", "--records", *map(str, paths), "-o", str(out)]) == 0
+    code, stdout, stderr = _fresh_main(["tables", "--records", *map(str, paths), "-o", str(out)],
+                                       2, spy, live)
+    assert code == 0, stderr
+    pid, live_records = stdout.split()
     pids = parsed_in.read_text(encoding="utf-8").split()
-    assert len(pids) == len(paths) and str(os.getpid()) not in pids
-    assert _live_records() == baseline
-    assert multiprocessing.active_children() == []
+    assert len(pids) == len(paths) and pid not in pids
+    assert live_records == b"0"
     assert out.read_text(encoding="utf-8") == expected
 
 
@@ -341,56 +367,31 @@ def _mixed_corpus(tmp_path, files=6, per_file=30, seed=33):
     return paths
 
 
-def _tables_run(argv, capsys):
-    """(exit code, stdout, stderr) of ``main(argv)``, with no worker left after it."""
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert multiprocessing.active_children() == []
-    return code, captured.out, captured.err
-
-
 @pytest.mark.parametrize("kind", ["profiles", "disciplines"])
-def test_tables_gives_the_same_results_in_one_process_and_in_a_pool(kind, tmp_path, capsys,
-                                                                     cpus):
+def test_tables_gives_the_same_results_in_one_process_and_in_a_pool(kind, tmp_path):
     paths = list(map(str, _mixed_corpus(tmp_path)))
     argv = ["tables", "--records", *paths, "--kind", kind]
     runs = {}
     for count in (1, 2):
-        cpus(count)
         out = tmp_path / f"{count}.csv"
-        runs[count, "-o"] = (*_tables_run(argv + ["-o", str(out)], capsys), out.read_bytes())
-        runs[count, "stdout"] = _tables_run(argv, capsys)
+        runs[count, "-o"] = (*_fresh_main(argv + ["-o", str(out)], count), out.read_bytes())
+        runs[count, "stdout"] = _fresh_main(argv, count)
     assert runs[1, "-o"] == runs[2, "-o"]
     assert runs[1, "stdout"] == runs[2, "stdout"]
     code, out, err, written = runs[1, "-o"]
-    assert (code, out) == (0, "") and written.decode("utf-8") == runs[1, "stdout"][1]
+    assert (code, out) == (0, b"") and written == runs[1, "stdout"][1]
     excluded, skipped = err.splitlines()
-    assert excluded.startswith("bibcarto: excluded ") and skipped.startswith("bibcarto: skipped ")
-    assert corpus.ContingencyTable.from_csv(runs[1, "stdout"][1]).n > 0
+    assert excluded.startswith(b"bibcarto: excluded ") and skipped.startswith(b"bibcarto: skipped ")
+    assert corpus.ContingencyTable.from_csv(written.decode("utf-8")).n > 0
 
 
 @pytest.mark.parametrize("kind", ["profiles", "disciplines"])
 def test_tables_piped_stdout_is_the_same_in_one_process_and_in_a_pool(kind, tmp_path):
-    # a fresh interpreter, whose standard output is a pipe and block-buffered;
-    # text it holds when the workers fork is written once
+    # standard output is a pipe, so block-buffered: text it holds when the
+    # workers fork is written once
     paths = list(map(str, _mixed_corpus(tmp_path, files=3)))
     argv = ["tables", "--records", *paths, "--kind", kind]
-    runs = []
-    for count in (1, 2):
-        code = ("import os, sys\n"
-                f"os.sched_getaffinity = lambda pid: set(range({count}))\n"
-                "from bibcarto.cli import main\n"
-                "sys.stdout.write('before\\n')\n"
-                f"code = main({argv!r})\n"
-                "import multiprocessing\n"
-                "assert multiprocessing.active_children() == []\n"
-                "sys.exit(code)\n")
-        src = str(Path(bibcarto.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
-                              timeout=120)
-        runs.append((done.returncode, done.stdout, done.stderr))
+    runs = [_fresh_main(argv, count, "sys.stdout.write('before\\n')") for count in (1, 2)]
     assert runs[0] == runs[1]
     code, out, err = runs[0]
     assert code == 0 and out.startswith(b"before\nlabel,1994,")
@@ -413,8 +414,7 @@ _BAD_FILE_ERRORS = {
 
 @pytest.mark.parametrize("bad", list(_BAD_FILES))
 @pytest.mark.parametrize("third", ["good", "also-bad"])
-def test_tables_reports_the_first_bad_file_in_one_process_and_in_a_pool(bad, third, tmp_path,
-                                                                          capsys, cpus):
+def test_tables_reports_the_first_bad_file_in_one_process_and_in_a_pool(bad, third, tmp_path):
     first, third_path = _mixed_corpus(tmp_path, files=2)
     if third == "also-bad":  # read, perhaps first, by a worker; the earlier file is reported
         third_path.write_bytes(_BAD_FILES["no-title"] if bad != "no-title"
@@ -424,16 +424,39 @@ def test_tables_reports_the_first_bad_file_in_one_process_and_in_a_pool(bad, thi
         path.write_bytes(_BAD_FILES[bad])
     runs = []
     for count in (1, 2):
-        cpus(count)
         out = tmp_path / f"{count}.csv"
-        runs.append(_tables_run(["tables", "--records", str(first), str(path), str(third_path),
-                                 "-o", str(out)], capsys))
+        runs.append(_fresh_main(["tables", "--records", str(first), str(path), str(third_path),
+                                 "-o", str(out)], count))
         assert not out.exists()
     assert runs[0] == runs[1]
     code, out, err = runs[0]
-    assert (code, out) == (1, "")
+    assert (code, out) == (1, b"")
+    err = err.decode("utf-8")
     assert err.startswith("bibcarto: error: " + _BAD_FILE_ERRORS[bad].format(path=path))
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fault", ["exit", "unpicklable"])
+def test_a_worker_that_dies_or_sends_what_cannot_be_unpickled_breaks_the_pool(fault, tmp_path):
+    # the pool must not wait for a result that never comes
+    paths = [str(_write(tmp_path / name, "T   x\n")) for name in "abc"]
+    code = ("import os, sys\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "from bibcarto import _workers\n_workers.BYTES_PER_WORKER = 1\n"
+            "class Odd(Exception):  # pickles, but its __init__ takes more than its args\n"
+            "    def __init__(self, a, b):\n"
+            "        super().__init__(a)\n"
+            "def step(path):\n"
+            f"    if path == {paths[1]!r}:\n"
+            f"        {'os._exit(3)' if fault == 'exit' else 'raise Odd(1, 2)'}\n"
+            "    return path\n"
+            "try:\n"
+            f"    _workers.map_files(step, {paths!r})\n"
+            "except BrokenProcessPool:\n"
+            "    import multiprocessing\n"
+            "    print(multiprocessing.active_children())\n")
+    done = _fresh_python(code, timeout=60)
+    assert (done.returncode, done.stdout) == (0, b"[]\n"), done.stderr
 
 
 def test_tables_reads_the_lexicon_before_any_alert_file(tmp_path, capsys):

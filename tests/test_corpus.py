@@ -15,6 +15,7 @@ from bibcarto.corpus import (
     load_fixture,
     match_profiles,
     tag_disciplines,
+    tally,
 )
 from bibcarto.errors import DataError, InputFormatError
 from bibcarto.records import BibRecord, RecordFormat, parse_records
@@ -396,9 +397,14 @@ def test_filter_matches_after_continuation_join():
 
 # ---------------------------------------------------------------- tables
 
+def _table(records, tagger, rows, year_range):
+    """The table of one tally of ``records``."""
+    return build_table([tally(records, tagger, rows, year_range)], rows, year_range)
+
+
 def test_build_table_single_incidence():
     rec = _record(title="only", year=2000)
-    table, skipped = build_table([rec], lambda r: {"only-label"}, ["only-label"], (2000, 2000))
+    table, skipped = _table([rec], lambda r: {"only-label"}, ["only-label"], (2000, 2000))
     assert table.counts.tolist() == [[1]]
     assert skipped == 0
 
@@ -409,28 +415,40 @@ def test_build_table_skips_out_of_range_years():
         _record(title="early", year=1980),
         _record(title="none", year=None),
     ]
-    table, skipped = build_table(records, lambda r: {"x"}, ["x"], (1994, 2011))
+    table, skipped = _table(records, lambda r: {"x"}, ["x"], (1994, 2011))
     assert table.n == 1
     assert skipped == 2
 
 
 def test_build_table_ignores_labels_outside_rows():
     rec = _record(title="t", year=2000)
-    table, _ = build_table([rec], lambda r: {"x", "unknown"}, ["x"], (2000, 2001))
+    table, _ = _table([rec], lambda r: {"x", "unknown"}, ["x"], (2000, 2001))
     assert table.n == 1
 
 
 def test_build_table_empty_raises():
     rec = _record(title="t", year=2000)
+    assert tally([rec], lambda r: set(), ["x"], (2000, 2001)) == ([[0, 0]], 0)
     with pytest.raises(DataError,
                        match=r"^no \(record, label\) incidences in the year range$"):
-        build_table([rec], lambda r: set(), ["x"], (2000, 2001))
+        _table([rec], lambda r: set(), ["x"], (2000, 2001))
+    with pytest.raises(DataError,
+                       match=r"^no \(record, label\) incidences in the year range$"):
+        build_table([], ["x"], (2000, 2001))
 
 
 def test_build_table_empty_year_range_is_a_data_error():
     rec = _record(title="t", year=2000)
     with pytest.raises(DataError, match="^empty year range$"):
-        build_table([rec], lambda r: {"x"}, ["x"], (2001, 2000))
+        tally([rec], lambda r: {"x"}, ["x"], (2001, 2000))
+    with pytest.raises(DataError, match="^empty year range$"):
+        build_table([], ["x"], (2001, 2000))
+
+
+@pytest.mark.parametrize("counts", [[[1, 0]], [[1], [0]], [[1, 0], [0, 0], [0, 0]]])
+def test_build_table_refuses_a_tally_of_another_shape(counts):
+    with pytest.raises(DataError, match=r"^a tally must hold 2 row\(s\) of 2 count\(s\)$"):
+        build_table([([[0, 1], [1, 0]], 0), (counts, 0)], ["x", "y"], (2000, 2001))
 
 
 @given(
@@ -441,9 +459,10 @@ def test_build_table_empty_year_range_is_a_data_error():
         ),
         min_size=1,
         max_size=40,
-    )
+    ),
+    st.data(),
 )
-def test_build_table_matches_naive_recount(spec):
+def test_build_table_matches_naive_recount(spec, data):
     records = [_record(title=f"r{i}", year=year) for i, (year, _) in enumerate(spec)]
     labels_for = {f"r{i}": labels for i, (_, labels) in enumerate(spec)}
     rows = list("abcde")
@@ -454,13 +473,19 @@ def test_build_table_matches_naive_recount(spec):
         if year is not None and year_range[0] <= year <= year_range[1]
         for label in labels
     )
+    # the records in batches, as tables tallies them one alert file at a time
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=3)))
+    batches = [records[i:j] for i, j in zip([0, *cuts], [*cuts, len(records)])]
+    tallies = [tally(batch, lambda r: labels_for[r.title], rows, year_range)
+               for batch in batches]
     if expected == 0:
         with pytest.raises(DataError,
                            match=r"^no \(record, label\) incidences in the year range$"):
-            build_table(records, lambda r: labels_for[r.title], rows, year_range)
+            build_table(tallies, rows, year_range)
         return
-    table, skipped = build_table(records, lambda r: labels_for[r.title], rows, year_range)
+    table, skipped = build_table(tallies, rows, year_range)
     assert table.n == expected
+    assert table == _table(records, lambda r: labels_for[r.title], rows, year_range)[0]
     assert skipped == sum(
         1 for year, _ in spec
         if year is None or not year_range[0] <= year <= year_range[1]

@@ -25,7 +25,7 @@ SURFACE = {
     "match_profiles": "corpus", "more_like_this": "search",
     "parse_query": "search", "parse_records": "records",
     "project_supplementary_col": "ca", "project_supplementary_row": "ca",
-    "tag_disciplines": "corpus", "ward_hac": "ward",
+    "tag_disciplines": "corpus", "tally": "corpus", "ward_hac": "ward",
 }
 SUBMODULES = ("errors", "records", "fixtures", "corpus", "ca", "ward", "search")
 
@@ -48,31 +48,37 @@ def test_records_and_errors_import_without_numpy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1998", "False"]
-    # Only the commands that do the math load numpy, and only tables over two or
-    # more files on two or more CPUs loads multiprocessing: each runs in a fresh
-    # interpreter that finds ``cpus`` CPUs, after which each module is loaded
-    # exactly when the command needs it.
+    # Only the commands that do the math load numpy, only tables --records loads
+    # bibcarto._workers, and only tables over two or more files on two or more
+    # CPUs, with a MiB of input per worker, loads multiprocessing: each runs in
+    # a fresh interpreter that finds ``cpus`` CPUs and, with ``any_size``, pools
+    # files of any size, after which each module is loaded exactly when the
+    # command needs it.
     alerts = tmp_path / "alerts.txt"
     alerts.write_text(RESEARCH_ALERT_SAMPLE, encoding="utf-8")
     out = str(tmp_path / "out.txt")
     tables = ["tables", "--kind", "profiles", "-o", out, "--records"]
-    for argv, cpus, loads in [
-        (None, 2, (False, False)),
-        (["parse", str(alerts), str(alerts), "-o", out], 2, (False, False)),
-        (tables + [str(alerts)], 2, (False, False)),
-        (tables + [str(alerts)] * 2, 1, (False, False)),
-        (tables + [str(alerts)] * 2, 2, (False, True)),
-        (["tables", "--fixture", "Table2", "-o", out], 2, (False, False)),
-        (["analyze", "--fixture", "Table2", "--outdir", str(tmp_path / "analysis")], 2,
-         (True, False)),
+    for argv, cpus, any_size, loads in [
+        (None, 2, False, (False, False, False)),
+        (["parse", str(alerts), str(alerts), "-o", out], 2, False, (False, False, False)),
+        (tables + [str(alerts)], 2, True, (False, True, False)),
+        (tables + [str(alerts)] * 2, 1, True, (False, True, False)),
+        (tables + [str(alerts)] * 2, 2, False, (False, True, False)),
+        (tables + [str(alerts)] * 2, 2, True, (False, True, True)),
+        (["tables", "--fixture", "Table2", "-o", out], 2, False, (False, False, False)),
+        (["analyze", "--fixture", "Table2", "--outdir", str(tmp_path / "analysis")], 2, False,
+         (True, False, False)),
     ]:
         run = "" if argv is None else f"assert bibcarto.cli.main({argv!r}) == 0\n"
+        if any_size:
+            run = "import bibcarto._workers\nbibcarto._workers.BYTES_PER_WORKER = 1\n" + run
         done = _python(f"import os\nos.sched_getaffinity = lambda pid: set(range({cpus}))\n"
                        f"import sys, bibcarto.cli\n{run}"
-                       "print('numpy' in sys.modules, 'multiprocessing' in sys.modules)\n")
+                       "print(*[m in sys.modules for m in "
+                       "('numpy', 'bibcarto._workers', 'multiprocessing')])\n")
         assert done.returncode == 0, done.stderr
         # after what the command printed
-        assert done.stdout.splitlines()[-1] == " ".join(map(str, loads)), (argv, cpus)
+        assert done.stdout.splitlines()[-1] == " ".join(map(str, loads)), (argv, cpus, any_size)
 
 
 def test_the_cli_imports_in_a_fresh_interpreter():
@@ -81,7 +87,7 @@ def test_the_cli_imports_in_a_fresh_interpreter():
 
 
 def test_public_surface():
-    assert len(SURFACE) == 31
+    assert len(SURFACE) == 32
     assert bibcarto.__all__ == list(SURFACE)
     for name, module in SURFACE.items():
         assert getattr(bibcarto, name) is getattr(importlib.import_module(f"bibcarto.{module}"),
@@ -152,9 +158,15 @@ REFUSED = [
                  "DataError", "column label '19\\n94' holds a line break",
                  id="line-break-column-label"),
     pytest.param("build_table",
-                 lambda: bibcarto.build_table(_one_record(), lambda r: {"a"}, ["a", ""],
-                                              (1994, 1994)),
+                 lambda: bibcarto.build_table([([[1], [0]], 0)], ["a", ""], (1994, 1994)),
                  "EntryError", "blank row label", id="build-table-blank-label"),
+    pytest.param("build_table",
+                 lambda: bibcarto.build_table([([[1, 0]], 0)], ["a"], (1994, 1994)),
+                 "DataError", "a tally must hold 1 row(s) of 1 count(s)",
+                 id="build-table-misshapen-tally"),
+    pytest.param("tally",
+                 lambda: bibcarto.tally(_one_record(), lambda r: {"a"}, ["a"], (1995, 1994)),
+                 "DataError", "empty year range", id="tally-empty-year-range"),
     pytest.param("project_supplementary_row",
                  lambda: bibcarto.project_supplementary_row([-1] + [1] * 17, _fit()),
                  "SupplementaryError", "supplementary row counts must be finite and not negative",
