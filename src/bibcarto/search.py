@@ -17,15 +17,19 @@ Results are ranked by the sum over matched terms of field weight times
 term frequency (ties broken by record id) and served in pages of 10.
 "More like this" scores every other record by the field-weighted count
 of distinct terms shared per field and returns the top three, ties to
-the smaller id. It selects them rather than sorting every score.
+the smaller id. It gathers the postings of all the record's distinct
+(term, field) pairs into one array, scores every record with one
+``bincount`` weighted by each posting's field weight, and selects the
+top three rather than sorting every score.
 
 The index keeps its postings in compressed-sparse-row (CSR) form: each
 (term, field) key owns one span of a flat ``int32`` array of record ids,
-ascending, and the same span of a flat array of term frequencies. Both
-scorers accumulate over these spans term at a time instead of visiting
-records one by one. The field weights are small integers, so every
-score is an exact integer in float64 whatever the order of its terms,
-and ties fall to the smaller record id.
+ascending, and the same span of a flat array of term frequencies.
+Ranking accumulates over these spans term at a time, more-like-this over
+all of its spans at once; neither visits records one by one. The field
+weights are small integers, so every score is an exact integer in
+float64 whatever the order of its terms, and ties fall to the smaller
+record id.
 
 ``build_index`` tokenizes a block of 256 records at a time in one
 pass through the token table, rather than each field on its own, and
@@ -57,6 +61,8 @@ DEFAULT_FIELD_WEIGHTS = {
     "keywords_plus": 1.0,
     "address": 1.0,
 }
+# DEFAULT_FIELD_WEIGHTS by field position
+_WEIGHTS = np.array([DEFAULT_FIELD_WEIGHTS[name] for name in FIELDS])
 PAGE_SIZE = 10
 MLT_COUNT = 3
 
@@ -125,6 +131,20 @@ class Postings:
         start, end = self._starts[key : key + 2].tolist()
         return self._ids[start:end], self._tf[start:end]
 
+    def gather(self, keys, field_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the (term, field position) ``keys`` as one array of
+        ids, and beside each id the ``field_weights`` entry of its field.
+        Every term must be in the index."""
+        numbers = self._term_numbers
+        codes = np.array([numbers[term] * len(FIELDS) + position for term, position in keys],
+                         np.int64)
+        starts = self._starts[codes]
+        lengths = self._starts[codes + 1] - starts
+        # The i-th id gathered sits at its span's start plus i, less the
+        # number of ids gathered from the spans before its own.
+        places = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        return self._ids[places], np.repeat(field_weights[codes % len(FIELDS)], lengths)
+
     def __len__(self) -> int:
         """The number of distinct terms."""
         return len(self._term_numbers)
@@ -139,11 +159,14 @@ class Index:
 
     Ranking unions and intersects postings rows to find the matches,
     looks up their frequencies by binary search, and adds ``weight * tf``
-    per conjunct and field. More-like-this counts, per field, how many of
-    the record's distinct terms each record shares with one ``bincount``
-    over their rows, then adds ``weight * count`` per field. It selects the
-    top ``MLT_COUNT`` with one partition and sorts only the few records
-    scoring above the cut; ties at the cut go to the smallest ids.
+    per conjunct and field. More-like-this gathers the rows of the
+    record's distinct (term, field) pairs into one array of ids, each
+    beside its field's weight, and one weighted ``bincount`` of those ids
+    scores every record: the sum over fields of ``weight * count`` of the
+    terms it shares in that field. The weights are integers, so the sum is
+    exact in any order. It selects the top ``MLT_COUNT`` with one partition
+    and sorts only the few records scoring above the cut; ties at the cut
+    go to the smallest ids.
     """
 
     records: tuple[BibRecord, ...]
@@ -282,23 +305,24 @@ def more_like_this(index: Index, doc_id: int) -> list[int]:
     smaller id; the record itself is excluded. ``doc_id`` is an integer,
     not a ``bool``, which numpy would read as a mask.
 
-    They are selected, not sorted: one partition finds the cut, and only
-    the records scoring above it are sorted.
+    Every record is scored at once: one gather of the postings of the
+    record's distinct (term, field) pairs and one ``bincount`` of their ids
+    weighted by field, exact because the weights are integers. The best
+    are selected, not sorted: one partition finds the cut, and only the
+    records scoring above it are sorted.
     """
     if not (is_int(doc_id) and 0 <= doc_id < index.doc_count):
         raise DataError(f"no record with id {doc_id!r}")
     limit = min(MLT_COUNT, index.doc_count - 1)
     if not limit:
         return []
-    record = index.records[doc_id]
-    total = np.zeros(index.doc_count)
-    for name, text in zip(FIELDS, _field_texts(record)):
-        terms = set(tokenize(text))
-        if terms:
-            rows = [index.postings.row(term, name)[0] for term in terms]
-            shared = np.bincount(np.concatenate(rows), minlength=index.doc_count)
-            total += DEFAULT_FIELD_WEIGHTS[name] * shared
-    total[doc_id] = -np.inf
+    keys = [(term, position) for position, text in enumerate(_field_texts(index.records[doc_id]))
+            for term in set(tokenize(text))]
+    ids, weights = index.postings.gather(keys, _WEIGHTS)
+    total = np.bincount(ids, weights, minlength=index.doc_count)
+    # Every score is at least 0, so -1 puts the record itself last. (With no
+    # ids, bincount gives int64 zeros, which cannot hold -inf.)
+    total[doc_id] = -1
     # Select, don't sort: the cut is the limit-th largest score. Fewer than
     # limit ids score above it; a stable sort of those (ascending) ids ranks
     # them, ties by id, and the smallest ids scoring exactly the cut follow.

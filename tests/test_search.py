@@ -359,3 +359,47 @@ def test_more_like_this_on_a_tie_heavy_corpus(size):
     # record 0 scores 0 against every record, so its answer is the smallest
     # other ids, as many as the index holds up to three
     assert more_like_this(index, 0) == list(range(1, min(3, size - 1) + 1))
+
+
+_EMPTY = _record("")
+
+
+@pytest.mark.parametrize("corpus, doc_id", [
+    ([_EMPTY] * 4, 2),
+    ([*TOY, _record("xylophone quartet", keywords=["zither"])], len(TOY)),
+    ([*TOY[:2], _EMPTY, *TOY[2:]], 2),
+], ids=["every-field-empty", "no-term-shared", "no-token-among-tokens"])
+def test_more_like_this_when_nothing_is_shared(corpus, doc_id):
+    # Every other record scores 0, so the answer is the smallest other ids.
+    # The first and third records gather no postings at all.
+    expected = naive_more_like_this(corpus, DEFAULT_FIELD_WEIGHTS, doc_id)
+    assert expected == [i for i in range(len(corpus)) if i != doc_id][:3]
+    assert more_like_this(build_index(corpus), doc_id) == expected
+
+
+def _zipf_corpus(count, rng):
+    """``count`` records whose words follow Zipf's law over a vocabulary
+    of 2,000, so that a term's postings run from one record to hundreds."""
+    vocabulary = [f"w{rank}" for rank in range(2000)]
+    weights = [1 / (rank + 1) for rank in range(2000)]
+
+    def words(lo, hi):
+        return " ".join(rng.choices(vocabulary, weights, k=rng.randint(lo, hi)))
+
+    return [_record(words(3, 10), authors=[words(1, 2) for _ in range(rng.randint(1, 4))],
+                    source=words(1, 4), keywords=[words(1, 3) for _ in range(rng.randint(0, 4))],
+                    keywords_plus=[words(1, 3) for _ in range(rng.randint(0, 3))],
+                    address=words(0, 5))
+            for _ in range(count)]
+
+
+def test_more_like_this_equals_the_scan_on_a_zipf_corpus():
+    rng = random.Random(7)
+    corpus = _zipf_corpus(3 * _BLOCK + 1, rng)
+    index = build_index(corpus)
+    spans = np.diff(index.postings._starts)
+    assert spans[spans > 0].min() == 1 and spans.max() >= 300
+    last = len(corpus) - 1
+    for doc_id in sorted({0, last, *rng.sample(range(1, last), 28)}):
+        expected = naive_more_like_this(corpus, DEFAULT_FIELD_WEIGHTS, doc_id)
+        assert more_like_this(index, doc_id) == expected, doc_id
