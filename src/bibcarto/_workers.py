@@ -22,7 +22,9 @@ def map_files(step, paths: list[str]) -> list:
     share the files; they inherit ``step`` and send back only its results.
     Otherwise the files are stepped through here, one at a time. The first
     path whose step raises, in order, has its exception raised here; a
-    worker that dies raises BrokenProcessPool. No worker outlives the call."""
+    worker that dies, or a result that cannot be unpickled, raises
+    ChildProcessError (an OSError) from the pool's BrokenProcessPool. No
+    worker outlives the call."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without the call
@@ -33,6 +35,7 @@ def map_files(step, paths: list[str]) -> list:
 
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
             # a worker that exits flushes the streams it inherited, so none may hold text
             sys.stdout.flush()
@@ -43,6 +46,8 @@ def map_files(step, paths: list[str]) -> list:
                                        initializer=_set_step, initargs=(step,))
             try:
                 return list(pool.map(_call_step, paths))
+            except BrokenProcessPool as exc:  # an OSError, which the command line reports
+                raise ChildProcessError(f"worker pool broke: {exc}") from exc
             finally:
                 pool.shutdown(cancel_futures=True)
     return list(map(step, paths))

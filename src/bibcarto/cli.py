@@ -12,8 +12,7 @@ an error from :func:`run_analysis` to the file it concerns. The environment
 variable BIBCARTO_CONFIG may point to a JSON object whose keys are
 RunConfig field names; it supplies defaults for ``tables`` and
 ``analyze``, and explicit flags win. :func:`run_tables` and
-:func:`run_analysis` are their pipelines, the second shared with
-``scripts/run_reference_analysis.py``. ``tables`` reads the catalog or
+:func:`run_analysis` are their pipelines. ``tables`` reads the catalog or
 lexicon first, then reads, filters and tallies each alert file in one
 step that keeps no record: here, one file at a time, or, when there is
 enough input to pay for them, in forked worker processes that send back
@@ -36,7 +35,7 @@ from . import corpus, records
 from .errors import DataError, InputFormatError, is_int, position, read_file
 
 if TYPE_CHECKING:  # loaded by the commands that use them, as they load numpy
-    from . import ca, search, ward
+    from . import ca, search
 
 FORMAT_NAMES = {
     "research-alert": records.RecordFormat.RESEARCH_ALERT,
@@ -317,22 +316,9 @@ def cmd_tables(args) -> int:
             print(f"bibcarto: {flag} applies only to --kind {other}", file=sys.stderr)
             return 2
         settings = _settings(args)
-        tagger, labels = _vocabulary(kind, settings)
-
-        def tally_file(path):
-            """The tally of one alert file's records that no exclusion term
-            excludes, and the count it excludes; the records go on return."""
-            kept, dropped = corpus.filter_records(_read_alerts(path)[0], settings.exclusion_terms)
-            return (*corpus.tally(kept, tagger, labels, settings.year_range), len(dropped))
-
-        from ._workers import map_files  # here, so that `import bibcarto.cli` compiles none of it
-
-        tallies = map_files(tally_file, args.records)
-        excluded = sum(dropped for _, _, dropped in tallies)
+        table, excluded, skipped = run_tables(args.records, kind, settings)
         if excluded:
             print(f"bibcarto: excluded {excluded} record(s) by title phrase", file=sys.stderr)
-        table, skipped = corpus.build_table([tally[:2] for tally in tallies], labels,
-                                            settings.year_range)
         if skipped:
             print(f"bibcarto: skipped {skipped} record(s) with no year or a year outside "
                   f"{settings.year_range[0]}..{settings.year_range[1]}", file=sys.stderr)
@@ -357,10 +343,9 @@ def _read_table(fixture: str | None, path: str | None) -> corpus.ContingencyTabl
 @dataclass(frozen=True)
 class Analysis:
     """What :func:`run_analysis` computed: the artifact texts by file
-    name, the CA fit and the k-cluster partition."""
+    name and the CA fit."""
     artifacts: dict[str, str]
     result: ca.CaResult
-    partition: ward.Partition
 
     def write(self, outdir) -> Path:
         outdir = Path(outdir)
@@ -384,15 +369,36 @@ def _vocabulary(kind: str, settings: RunConfig):
     return (lambda record: tag(record, vocabulary)), labels
 
 
-def run_tables(recs, kind: str, settings: RunConfig) -> tuple[corpus.ContingencyTable, int]:
-    """Cross-tabulate ``recs`` by year, a row per profile (``kind`` "profiles") or
-    discipline of the catalog or lexicon that ``settings`` names (default: the
-    bundled one). ``recs`` may be any iterable of records, a generator among
-    them; it is read once, after the catalog or lexicon, and no record is
-    kept. Returns the table and the count of records skipped for their year."""
+def run_tables(paths: list[str], kind: str,
+               settings: RunConfig) -> tuple[corpus.ContingencyTable, int, int]:
+    """Cross-tabulate the records of the alert files at ``paths`` by year, a
+    row per profile (``kind`` "profiles") or discipline of the catalog or
+    lexicon that ``settings`` names (default: the bundled one), after its
+    exclusion terms. The catalog or lexicon is read first, then each file is
+    read, filtered and tallied in one step that keeps no record, here or in
+    worker processes (:func:`_workers.map_files`). Returns the table and the
+    counts of records excluded by title phrase and skipped for their year;
+    the DataError for a table with no incidence gives the count excluded."""
     tagger, labels = _vocabulary(kind, settings)
-    return corpus.build_table([corpus.tally(recs, tagger, labels, settings.year_range)], labels,
-                              settings.year_range)
+
+    def tally_file(path):
+        """The tally of one alert file's records that no exclusion term
+        excludes, and the count it excludes; the records go on return."""
+        kept, dropped = corpus.filter_records(_read_alerts(path)[0], settings.exclusion_terms)
+        return (*corpus.tally(kept, tagger, labels, settings.year_range), len(dropped))
+
+    from ._workers import map_files  # here, so that `import bibcarto.cli` compiles none of it
+
+    tallies = map_files(tally_file, paths)
+    excluded = sum(dropped for _, _, dropped in tallies)
+    try:
+        table, skipped = corpus.build_table([tally[:2] for tally in tallies], labels,
+                                            settings.year_range)
+    except DataError as exc:
+        if excluded:  # the exclusions may be what left no incidence
+            raise DataError(f"excluded {excluded} record(s) by title phrase; {exc}") from exc
+        raise
+    return table, excluded, skipped
 
 
 def run_analysis(table: corpus.ContingencyTable, supplementary: corpus.ContingencyTable | None,
@@ -427,7 +433,7 @@ def run_analysis(table: corpus.ContingencyTable, supplementary: corpus.Contingen
         "dendrogram.nwk": ward.export_dendrogram(dendrogram) + "\n",
         "partition.csv": ward.write_partition_csv(partition),
     }
-    return Analysis(artifacts, result, partition)
+    return Analysis(artifacts, result)
 
 
 def cmd_analyze(args) -> int:

@@ -2,7 +2,7 @@ import argparse
 import codecs
 import csv
 import gc
-import importlib.util
+import importlib
 import inspect
 import io
 import json
@@ -11,6 +11,7 @@ import pickle
 import pkgutil
 import random
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -250,9 +251,8 @@ def test_tables_reports_exclusions_before_an_empty_table_error(tmp_path, capsys)
             "-o", str(tmp_path / "t.csv")]
     assert main(argv) == 0
     assert main(argv + ["--exclude", "training"]) == 1
-    err = capsys.readouterr().err
-    assert "excluded 1 record(s) by title phrase" in err
-    assert "no (record, label) incidences" in err
+    assert capsys.readouterr().err == ("bibcarto: error: excluded 1 record(s) by title phrase; "
+                                       "no (record, label) incidences in the year range\n")
 
 
 def _live_records():  # BibRecord has slots, so it takes no weakref
@@ -311,9 +311,12 @@ def _fresh_python(code, timeout=120) -> subprocess.CompletedProcess:
 
 def test_pooled_tables_builds_no_record_in_this_process(tmp_path):
     paths = _five_alert_files(tmp_path, 40)
-    expected = cli.run_tables((r for path in paths
-                               for r in records.parse_records(path.read_text(encoding="utf-8"))),
-                              "disciplines", RunConfig())[0].to_csv()
+    lexicon = corpus.DisciplineLexicon.default()
+    kept, _ = corpus.filter_records([r for path in paths for r in
+                                     records.parse_records(path.read_text(encoding="utf-8"))])
+    expected = corpus.build_table(
+        [corpus.tally(kept, lambda r: corpus.tag_disciplines(r, lexicon), lexicon.labels,
+                      RunConfig.year_range)], lexicon.labels, RunConfig.year_range)[0].to_csv()
     parsed_in = tmp_path / "parsed_in.txt"
     # a forked worker inherits the spy; it notes the process id that parses
     spy = ("import gc\nfrom bibcarto import records\nreal = records.parse_records\n"
@@ -452,11 +455,23 @@ def test_a_worker_that_dies_or_sends_what_cannot_be_unpickled_breaks_the_pool(fa
             "    return path\n"
             "try:\n"
             f"    _workers.map_files(step, {paths!r})\n"
-            "except BrokenProcessPool:\n"
+            "except ChildProcessError as exc:\n"
             "    import multiprocessing\n"
+            "    assert isinstance(exc.__cause__, BrokenProcessPool)\n"
             "    print(multiprocessing.active_children())\n")
     done = _fresh_python(code, timeout=60)
     assert (done.returncode, done.stdout) == (0, b"[]\n"), done.stderr
+
+
+def test_tables_reports_a_dead_worker_in_one_line(tmp_path):
+    paths = [str(_write(tmp_path / f"{name}.txt", "T   x\nU   J THINGS 2000\n")) for name in "abc"]
+    out = tmp_path / "t.csv"
+    code, stdout, stderr = _fresh_main(["tables", "--records", *paths, "-o", str(out)], 2,
+                                       "from bibcarto import records\n"
+                                       "records.parse_records = lambda *args: os._exit(3)\n")
+    assert (code, stdout) == (1, b"")
+    assert stderr.startswith(b"bibcarto: error: worker pool broke: ") and stderr.count(b"\n") == 1
+    assert not out.exists()
 
 
 def test_tables_reads_the_lexicon_before_any_alert_file(tmp_path, capsys):
@@ -549,10 +564,26 @@ def test_readme_synopsis_names_the_options_of_each_command():
         assert named <= {o for strings in options for o in strings}, command
 
 
-def test_tables_fixture_export(tmp_path):
-    out = tmp_path / "t1.csv"
-    assert main(["tables", "--fixture", "Table1", "-o", str(out)]) == 0
-    assert out.read_text(encoding="utf-8") == corpus.load_fixture("Table1").to_csv()
+@pytest.mark.parametrize("name", ["Table1", "Table2"])
+def test_tables_fixture_export(name, tmp_path):
+    out = tmp_path / "table.csv"
+    assert main(["tables", "--fixture", name, "-o", str(out)]) == 0
+    assert out.read_bytes() == corpus.load_fixture(name).to_csv().encode("utf-8")
+
+
+def test_readme_reference_commands_write_the_files_they_name(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("exporting the reference tables:", 1)[1].split("```")[1]
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert len(commands) == 4 and all(argv[0] == "bibcarto" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        if "-o" in argv:
+            named = [argv[argv.index("-o") + 1]]
+        else:
+            named = [f"{argv[argv.index('--outdir') + 1]}/{name}" for name in ARTIFACTS]
+        assert all((tmp_path / path).is_file() for path in named), argv
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -669,6 +700,33 @@ def test_analyze_reference_ward_output_is_pinned(tmp_path):
             [label, cluster_of[label]] for label in leaves]
     newick = (outdir / "dendrogram.nwk").read_text(encoding="utf-8")
     assert re.sub(r":[-+.0-9eE]+", "", newick) == REFERENCE_TOPOLOGY + "\n"
+
+
+# The four artifacts of the reference run, written once by the program as it
+# stood before this test. A transposed SVD, which computes the same
+# factorization, moves no number by more than 1.0e-13; a defect moves more.
+REFERENCE_DIR = Path(__file__).resolve().parent / "reference_analysis"
+
+
+def test_analyze_reference_artifacts_match_the_checked_in_ones(tmp_path):
+    outdir = tmp_path / "ref"
+    assert main(["analyze", "--fixture", "Table2", "--supplementary", "Table1",
+                 "--k", "5", "--outdir", str(outdir)]) == 0
+    # columns before `exact` are labels, kinds or axis numbers; the rest are numbers
+    for name, exact in (("coordinates.csv", 2), ("inertia.csv", 1), ("partition.csv", 2)):
+        got, want = (list(csv.reader(io.StringIO((d / name).read_text(encoding="utf-8"))))
+                     for d in (outdir, REFERENCE_DIR))
+        assert got[0] == want[0] and len(got) == len(want), name
+        for row, ref in zip(got[1:], want[1:]):
+            assert row[:exact] == ref[:exact], name
+            assert list(map(float, row[exact:])) == pytest.approx(
+                list(map(float, ref[exact:])), abs=1e-10), (name, row[0])
+    got, want = ((d / "dendrogram.nwk").read_text(encoding="utf-8")
+                 for d in (outdir, REFERENCE_DIR))
+    length = r":([-+.0-9eE]+)"
+    assert re.sub(length, "", got) == re.sub(length, "", want)
+    assert list(map(float, re.findall(length, got))) == pytest.approx(
+        list(map(float, re.findall(length, want))), abs=1e-10)
 
 
 def test_analyze_from_table_csv_matches_fixture_run(tmp_path):
@@ -803,19 +861,21 @@ def test_flags_win_over_config(toy_corpus_file, tmp_path, monkeypatch):
 ], ids=["catalog", "lexicon", "bundled-lexicon"])
 def test_run_tables_gives_the_table_that_tables_writes(kind, flag, vocabulary, toy_corpus_file,
                                                       tmp_path, capsys):
-    argv = ["tables", "--records", str(toy_corpus_file), "--kind", kind, "--years", "2000:2002"]
-    config = RunConfig(year_range=(2000, 2002))
+    argv = ["tables", "--records", str(toy_corpus_file), "--kind", kind, "--years", "2000:2002",
+            "--exclude", "pottery"]
+    config = RunConfig(year_range=(2000, 2002), exclusion_terms=("pottery",))
     if flag:
         path = str(_write(tmp_path / "vocabulary.txt", vocabulary))
         argv += [flag, path]
         config = replace(config, **{f"{flag[2:]}_path": path})
     assert main(argv) == 0
     written = capsys.readouterr()
-    recs = records.parse_records(toy_corpus_file.read_text(encoding="utf-8"))
-    kept, _ = corpus.filter_records(recs, config.exclusion_terms)
-    table, skipped = cli.run_tables(kept, kind, config)
+    table, excluded, skipped = cli.run_tables([str(toy_corpus_file)], kind, config)
     assert table.to_csv() == written.out
-    assert f"skipped {skipped} record(s)" in written.err
+    assert (excluded, skipped) == (1, 1)  # the pottery record; the 1999 one
+    assert written.err.splitlines() == [
+        f"bibcarto: excluded {excluded} record(s) by title phrase",
+        f"bibcarto: skipped {skipped} record(s) with no year or a year outside 2000..2002"]
 
 
 def _write(path, text):
@@ -1309,37 +1369,6 @@ def test_tables_never_raises_on_arbitrary_alerts_catalog_and_lexicon(kind, alert
     assert code in (0, 1)
 
 
-def test_reference_script_writes_the_analyze_artifacts(tmp_path, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_reference_analysis.py"
-    spec = importlib.util.spec_from_file_location("run_reference_analysis", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.main(tmp_path / "script") == 0
-    assert main(["analyze", "--fixture", "Table2", "--supplementary", "Table1", "--k", "5",
-                 "--outdir", str(tmp_path / "cli")]) == 0
-    assert sorted(p.name for p in (tmp_path / "script").iterdir()) == sorted(ARTIFACTS)
-    for name in ARTIFACTS:
-        assert (tmp_path / "script" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
-    assert "full 114-point 5-cut" in capsys.readouterr().out
-
-
-def test_export_script_writes_the_reference_tables(tmp_path, monkeypatch, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "export_reference_tables.py"
-    spec = importlib.util.spec_from_file_location("export_reference_tables", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path / "out")])
-    assert module.main() == 0
-    for name, filename in (("Table1", "profile_by_year.csv"),
-                           ("Table2", "discipline_by_year.csv")):
-        written = (tmp_path / "out" / filename).read_bytes()
-        assert written == corpus.load_fixture(name).to_csv().encode("utf-8")
-    assert capsys.readouterr().out == (
-        "profile_by_year.csv: 82 rows x 18 years, 111091 incidences\n"
-        "discipline_by_year.csv: 14 rows x 18 years, 23997 incidences\n"
-    )
-
-
 def test_search_query_pages(toy_corpus_file, capsys):
     assert main(["search", "computational AND network",
                  "--records", str(toy_corpus_file)]) == 0
@@ -1549,8 +1578,7 @@ def test_perfbench_tracer_wraps_and_restores_the_package(tmp_path, monkeypatch, 
     paths = [_write(tmp_path / "a.txt", RESEARCH_ALERT_SAMPLE + "\n"
                     "T   Neural network training\nK   computational biology\nU   J THINGS\n"),
              _write(tmp_path / "b.txt", PERSONAL_ALERT_SAMPLE)]
-    recs = [r for path in paths for r in records.parse_records(path.read_text(encoding="utf-8"))]
-    table, skipped = cli.run_tables(corpus.filter_records(recs)[0], "disciplines", RunConfig())
+    table, _, skipped = cli.run_tables(list(map(str, paths)), "disciplines", RunConfig())
     tracer = tracing.Tracer()
     tracer.install()
     try:
