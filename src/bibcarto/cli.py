@@ -34,8 +34,8 @@ from typing import TYPE_CHECKING
 from . import corpus, records
 from .errors import DataError, InputFormatError, is_int, position, read_file
 
-if TYPE_CHECKING:  # loaded by the commands that use them, as they load numpy
-    from . import ca, search
+if TYPE_CHECKING:  # loaded by the command that uses it, as it loads numpy
+    from . import search
 
 FORMAT_NAMES = {
     "research-alert": records.RecordFormat.RESEARCH_ALERT,
@@ -260,26 +260,20 @@ def main(argv=None) -> int:
         return 1
 
 
-def _read_alerts(path, fmt_name=None, lenient=False) -> tuple[list[records.BibRecord], list]:
-    """The records of the alert file at ``path``, and with ``lenient`` the
-    errors of the records dropped, each naming the file."""
-    fmt = FORMAT_NAMES[fmt_name] if fmt_name else None
-    # through the module attribute, which perfbench's tracer wraps
-    if not lenient:
-        return read_file(path, lambda text: records.parse_records(text, fmt)), []
-    recs, errors = read_file(path, lambda text: records.parse_records_lenient(text, fmt))
-    for err in errors:
-        err.path = path
-    return recs, errors
-
-
 def cmd_parse(args) -> int:
     # every file is read before anything is written, so a bad one leaves no output
+    fmt = FORMAT_NAMES[args.format] if args.format else None
     recs, errors = [], []
     for path in args.files:
-        file_recs, file_errors = _read_alerts(path, args.format, args.lenient)
+        if args.lenient:
+            file_recs, file_errors = read_file(
+                path, lambda text: records.parse_records_lenient(text, fmt))
+            for err in file_errors:  # returned, not raised, so read_file names no file
+                err.path = path
+            errors += file_errors
+        else:
+            file_recs = read_file(path, lambda text: records.parse_records(text, fmt))
         recs += file_recs
-        errors += file_errors
     dump = records.dump_records(recs)
     if args.output:
         Path(args.output).write_text(dump, encoding="utf-8")
@@ -340,21 +334,6 @@ def _read_table(fixture: str | None, path: str | None) -> corpus.ContingencyTabl
     return read_file(path, corpus.ContingencyTable.from_csv)
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """What :func:`run_analysis` computed: the artifact texts by file
-    name and the CA fit."""
-    artifacts: dict[str, str]
-    result: ca.CaResult
-
-    def write(self, outdir) -> Path:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, text in self.artifacts.items():
-            (outdir / name).write_text(text, encoding="utf-8")
-        return outdir
-
-
 def _vocabulary(kind: str, settings: RunConfig):
     """The tagger and the row labels of the catalog (``kind`` "profiles") or
     lexicon (``kind`` "disciplines") that ``settings`` names, else of the
@@ -384,7 +363,9 @@ def run_tables(paths: list[str], kind: str,
     def tally_file(path):
         """The tally of one alert file's records that no exclusion term
         excludes, and the count it excludes; the records go on return."""
-        kept, dropped = corpus.filter_records(_read_alerts(path)[0], settings.exclusion_terms)
+        # through the module attribute, which perfbench's tracer wraps
+        recs = read_file(path, records.parse_records)
+        kept, dropped = corpus.filter_records(recs, settings.exclusion_terms)
         return (*corpus.tally(kept, tagger, labels, settings.year_range), len(dropped))
 
     from ._workers import map_files  # here, so that `import bibcarto.cli` compiles none of it
@@ -402,11 +383,11 @@ def run_tables(paths: list[str], kind: str,
 
 
 def run_analysis(table: corpus.ContingencyTable, supplementary: corpus.ContingencyTable | None,
-                 k: int, axes: int | None) -> Analysis:
+                 k: int, axes: int | None) -> dict[str, str]:
     """Fit the CA of ``table``, project the rows of ``supplementary`` (if
     any) into it, cluster every point with Ward, cut into ``k`` clusters
-    and render coordinates.csv (``axes`` axes, default all retained),
-    inertia.csv, dendrogram.nwk and partition.csv."""
+    and return the texts of coordinates.csv (``axes`` axes, default all
+    retained), inertia.csv, dendrogram.nwk and partition.csv, by file name."""
     from . import ca, ward
 
     result = ca.ca_fit(table)
@@ -427,13 +408,12 @@ def run_analysis(table: corpus.ContingencyTable, supplementary: corpus.Contingen
     points = ward.embed_for_clustering(result, projected)
     dendrogram = ward.ward_hac(points)
     partition = ward.cut(dendrogram, k)
-    artifacts = {
+    return {
         "coordinates.csv": ca.write_coordinates_csv(result, projected, axes),
         "inertia.csv": ca.write_inertia_csv(result),
         "dendrogram.nwk": ward.export_dendrogram(dendrogram) + "\n",
         "partition.csv": ward.write_partition_csv(partition),
     }
-    return Analysis(artifacts, result)
 
 
 def cmd_analyze(args) -> int:
@@ -441,12 +421,15 @@ def cmd_analyze(args) -> int:
     table = _read_table(args.fixture, args.table)
     supplementary = _read_table(args.supplementary, args.supplementary_table)
     try:
-        analysis = run_analysis(table, supplementary, settings.k, settings.axes)
+        artifacts = run_analysis(table, supplementary, settings.k, settings.axes)
     except DataError as exc:
         exc.path = _file_concerned(exc, args)
         raise
-    outdir = analysis.write(settings.output_dir)
-    print(f"bibcarto: wrote {', '.join(analysis.artifacts)} to {outdir}")
+    outdir = Path(settings.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in artifacts.items():
+        (outdir / name).write_text(text, encoding="utf-8")
+    print(f"bibcarto: wrote {', '.join(artifacts)} to {outdir}")
     return 0
 
 
@@ -531,7 +514,8 @@ def cmd_search(args) -> int:
         return 2
     from . import search
 
-    index = search.build_index([r for path in args.records for r in _read_alerts(path)[0]])
+    index = search.build_index([r for path in args.records
+                                for r in read_file(path, records.parse_records)])
     if args.mlt is not None:
         similar = search.more_like_this(index, args.mlt)
         print(f"records most like {args.mlt}:")

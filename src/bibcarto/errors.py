@@ -57,18 +57,14 @@ def is_int(value) -> bool:
 
 
 def read_file(path, parse):
-    """``parse`` of the UTF-8 text of the file at ``path``, line ends as
-    :meth:`Path.read_text` gives them and one leading byte-order mark
-    dropped. A DataError from ``parse``, and the InputFormatError for
-    bytes that are not UTF-8, are raised with ``path`` set, each keeping
-    its class."""
+    """``parse`` of the UTF-8 text of the file at ``path``, one leading
+    byte-order mark dropped. ``parse`` gets the file's own line ends,
+    ``"\\r\\n"`` and ``"\\r"`` among them, so it ends lines where
+    :meth:`str.splitlines` does, as :func:`position` numbers a byte that is
+    not UTF-8. A DataError from ``parse``, and the InputFormatError for such
+    bytes, are raised with ``path`` set, each keeping its class."""
     # The mark holds no line break, so line numbers still count from the file's start.
-    # Line ends become "\n" before decoding (UTF-8 holds byte 0x0d only as "\r"), so a
-    # bad byte is counted on the line the text gives it. One scan for "\r" spares
-    # the two replaces on the usual file, which holds none.
     data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         return parse(_decode(data))
     except DataError as exc:

@@ -623,6 +623,25 @@ def test_tables_profiles_from_records(sample_file, tmp_path):
     assert table.n == 1
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_alert_files_with_other_line_ends_give_the_same_output(end, sample_file, toy_corpus_file,
+                                                               tmp_path, capsys):
+    lf = [str(sample_file), str(toy_corpus_file)]
+    copies = []
+    for path in map(Path, lf):
+        copy = tmp_path / f"{end.encode().hex()}-{path.name}"
+        copy.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        copies.append(str(copy))
+    outputs = []
+    for files in (lf, copies):
+        for argv in (["parse", *files], ["tables", "--kind", "profiles", "--records", *files],
+                     ["tables", "--exclude", "pottery", "--records", *files]):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+    assert outputs[:3] == outputs[3:]
+    assert "excluded 1 record(s)" in outputs[2].err
+
+
 def test_analyze_fixture_outputs(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(["analyze", "--fixture", "Table2", "--k", "2",
@@ -635,71 +654,6 @@ def test_analyze_fixture_outputs(tmp_path, capsys):
     early = {clusters[str(y)] for y in range(1994, 2004)}
     late = {clusters[str(y)] for y in range(2004, 2012)}
     assert len(early) == 1 and len(late) == 1 and early != late
-
-
-def test_analyze_with_supplementary_labels_all_114(tmp_path):
-    outdir = tmp_path / "out5"
-    assert main(["analyze", "--fixture", "Table2", "--supplementary", "Table1",
-                 "--k", "5", "--outdir", str(outdir)]) == 0
-    partition = (outdir / "partition.csv").read_text(encoding="utf-8").splitlines()
-    assert len(partition) == 1 + 114
-    coords = (outdir / "coordinates.csv").read_text(encoding="utf-8").splitlines()
-    assert sum(1 for ln in coords if ",sup," in ln) == 82
-
-
-# The Ward output of the reference run, recorded before the matrix held
-# only live clusters: the 5-class partition (labels per cluster, in file
-# order) and the dendrogram's topology without branch lengths.
-REFERENCE_CLUSTERS = {
-    1: "Med Phys Astr Stat Eng Psy Lit Eco 2004 2005 2006 2007 2008 2009 2010 2011 "
-       "Bezdek81 Blashfield76 Breiman84 Diggle83 Duda73 Efron83 Everitt79,80 Fisher36 "
-       "Friedman77 Fu74,82 Fukunaga72 Gordon81 Gower66 Hand81 Hartigan75 Hubert7685 "
-       "Jain88 Jardine71 Johnson67 Kohonen95 Kruskal64,78 Mantel67 Mayr69 "
-       "McLachlan88,92,97 Milligan80,81,85 Murtagh83 Pavlidis77 Punj83 Rand71 Ripley81 "
-       "Sankoff83 Silverman86 Sokal63 Spaeth80 Tversky77 Ward63 Zahn71",
-    2: "Bio Chem Anderberg73 Cormack71 Devijver82 Eldredge80 Guttman68 Hennig66 Kluge69 "
-       "Lance67 Legendre83 Lorr83 Nei72 Nelson81 Orloci78 Reyment84 Spitzer74 "
-       "VanLaarhoven87 Wiley81 Wishart87 Wolfe70",
-    3: "Math Psych Soc 1994 1995 1996 1997 1998 1999 2000 2001 2002 2003 Adams72 Avise74 "
-       "Benzecri73 Farris72 Felsenstein82 Fitch67 Greenacre84 Hill74 Michalski83 "
-       "Nosofsky84 Rohlf82 Sattath77 Schiffman81 Sneath73 Swofford81",
-    4: "Hum Arabie87 Carroll70,80 Cover67 Gauch82 Gnanadesikan77 Huber85 Maddison84 "
-       "Rammal86 Sammon69",
-    5: "Bishop95 VanRijsbergen79",
-}
-REFERENCE_TOPOLOGY = (
-    "(((Astr,((Murtagh83,(Hubert7685,Rand71)),(Blashfield76,((Kohonen95,(Fukunaga72,"
-    "Jain88)),(Phys,(Med,Eco)))))),((((Efron83,(Tversky77,(Gower66,('Kruskal64,78',"
-    "'Milligan80,81,85')))),(Punj83,(Breiman84,(Mantel67,Ward63)))),(('Fu74,82',"
-    "Sankoff83),(Zahn71,(Diggle83,(Stat,(Friedman77,(Hartigan75,Silverman86))))))),"
-    "((((2008,(Eng,2011)),('McLachlan88,92,97',((Bezdek81,(2006,(2007,Duda73))),"
-    "(Fisher36,(2009,2010))))),(Johnson67,((Jardine71,Spaeth80),((Hand81,(2005,"
-    "Ripley81)),(Gordon81,(2004,'Everitt79,80')))))),(Lit,(Psy,(Pavlidis77,(Mayr69,"
-    "Sokal63))))))),((Bishop95,VanRijsbergen79),(((Hum,(Cover67,Sammon69)),"
-    "(Gnanadesikan77,((Arabie87,Maddison84),(Rammal86,(Huber85,('Carroll70,80',"
-    "Gauch82)))))),(((Spitzer74,(Guttman68,Wishart87)),((Lorr83,((Devijver82,"
-    "Eldredge80),(Reyment84,(VanLaarhoven87,(Wiley81,(Hennig66,Legendre83)))))),"
-    "((Cormack71,Lance67),((Wolfe70,(Anderberg73,(Bio,Nei72))),(Orloci78,(Nelson81,"
-    "(Chem,Kluge69))))))),(((Nosofsky84,(2003,(Sattath77,(2001,2002)))),(((1994,"
-    "(1998,2000)),(Greenacre84,(Math,1999))),(((1996,(Psych,1995)),(1997,"
-    "Benzecri73)),(Fitch67,Schiffman81)))),(((Avise74,Farris72),(Soc,(Sneath73,"
-    "Swofford81))),((Hill74,Michalski83),(Rohlf82,(Adams72,Felsenstein82)))))))));"
-)
-
-
-def test_analyze_reference_ward_output_is_pinned(tmp_path):
-    outdir = tmp_path / "ref"
-    assert main(["analyze", "--fixture", "Table2", "--supplementary", "Table1",
-                 "--k", "5", "--outdir", str(outdir)]) == 0
-    table2, table1 = corpus.load_fixture("Table2"), corpus.load_fixture("Table1")
-    leaves = [*table2.row_labels, *map(str, table2.col_labels), *table1.row_labels]
-    cluster_of = {label: str(c) for c, labels in REFERENCE_CLUSTERS.items()
-                  for label in labels.split()}
-    with open(outdir / "partition.csv", newline="", encoding="utf-8") as f:
-        assert list(csv.reader(f)) == [["label", "cluster"]] + [
-            [label, cluster_of[label]] for label in leaves]
-    newick = (outdir / "dendrogram.nwk").read_text(encoding="utf-8")
-    assert re.sub(r":[-+.0-9eE]+", "", newick) == REFERENCE_TOPOLOGY + "\n"
 
 
 # The four artifacts of the reference run, written once by the program as it
@@ -1000,8 +954,10 @@ def test_malformed_vocabulary_or_encoding_exits_1_naming_line(option, data, line
     assert err.startswith(f"bibcarto: error: {named}{line}")
 
 
-# The line ends of str.splitlines but "\r" and "\r\n", which read_file makes "\n".
-SPLITLINES_ENDS = ["\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# The line ends of str.splitlines, which every input's parser and read_file's
+# numbering of a bad byte both apply to the file's own text.
+SPLITLINES_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                   "\u2028", "\u2029"]
 # Input -> (two good lines, a bad third line, argv reading it as {path}).
 # The config is read through BIBCARTO_CONFIG; its line ends sit inside a
 # JSON string, where JSON allows only U+0085, U+2028 and U+2029 of them.
@@ -1019,7 +975,8 @@ BAD_THIRD_LINE_CASES = [(name, end) for name in BAD_THIRD_LINE for end in SPLITL
 
 
 @pytest.mark.parametrize("name, end", BAD_THIRD_LINE_CASES,
-                         ids=[f"{name}-U+{ord(end):04X}" for name, end in BAD_THIRD_LINE_CASES])
+                         ids=[f"{name}-" + "+".join(f"U+{ord(c):04X}" for c in end)
+                              for name, end in BAD_THIRD_LINE_CASES])
 def test_bad_byte_is_numbered_as_the_parser_numbers_a_bad_line(name, end, toy_corpus_file,
                                                                  tmp_path, monkeypatch, capsys):
     # line 3 is bad, once by its text and once by a byte that is not UTF-8

@@ -40,3 +40,15 @@ def test_a_failing_property_test_reports_its_example_and_the_run_goes_on(tmp_pat
     # the repository's own DeprecationWarning filter still fails a test
     assert "FAILED test_suite.py::test_its_own_deprecation_warning" in done.stdout
     assert "2 failed, 1 passed" in done.stdout
+
+
+def test_a_misspelled_marker_is_a_collection_error(tmp_path):
+    (tmp_path / "test_suite.py").write_text(
+        "import pytest\n\n\n@pytest.mark.acceptence\ndef test_marked():\n    pass\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT),
+         "--rootdir", str(tmp_path), "test_suite.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert "'acceptence' not found in `markers` configuration option" in done.stdout
+    assert "1 error" in done.stdout

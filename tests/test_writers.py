@@ -111,9 +111,12 @@ def test_csv_field_quotes_like_the_csv_writer(value, alone, field):
 
 def test_reference_artifacts_equal_the_csv_writer():
     table, sup = load_fixture("Table2"), load_fixture("Table1")
-    analysis = run_analysis(table, sup, k=5, axes=None)
-    projected = [(label, ca.project_supplementary_row(counts, analysis.result))
+    artifacts = run_analysis(table, sup, k=5, axes=None)
+    # the file names, in the order that `analyze` writes and prints them
+    assert list(artifacts) == ["coordinates.csv", "inertia.csv", "dendrogram.nwk",
+                               "partition.csv"]
+    result = ca.ca_fit(table)
+    projected = [(label, ca.project_supplementary_row(counts, result))
                  for label, counts in zip(sup.row_labels, sup.counts)]
-    assert analysis.artifacts["coordinates.csv"] == naive_coordinates_csv(analysis.result,
-                                                                          projected)
-    assert analysis.artifacts["inertia.csv"] == naive_inertia_csv(analysis.result)
+    assert artifacts["coordinates.csv"] == naive_coordinates_csv(result, projected)
+    assert artifacts["inertia.csv"] == naive_inertia_csv(result)
