@@ -22,6 +22,7 @@ file before they write anything.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import os
@@ -274,11 +275,7 @@ def cmd_parse(args) -> int:
         else:
             file_recs = read_file(path, lambda text: records.parse_records(text, fmt))
         recs += file_recs
-    dump = records.dump_records(recs)
-    if args.output:
-        Path(args.output).write_text(dump, encoding="utf-8")
-    else:
-        sys.stdout.write(dump)
+    _write_output(args.output, records.dump_records(recs))
     for err in errors:
         print(f"bibcarto: parse error: {err}", file=sys.stderr)
     if errors:
@@ -316,12 +313,24 @@ def cmd_tables(args) -> int:
         if skipped:
             print(f"bibcarto: skipped {skipped} record(s) with no year or a year outside "
                   f"{settings.year_range[0]}..{settings.year_range[1]}", file=sys.stderr)
-    text = table.to_csv()
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, table.to_csv())
     return 0
+
+
+def _stream(name: str):
+    """``sys.<name>``; an OSError naming ``<name>`` when it is None (closed at start)."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), f"<{name}>")
+    return stream
+
+
+def _write_output(path: str | None, text: str) -> None:
+    """Write ``text`` to the file at ``path`` (as UTF-8), else to standard output."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        _stream("stdout").write(text)
 
 
 def _read_table(fixture: str | None, path: str | None) -> corpus.ContingencyTable | None:
@@ -435,27 +444,31 @@ def cmd_analyze(args) -> int:
 
 def _file_concerned(exc: DataError, args) -> str | None:
     """The file an error from :func:`run_analysis` is about (None for a
-    bundled table): the supplementary table, the config for its ``k``,
-    or the fitted table."""
+    bundled table or a flag): the supplementary table, the config for a
+    ``k`` it gave, or the fitted table."""
     from . import ca, ward
 
     if isinstance(exc, ca.SupplementaryError):
         return args.supplementary_table
-    if isinstance(exc, ward.ClusterCountError) and args.k is None:
-        return os.environ.get(CONFIG_ENV_VAR)
+    if isinstance(exc, ward.ClusterCountError):
+        return os.environ.get(CONFIG_ENV_VAR) if args.k is None else None
     return args.table
 
 
-def _print_record(doc_id: int, record: records.BibRecord) -> None:
-    print(f"id: {doc_id}")
-    print(f"title: {record.title}")
-    if record.authors:
-        print(f"authors: {'; '.join(record.authors)}")
-    if record.source:
-        print(f"source: {record.source}")
-    if record.keywords:
-        print(f"keywords: {'; '.join(record.keywords)}")
-    print("-" * 60)
+def _print_answer(index: search.Index, header: str, ids: list[int]) -> None:
+    """Print ``header`` and a rule, then the records ``ids``, each followed by a rule."""
+    out = _stream("stdout")
+    print(header, "-" * 60, sep="\n", file=out)
+    for doc_id in ids:
+        record = index.records[doc_id]
+        print(f"id: {doc_id}", f"title: {record.title}", sep="\n", file=out)
+        if record.authors:
+            print(f"authors: {'; '.join(record.authors)}", file=out)
+        if record.source:
+            print(f"source: {record.source}", file=out)
+        if record.keywords:
+            print(f"keywords: {'; '.join(record.keywords)}", file=out)
+        print("-" * 60, file=out)
 
 
 def _run_query(search, index: search.Index, query_text: str, page: int) -> int:
@@ -471,13 +484,8 @@ def _run_query(search, index: search.Index, query_text: str, page: int) -> int:
     ranked = search.ranked_matches(index, query)
     start = search.PAGE_SIZE * (page - 1)
     ids = ranked[start : start + search.PAGE_SIZE]
-    if ids:
-        print(f"{len(ranked)} match(es); page {page} ({start + 1}-{start + len(ids)} shown)")
-    else:
-        print(f"{len(ranked)} match(es); page {page} (empty)")
-    print("-" * 60)
-    for doc_id in ids:
-        _print_record(doc_id, index.records[doc_id])
+    shown = f"{start + 1}-{start + len(ids)} shown" if ids else "empty"
+    _print_answer(index, f"{len(ranked)} match(es); page {page} ({shown})", ids)
     return 0
 
 
@@ -490,7 +498,7 @@ def _stdin_lines():
     line; the lines before it are handed out first. A byte stream's error
     handler is left set to "surrogateescape"; one that has already decoded
     text keeps its handler, and a bad byte then raises UnicodeDecodeError."""
-    stdin = sys.stdin
+    stdin = _stream("stdin")
     if hasattr(stdin, "reconfigure") and stdin.errors != "surrogateescape":
         try:
             stdin.reconfigure(errors="surrogateescape")  # a bad byte reads as U+DC80..U+DCFF
@@ -517,11 +525,8 @@ def cmd_search(args) -> int:
     index = search.build_index([r for path in args.records
                                 for r in read_file(path, records.parse_records)])
     if args.mlt is not None:
-        similar = search.more_like_this(index, args.mlt)
-        print(f"records most like {args.mlt}:")
-        print("-" * 60)
-        for doc_id in similar:
-            _print_record(doc_id, index.records[doc_id])
+        _print_answer(index, f"records most like {args.mlt}:",
+                      search.more_like_this(index, args.mlt))
         return 0
     if args.interactive:
         for line in _stdin_lines():

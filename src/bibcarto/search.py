@@ -25,11 +25,11 @@ top three rather than sorting every score.
 The index keeps its postings in compressed-sparse-row (CSR) form: each
 (term, field) key owns one span of a flat ``int32`` array of record ids,
 ascending, and the same span of a flat array of term frequencies.
-Ranking accumulates over these spans term at a time, more-like-this over
-all of its spans at once; neither visits records one by one. The field
-weights are small integers, so every score is an exact integer in
-float64 whatever the order of its terms, and ties fall to the smaller
-record id.
+Ranking reads each (term, field) row once, to find the matches, then
+scores the rows it read term at a time; more-like-this scores all of its
+spans at once. Neither visits records one by one. The field weights are
+small integers, so every score is an exact integer in float64 whatever
+the order of its terms, and ties fall to the smaller record id.
 
 ``build_index`` tokenizes a block of 256 records at a time in one
 pass through the token table, rather than each field on its own, and
@@ -157,9 +157,10 @@ _NO_ROW = (np.empty(0, np.int32), np.empty(0, np.int32))
 class Index:
     """The records and their postings.
 
-    Ranking unions and intersects postings rows to find the matches,
-    looks up their frequencies by binary search, and adds ``weight * tf``
-    per conjunct and field. More-like-this gathers the rows of the
+    Ranking reads each (term, field) row once: it unions and intersects
+    the rows to find the matches, then scores the rows it read, adding
+    ``weight * tf`` per conjunct and field, each match's ``tf`` found by
+    binary search. More-like-this gathers the rows of the
     record's distinct (term, field) pairs into one array of ids, each
     beside its field's weight, and one weighted ``bincount`` of those ids
     scores every record: the sum over fields of ``weight * count`` of the
@@ -256,33 +257,25 @@ def parse_query(text: str) -> Query:
     return Query(tuple(conjuncts))
 
 
-def _candidates(index: Index, conjunct: Conjunct) -> np.ndarray:
-    """Ids of the records holding the conjunct's term in its field(s), ascending."""
-    names = (conjunct.field,) if conjunct.field else FIELDS
-    rows = [index.postings.row(conjunct.term, name)[0] for name in names]
-    rows = [ids for ids in rows if ids.size]
-    if len(rows) > 1:
-        return np.unique(np.concatenate(rows))
-    # one row is already ascending and free of repeats
-    return rows[0] if rows else _NO_ROW[0]
-
-
 def ranked_matches(index: Index, query: Query) -> list[int]:
     """All record ids satisfying every conjunct, best score first."""
-    candidates = None
+    rows, candidates = [], None  # rows: (field weight, ids, tf), each read once
     for conjunct in query.conjuncts:
-        matching = _candidates(index, conjunct)
+        names = (conjunct.field,) if conjunct.field else FIELDS
+        found = [(DEFAULT_FIELD_WEIGHTS[name], ids, tf) for name in names
+                 for ids, tf in [index.postings.row(conjunct.term, name)] if ids.size]
+        # one row is already ascending and free of repeats; no row, no match
+        matching = (found[0][1] if len(found) == 1
+                    else np.unique(np.concatenate([_NO_ROW[0], *(ids for _, ids, _ in found)])))
         candidates = (matching if candidates is None
                       else np.intersect1d(candidates, matching, assume_unique=True))
         if not candidates.size:
             return []
+        rows += found
     total = np.zeros(len(candidates))
-    for conjunct in query.conjuncts:
-        for name in (conjunct.field,) if conjunct.field else FIELDS:
-            ids, tf = index.postings.row(conjunct.term, name)
-            if ids.size:
-                at = np.minimum(np.searchsorted(ids, candidates), len(ids) - 1)
-                total += DEFAULT_FIELD_WEIGHTS[name] * np.where(ids[at] == candidates, tf[at], 0)
+    for weight, ids, tf in rows:
+        at = np.minimum(np.searchsorted(ids, candidates), len(ids) - 1)
+        total += weight * np.where(ids[at] == candidates, tf[at], 0)
     # a stable sort of ascending ids breaks score ties by id
     return candidates[np.argsort(-total, kind="stable")].tolist()
 

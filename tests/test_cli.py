@@ -701,8 +701,16 @@ def test_analyze_axes_limit(tmp_path):
     assert header == "label,kind,axis1,axis2"
 
 
-def test_analyze_error_about_a_bundled_table_names_no_file(tmp_path, capsys):
-    assert main(["analyze", "--fixture", "Table2", "--k", "1000", "--outdir", str(tmp_path)]) == 1
+@pytest.mark.parametrize("source", ["fixture", "table"])
+def test_analyze_error_about_a_bundled_table_names_no_file(source, tmp_path, capsys):
+    # a k given as a flag has no file either, whichever table it cuts
+    if source == "fixture":
+        table = ["--fixture", "Table2"]
+    else:
+        csv_path = tmp_path / "t2.csv"
+        assert main(["tables", "--fixture", "Table2", "-o", str(csv_path)]) == 0
+        table = ["--table", str(csv_path)]
+    assert main(["analyze", *table, "--k", "1000", "--outdir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == "bibcarto: error: k must be in 1..32, got 1000\n"
 
 
@@ -1402,6 +1410,23 @@ def test_search_query_page_still_pages(toy_corpus_file, capsys):
     assert "page 2" in capsys.readouterr().out
 
 
+def test_search_query_pages_are_the_library_pages(tmp_path, capsys):
+    # the CLI slices its own page; its ids must be those search.search gives
+    text = "".join(f"T   {'shared ' * (i % 3 + 1)}record {i}\nU   J THINGS 1999\nW.  X Y 99\n\n"
+                   for i in range(25))
+    path = _write(tmp_path / "shared.txt", text)
+    index = search.build_index(records.parse_records(text))
+    query = search.parse_query("shared")
+    total = len(search.ranked_matches(index, query))
+    for page in (1, 2, 3, 4):
+        assert main(["search", "shared", "--records", str(path), "--page", str(page)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{total} match(es); page {page} (")
+        ids = [int(i) for i in re.findall(r"^id: (\d+)$", out, re.M)]
+        assert ids == search.search(index, query, page)
+    assert total == 25 and ids == []
+
+
 def test_search_interactive_loop(toy_corpus_file, capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("network\nq\n"))
@@ -1433,6 +1458,37 @@ def test_search_interactive_undecodable_stream_exits_1(stream, tmp_path, capsys,
         assert err == "bibcarto: error: <stdin>:1: not UTF-8: byte 0xff\n"
     else:
         assert err == "bibcarto: error: <stdout>: cannot encode U+00E9 as ascii\n"
+
+
+# Python sets a standard stream whose descriptor was closed at start to None.
+CLOSED_STREAM_RUNS = {
+    "search-interactive": ("stdin", ["search", "--interactive", "--records", "{alerts}"]),
+    "search-query": ("stdout", ["search", "network", "--records", "{alerts}"]),
+    "search-mlt": ("stdout", ["search", "--mlt", "0", "--records", "{alerts}"]),
+    "parse": ("stdout", ["parse", "{alerts}"]),
+    "tables-records": ("stdout", ["tables", "--records", "{alerts}"]),
+    "tables-fixture": ("stdout", ["tables", "--fixture", "Table2"]),
+}
+
+
+@pytest.mark.parametrize("stream, argv", CLOSED_STREAM_RUNS.values(),
+                         ids=CLOSED_STREAM_RUNS.keys())
+def test_a_stream_closed_at_start_is_a_data_error(stream, argv, toy_corpus_file, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(sys, stream, None)
+    assert main([arg.format(alerts=toy_corpus_file) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"bibcarto: error: <{stream}>: Bad file descriptor\n"
+
+
+@pytest.mark.parametrize("command", [["parse"], ["tables", "--records"]], ids=["parse", "tables"])
+def test_an_output_file_needs_no_stdout(command, toy_corpus_file, tmp_path, capsys, monkeypatch):
+    expected = tmp_path / "expected"
+    assert main([*command, str(toy_corpus_file), "-o", str(expected)]) == 0
+    monkeypatch.setattr(sys, "stdout", None)
+    out = tmp_path / "out"
+    assert main([*command, str(toy_corpus_file), "-o", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    assert "error" not in capsys.readouterr().err
 
 
 STDIN_ENDS = {b"\n": "", b"\r": "-CR", b"\r\n": "-CRLF"}

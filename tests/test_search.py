@@ -12,6 +12,7 @@ from bibcarto.search import (
     DEFAULT_FIELD_WEIGHTS,
     FIELDS,
     PAGE_SIZE,
+    Postings,
     QueryError,
     _BLOCK,
     build_index,
@@ -142,6 +143,34 @@ def test_matches_linear_scan_oracle_on_toy_corpus():
         assert ranked_matches(index, query) == linear_scan_search(
             TOY, fields, query, DEFAULT_FIELD_WEIGHTS
         )
+
+
+@pytest.mark.parametrize("text, conjuncts_read", [
+    ("network", 1),
+    ("computational AND title:network", 2),
+    ("author:arabie computational", 2),
+    ("unobtainium AND network", 1),
+    ("network title:unobtainium computational", 2),
+    # pottery and network both match, but never in the same record
+    ("pottery network computational", 2),
+])
+def test_ranked_matches_reads_each_row_once(text, conjuncts_read, monkeypatch):
+    # one Postings.row call per (conjunct, field) it reads, scoring included,
+    # and none after the first conjunct that leaves no match
+    index = build_index(TOY)
+    query = parse_query(text)
+    calls = []
+    real = Postings.row
+
+    def row(self, term, name):
+        calls.append((term, name))
+        return real(self, term, name)
+
+    monkeypatch.setattr(Postings, "row", row)
+    ranked = ranked_matches(index, query)
+    assert calls == [(conjunct.term, name) for conjunct in query.conjuncts[:conjuncts_read]
+                     for name in ((conjunct.field,) if conjunct.field else FIELDS)]
+    assert ranked == naive_ranked_matches(TOY, DEFAULT_FIELD_WEIGHTS, query)
 
 
 def test_pagination_splits_ranked_results():
